@@ -1,27 +1,33 @@
-"""Versioned on-disk model bundles.
+"""Versioned on-disk model bundles and the classifier registry.
 
 An artifact is a single JSON document carrying the feature spec, fitted
-preprocessing (outlier bounds + scaler), the optional autoencoder, and one
+preprocessing (outlier bounds + scaler + optional autoencoder), and one
 classifier. All floats serialize at full round-trip precision and the
 payload is covered by a SHA-256 checksum; the creation timestamp lives
 outside the checksum so re-running the same training reproduces the payload
 byte for byte.
+
+CLASSIFIERS is the one place a classifier kind is defined: its display
+name, how it trains, predicts and (de)serializes. Every kind list and
+dispatch in the package derives from it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from . import neural, trees
 from .errors import CorruptArtifact, FeatureSpecMismatch, UnsupportedVersion
 from .features import FeatureSpec, featurize_many
 from .knn import KnnModel, predict_knn_batch
 from .neural import AutoencoderModel, LayerParams, MlpModel, encode, predict_proba_mlp_batch
-from .pipeline import OutlierBounds, Scaler, apply_bounds, apply_scaler
+from .pipeline import Dataset, OutlierBounds, Scaler, apply_bounds, apply_scaler
 from .trees import (
     BoostedModel,
     ForestModel,
@@ -30,18 +36,31 @@ from .trees import (
     predict_forest_batch,
 )
 
+if TYPE_CHECKING:
+    from .config import PipelineConfig
+
 FORMAT_VERSION = 1
 
-CLASSIFIER_KINDS = ("mlp", "knn", "xgb", "gb", "rf")
+
+@dataclass(frozen=True)
+class Preprocessor:
+    """Preprocessing fitted on training rows: winsorize, scale, optionally encode."""
+
+    bounds: OutlierBounds
+    scaler: Scaler
+    autoencoder: AutoencoderModel | None = None
+
+    def transform(self, features: np.ndarray) -> np.ndarray:
+        X = apply_scaler(self.scaler, apply_bounds(self.bounds, features))
+        if self.autoencoder is not None:
+            X = encode(self.autoencoder, X)
+        return np.atleast_2d(X)
 
 
 @dataclass
 class ModelArtifact:
     feature_spec: FeatureSpec
-    bounds: OutlierBounds
-    scaler: Scaler
-    feature_mode: str  # raw | autoencoder_latent
-    autoencoder: AutoencoderModel | None
+    preprocessor: Preprocessor
     classifier_kind: str
     classifier: object
     seed: int
@@ -49,43 +68,9 @@ class ModelArtifact:
     format_version: int = FORMAT_VERSION
     created_at: str = ""
 
-
-# ---------------------------------------------------------------------------
-# Prediction through an artifact
-# ---------------------------------------------------------------------------
-
-def transform_features(artifact: ModelArtifact, features: np.ndarray) -> np.ndarray:
-    """Apply the artifact's fitted preprocessing (and encoder) to raw features."""
-    if features.shape[1] != artifact.feature_spec.dim:
-        raise FeatureSpecMismatch(
-            f"artifact expects {artifact.feature_spec.dim} features, "
-            f"data has {features.shape[1]}"
-        )
-    X = apply_scaler(artifact.scaler, apply_bounds(artifact.bounds, features))
-    if artifact.feature_mode == "autoencoder_latent":
-        X = encode(artifact.autoencoder, X)
-    return np.atleast_2d(X)
-
-
-def predict_feature_matrix(artifact: ModelArtifact, features: np.ndarray) -> np.ndarray:
-    """Malicious-probability for each row of an unscaled feature matrix."""
-    X = transform_features(artifact, features)
-    kind = artifact.classifier_kind
-    if kind == "mlp":
-        return predict_proba_mlp_batch(artifact.classifier, X)
-    if kind == "knn":
-        return predict_knn_batch(artifact.classifier, X)
-    if kind in ("xgb", "gb"):
-        return predict_boosted_batch(artifact.classifier, X)
-    if kind == "rf":
-        return predict_forest_batch(artifact.classifier, X)
-    raise CorruptArtifact(f"unknown classifier kind {kind!r}")
-
-
-def predict_urls(artifact: ModelArtifact, urls: list[str]) -> np.ndarray:
-    """Malicious-probability for each URL string."""
-    features = featurize_many(urls, artifact.feature_spec)
-    return predict_feature_matrix(artifact, features)
+    @property
+    def feature_mode(self) -> str:
+        return "raw" if self.preprocessor.autoencoder is None else "autoencoder_latent"
 
 
 # ---------------------------------------------------------------------------
@@ -130,64 +115,6 @@ def _tree_from_dict(d: dict) -> TreeNode:
     )
 
 
-def _classifier_to_dict(kind: str, model) -> dict:
-    if kind == "mlp":
-        return {"layers": [_layer_to_dict(l) for l in model.layers]}
-    if kind == "knn":
-        return {
-            "features": model.stored_features.tolist(),
-            "labels": model.stored_labels.tolist(),
-            "default_k": model.default_k,
-        }
-    if kind in ("xgb", "gb"):
-        return {
-            "variant": model.variant,
-            "init_score": model.init_score,
-            "learning_rate": model.learning_rate,
-            "lam": model.lam,
-            "gamma": model.gamma,
-            "trees": [_tree_to_dict(t) for t in model.trees],
-        }
-    if kind == "rf":
-        return {
-            "n_trees": model.n_trees,
-            "m_features": model.m_features,
-            "bootstrap": model.bootstrap,
-            "seed": model.seed,
-            "trees": [_tree_to_dict(t) for t in model.trees],
-        }
-    raise ValueError(f"unknown classifier kind {kind!r}")
-
-
-def _classifier_from_dict(kind: str, d: dict):
-    if kind == "mlp":
-        return MlpModel(layers=[_layer_from_dict(l) for l in d["layers"]])
-    if kind == "knn":
-        return KnnModel(
-            stored_features=np.asarray(d["features"], dtype=np.float64),
-            stored_labels=np.asarray(d["labels"], dtype=np.int64),
-            default_k=int(d["default_k"]),
-        )
-    if kind in ("xgb", "gb"):
-        return BoostedModel(
-            variant=d["variant"],
-            init_score=float(d["init_score"]),
-            trees=[_tree_from_dict(t) for t in d["trees"]],
-            learning_rate=float(d["learning_rate"]),
-            lam=float(d["lam"]),
-            gamma=float(d["gamma"]),
-        )
-    if kind == "rf":
-        return ForestModel(
-            trees=[_tree_from_dict(t) for t in d["trees"]],
-            n_trees=int(d["n_trees"]),
-            m_features=int(d["m_features"]),
-            bootstrap=bool(d["bootstrap"]),
-            seed=int(d["seed"]),
-        )
-    raise CorruptArtifact(f"unknown classifier kind {kind!r}")
-
-
 def _autoencoder_to_dict(model: AutoencoderModel | None) -> dict | None:
     if model is None:
         return None
@@ -208,21 +135,151 @@ def _autoencoder_from_dict(d: dict | None) -> AutoencoderModel | None:
     )
 
 
+# ---------------------------------------------------------------------------
+# Classifier registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ClassifierKind:
+    """Everything the package knows about one classifier kind.
+
+    train and predict look their trainers and batch predictors up when
+    called, so rebinding a module attribute (e.g. for tracing) takes effect.
+    """
+
+    display_name: str
+    train: Callable[[Dataset, PipelineConfig], object]
+    predict: Callable[[object, np.ndarray], np.ndarray]  # malicious probability per row
+    to_dict: Callable[[object], dict]
+    from_dict: Callable[[dict], object]
+
+
+def _knn_to_dict(model: KnnModel) -> dict:
+    return {
+        "features": model.stored_features.tolist(),
+        "labels": model.stored_labels.tolist(),
+        "default_k": model.default_k,
+    }
+
+
+def _knn_from_dict(d: dict) -> KnnModel:
+    return KnnModel(
+        stored_features=np.asarray(d["features"], dtype=np.float64),
+        stored_labels=np.asarray(d["labels"], dtype=np.int64),
+        default_k=int(d["default_k"]),
+    )
+
+
+def _ensemble_to_dict(model: BoostedModel | ForestModel) -> dict:
+    """Every dataclass field under its own name, with the trees as nested dicts."""
+    return {**vars(model), "trees": [_tree_to_dict(t) for t in model.trees]}
+
+
+def _boosted_from_dict(d: dict) -> BoostedModel:
+    return BoostedModel(
+        variant=d["variant"],
+        init_score=float(d["init_score"]),
+        trees=[_tree_from_dict(t) for t in d["trees"]],
+        learning_rate=float(d["learning_rate"]),
+        lam=float(d["lam"]),
+        gamma=float(d["gamma"]),
+    )
+
+
+def _forest_from_dict(d: dict) -> ForestModel:
+    return ForestModel(
+        trees=[_tree_from_dict(t) for t in d["trees"]],
+        n_trees=int(d["n_trees"]),
+        m_features=int(d["m_features"]),
+        bootstrap=bool(d["bootstrap"]),
+        seed=int(d["seed"]),
+    )
+
+
+# Insertion order is the comparison row order (serials 1-5).
+CLASSIFIERS: dict[str, ClassifierKind] = {
+    "mlp": ClassifierKind(
+        "MLP",
+        train=lambda ds, config: neural.train_mlp(ds, replace(config.mlp, seed=config.seed)),
+        predict=lambda model, X: predict_proba_mlp_batch(model, X),
+        to_dict=lambda model: {"layers": [_layer_to_dict(l) for l in model.layers]},
+        from_dict=lambda d: MlpModel(layers=[_layer_from_dict(l) for l in d["layers"]]),
+    ),
+    "knn": ClassifierKind(
+        "K-NN",
+        train=lambda ds, config: KnnModel(ds.features, ds.labels, min(config.knn_k, ds.n_rows)),
+        predict=lambda model, X: predict_knn_batch(model, X),
+        to_dict=_knn_to_dict,
+        from_dict=_knn_from_dict,
+    ),
+    "xgb": ClassifierKind(
+        "XGB",
+        train=lambda ds, config: trees.train_xgb(ds, config.xgb),
+        predict=lambda model, X: predict_boosted_batch(model, X),
+        to_dict=_ensemble_to_dict,
+        from_dict=_boosted_from_dict,
+    ),
+    "gb": ClassifierKind(
+        "Gradient Boosting",
+        train=lambda ds, config: trees.train_gradient_boosting(ds, config.gb),
+        predict=lambda model, X: predict_boosted_batch(model, X),
+        to_dict=_ensemble_to_dict,
+        from_dict=_boosted_from_dict,
+    ),
+    "rf": ClassifierKind(
+        "Random Forest",
+        train=lambda ds, config: trees.train_random_forest(
+            ds, replace(config.forest, seed=config.seed)
+        ),
+        predict=lambda model, X: predict_forest_batch(model, X),
+        to_dict=_ensemble_to_dict,
+        from_dict=_forest_from_dict,
+    ),
+}
+
+CLASSIFIER_KINDS = tuple(CLASSIFIERS)
+
+
+# ---------------------------------------------------------------------------
+# Prediction through an artifact
+# ---------------------------------------------------------------------------
+
+def transform_features(artifact: ModelArtifact, features: np.ndarray) -> np.ndarray:
+    """Apply the artifact's fitted preprocessing (and encoder) to raw features."""
+    if features.shape[1] != artifact.feature_spec.dim:
+        raise FeatureSpecMismatch(
+            f"artifact expects {artifact.feature_spec.dim} features, "
+            f"data has {features.shape[1]}"
+        )
+    return artifact.preprocessor.transform(features)
+
+
+def predict_feature_matrix(artifact: ModelArtifact, features: np.ndarray) -> np.ndarray:
+    """Malicious-probability for each row of an unscaled feature matrix."""
+    X = transform_features(artifact, features)
+    return CLASSIFIERS[artifact.classifier_kind].predict(artifact.classifier, X)
+
+
+def predict_urls(artifact: ModelArtifact, urls: list[str]) -> np.ndarray:
+    """Malicious-probability for each URL string."""
+    features = featurize_many(urls, artifact.feature_spec)
+    return predict_feature_matrix(artifact, features)
+
+
+# ---------------------------------------------------------------------------
+# Save / load
+# ---------------------------------------------------------------------------
+
 def _payload(artifact: ModelArtifact) -> dict:
+    pre = artifact.preprocessor
     return {
         "feature_spec": {"keywords": list(artifact.feature_spec.keywords)},
-        "bounds": {
-            "lower": artifact.bounds.lower.tolist(),
-            "upper": artifact.bounds.upper.tolist(),
-        },
-        "scaler": {
-            "min": artifact.scaler.col_min.tolist(),
-            "max": artifact.scaler.col_max.tolist(),
-        },
+        "bounds": {"lower": pre.bounds.lower.tolist(), "upper": pre.bounds.upper.tolist()},
+        "scaler": {"min": pre.scaler.col_min.tolist(), "max": pre.scaler.col_max.tolist()},
         "feature_mode": artifact.feature_mode,
-        "autoencoder": _autoencoder_to_dict(artifact.autoencoder),
+        "autoencoder": _autoencoder_to_dict(pre.autoencoder),
         "classifier_kind": artifact.classifier_kind,
-        "classifier": _classifier_to_dict(artifact.classifier_kind, artifact.classifier),
+        "classifier": CLASSIFIERS[artifact.classifier_kind].to_dict(artifact.classifier),
         "seed": artifact.seed,
         "dataset_fingerprint": artifact.dataset_fingerprint,
     }
@@ -270,26 +327,33 @@ def load_model(path: str) -> ModelArtifact:
         raise CorruptArtifact("checksum mismatch: artifact bytes were altered")
 
     try:
-        return ModelArtifact(
+        kind = payload["classifier_kind"]  # an unknown kind is a KeyError too
+        artifact = ModelArtifact(
             feature_spec=FeatureSpec(keywords=tuple(payload["feature_spec"]["keywords"])),
-            bounds=OutlierBounds(
-                lower=np.asarray(payload["bounds"]["lower"], dtype=np.float64),
-                upper=np.asarray(payload["bounds"]["upper"], dtype=np.float64),
+            preprocessor=Preprocessor(
+                bounds=OutlierBounds(
+                    lower=np.asarray(payload["bounds"]["lower"], dtype=np.float64),
+                    upper=np.asarray(payload["bounds"]["upper"], dtype=np.float64),
+                ),
+                scaler=Scaler(
+                    col_min=np.asarray(payload["scaler"]["min"], dtype=np.float64),
+                    col_max=np.asarray(payload["scaler"]["max"], dtype=np.float64),
+                ),
+                autoencoder=_autoencoder_from_dict(payload["autoencoder"]),
             ),
-            scaler=Scaler(
-                col_min=np.asarray(payload["scaler"]["min"], dtype=np.float64),
-                col_max=np.asarray(payload["scaler"]["max"], dtype=np.float64),
-            ),
-            feature_mode=payload["feature_mode"],
-            autoencoder=_autoencoder_from_dict(payload["autoencoder"]),
-            classifier_kind=payload["classifier_kind"],
-            classifier=_classifier_from_dict(
-                payload["classifier_kind"], payload["classifier"]
-            ),
+            classifier_kind=kind,
+            classifier=CLASSIFIERS[kind].from_dict(payload["classifier"]),
             seed=int(payload["seed"]),
             dataset_fingerprint=payload["dataset_fingerprint"],
             format_version=version,
             created_at=document.get("created_at", ""),
         )
+        feature_mode = payload["feature_mode"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptArtifact(f"artifact payload is structurally invalid: {exc}") from exc
+    if feature_mode != artifact.feature_mode:
+        raise CorruptArtifact(
+            f"feature_mode {feature_mode!r} disagrees with the autoencoder, "
+            f"which implies {artifact.feature_mode!r}"
+        )
+    return artifact

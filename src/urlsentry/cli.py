@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: train, compare, evaluate, predict, report. Exit codes:
-0 success, 1 data/config error, 2 internal error.
+0 success, 1 data/config/file error (including unreadable or non-UTF-8
+input), 2 internal error.
 """
 
 from __future__ import annotations
@@ -12,8 +13,14 @@ import os
 import sys
 
 from .artifact import load_model, save_model
-from .config import CLASSIFIER_CHOICES, FEATURE_MODES, build_config, parse_config_file
-from .errors import UrlSentryError
+from .config import (
+    CLASSIFIER_CHOICES,
+    CONFIG_FILE_KEYS,
+    FEATURE_MODES,
+    build_config,
+    parse_config_file,
+)
+from .errors import MalformedRow, UrlSentryError
 from .evaluation import (
     ComparisonTable,
     comparison_csv,
@@ -70,15 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace):
     file_values = parse_config_file(args.config) if args.config else {}
-    flags = {
-        "data": args.data,
-        "model": args.model,
-        "seed": args.seed,
-        "threshold": args.threshold,
-        "out": args.out,
-        "features": args.features,
-        "classifier": args.classifier,
-    }
+    flags = {key: getattr(args, key) for key in CONFIG_FILE_KEYS}
     return build_config(file_values, flags)
 
 
@@ -209,7 +208,14 @@ def cmd_report(args: argparse.Namespace) -> int:
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["classifier", "accuracy"]:
             raise UrlSentryError("expected CSV header classifier,accuracy")
-        rows = [(row[0], float(row[1])) for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                rows.append((row[0], float(row[1])))
+            except (IndexError, ValueError):
+                raise MalformedRow(reader.line_num, "expected classifier,accuracy") from None
     if not rows:
         raise UrlSentryError("comparison CSV has no rows")
     table = ComparisonTable(
@@ -237,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (UrlSentryError, FileNotFoundError) as exc:
+    except (UrlSentryError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal error

@@ -10,14 +10,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import neural, trees
+from .artifact import CLASSIFIER_KINDS
 from .errors import ConfigError
 from .pipeline import DEFAULT_LABEL_MAP, SplitConfig
 
 FEATURE_MODES = ("raw", "latent")
-CLASSIFIER_CHOICES = ("mlp", "knn", "xgb", "gb", "rf", "all")
+CLASSIFIER_CHOICES = CLASSIFIER_KINDS + ("all",)
 
-# Keys accepted in a config file; mirrors the CLI flags.
-CONFIG_FILE_KEYS = ("data", "model", "seed", "threshold", "out", "features", "classifier")
+# Config-file key (= CLI flag name) -> (PipelineConfig field, value parser).
+CONFIG_KEYS = {
+    "data": ("data_path", str),
+    "model": ("model_path", str),
+    "seed": ("seed", int),
+    "threshold": ("threshold", float),
+    "out": ("out_dir", str),
+    "features": ("feature_mode", str),
+    "classifier": ("classifier", str),
+}
+CONFIG_FILE_KEYS = tuple(CONFIG_KEYS)
 
 
 @dataclass
@@ -88,23 +98,11 @@ def build_config(file_values: dict[str, str], flag_values: dict) -> PipelineConf
             merged[key] = value
 
     for key, value in merged.items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        field_name, parse = CONFIG_KEYS[key]
         try:
-            if key == "seed":
-                cfg = replace(cfg, seed=int(value))
-            elif key == "threshold":
-                cfg = replace(cfg, threshold=float(value))
-            elif key == "features":
-                cfg = replace(cfg, feature_mode=str(value))
-            elif key == "classifier":
-                cfg = replace(cfg, classifier=str(value))
-            elif key == "out":
-                cfg = replace(cfg, out_dir=str(value))
-            elif key == "data":
-                cfg = replace(cfg, data_path=str(value))
-            elif key == "model":
-                cfg = replace(cfg, model_path=str(value))
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
+            cfg = replace(cfg, **{field_name: parse(value)})
         except ValueError as exc:
             raise ConfigError(f"invalid value for {key!r}: {value!r}") from exc
     return cfg.validate()

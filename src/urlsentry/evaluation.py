@@ -8,17 +8,15 @@ printed cells exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from . import knn as knn_mod
-from . import neural, trees
+from .artifact import CLASSIFIERS
+from .config import PipelineConfig
 from .errors import EmptyInput, EmptyMatrix, LengthMismatch
 from .pipeline import Dataset
 
 # Fixed comparison row order; serials 1-5 in every emitted table.
-CLASSIFIER_ORDER = ("MLP", "K-NN", "XGB", "Gradient Boosting", "Random Forest")
+CLASSIFIER_ORDER = tuple(kind.display_name for kind in CLASSIFIERS.values())
 
 
 @dataclass(frozen=True)
@@ -91,74 +89,32 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
     )
 
 
-@dataclass
-class ComparisonConfig:
-    """Hyperparameters for the head-to-head run; defaults are desk-scale."""
-
-    seed: int = 42
-    knn_k: int = 5
-    mlp: neural.TrainConfig = field(default_factory=neural.TrainConfig)
-    forest: trees.ForestParams = field(default_factory=trees.ForestParams)
-    gb: trees.BoostParams = field(default_factory=trees.BoostParams)
-    xgb: trees.XgbParams = field(default_factory=trees.XgbParams)
-    split_descriptor: str = ""
-
-
 def compare_classifiers(
-    train: Dataset, test: Dataset, config: ComparisonConfig | None = None
+    train: Dataset,
+    test: Dataset,
+    config: PipelineConfig | None = None,
+    split_descriptor: str = "",
 ) -> tuple[ComparisonTable, dict[str, ConfusionMatrix]]:
-    """Train all five classifiers on identical data and score the same test set.
+    """Train every registered classifier on identical data and score the same test set.
 
-    Row order is fixed (MLP, K-NN, XGB, Gradient Boosting, Random Forest)
-    and the whole run is deterministic in config.seed.
+    Row order is the registry order (MLP, K-NN, XGB, Gradient Boosting,
+    Random Forest) and the whole run is deterministic in config.seed.
     """
     if config is None:
-        config = ComparisonConfig()
+        config = PipelineConfig()
     if train.n_rows == 0 or test.n_rows == 0:
         raise EmptyInput("both partitions must be non-empty")
-
-    mlp_cfg = neural.TrainConfig(
-        epochs=config.mlp.epochs, batch_size=config.mlp.batch_size,
-        learning_rate=config.mlp.learning_rate, hidden_sizes=config.mlp.hidden_sizes,
-        seed=config.seed,
-    )
-    forest_params = trees.ForestParams(
-        n_trees=config.forest.n_trees, max_depth=config.forest.max_depth,
-        m_features=config.forest.m_features, bootstrap=config.forest.bootstrap,
-        min_samples_leaf=config.forest.min_samples_leaf, seed=config.seed,
-    )
-
-    confidences: dict[str, np.ndarray] = {}
-
-    mlp = neural.train_mlp(train, mlp_cfg)
-    confidences["MLP"] = neural.predict_proba_mlp_batch(mlp, test.features)
-
-    knn_model = knn_mod.KnnModel(
-        stored_features=train.features, stored_labels=train.labels,
-        default_k=min(config.knn_k, train.n_rows),
-    )
-    confidences["K-NN"] = knn_mod.predict_knn_batch(knn_model, test.features)
-
-    xgb_model = trees.train_xgb(train, config.xgb)
-    confidences["XGB"] = trees.predict_boosted_batch(xgb_model, test.features)
-
-    gb_model = trees.train_gradient_boosting(train, config.gb)
-    confidences["Gradient Boosting"] = trees.predict_boosted_batch(gb_model, test.features)
-
-    forest = trees.train_random_forest(train, forest_params)
-    confidences["Random Forest"] = trees.predict_forest_batch(forest, test.features)
 
     rows = []
     matrices = {}
     truth = [int(t) for t in test.labels]
-    for name in CLASSIFIER_ORDER:
-        predicted = [1 if c >= 0.5 else 0 for c in confidences[name]]
+    for kind in CLASSIFIERS.values():
+        model = kind.train(train, config)
+        predicted = [1 if c >= 0.5 else 0 for c in kind.predict(model, test.features)]
         cm = confusion_matrix(predicted, truth)
-        matrices[name] = cm
-        rows.append((name, compute_metrics(cm).accuracy))
-    table = ComparisonTable(
-        rows=rows, split_descriptor=config.split_descriptor, seed=config.seed
-    )
+        matrices[kind.display_name] = cm
+        rows.append((kind.display_name, compute_metrics(cm).accuracy))
+    table = ComparisonTable(rows=rows, split_descriptor=split_descriptor, seed=config.seed)
     return table, matrices
 
 

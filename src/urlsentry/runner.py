@@ -10,13 +10,19 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 
-from . import knn as knn_mod
-from . import neural, trees
-from .artifact import ModelArtifact, predict_feature_matrix, predict_urls
+import numpy as np
+
+from . import neural
+from .artifact import (
+    CLASSIFIERS,
+    ModelArtifact,
+    Preprocessor,
+    predict_feature_matrix,
+    predict_urls,
+)
 from .config import PipelineConfig
 from .errors import ConfigError, EmptyInput, ThresholdOutOfRange
 from .evaluation import (
-    ComparisonConfig,
     ComparisonTable,
     ConfusionMatrix,
     MetricsReport,
@@ -28,7 +34,7 @@ from .features import FeatureSpec, featurize_many
 from .pipeline import (
     CleanReport,
     Dataset,
-    apply_bounds,
+    apply_bounds,  # no caller here; perfbench/inproc.py traces this binding
     apply_scaler,
     bound_outliers,
     clean,
@@ -93,12 +99,16 @@ def load_labeled_dataset(
     return Dataset(features=features, labels=labels, urls=urls), report
 
 
-def _feature_mode_name(config: PipelineConfig) -> str:
-    return "autoencoder_latent" if config.feature_mode == "latent" else "raw"
-
-
-def _seeded(cfg, seed: int):
-    return replace(cfg, seed=seed)
+def fit_preprocessor(features: np.ndarray, config: PipelineConfig) -> Preprocessor:
+    """Fit winsorizing bounds, the scaler and, in latent mode, the autoencoder."""
+    bounds, clipped = bound_outliers(features)
+    scaler = fit_scaler(clipped)
+    autoencoder = None
+    if config.feature_mode == "latent":
+        autoencoder = neural.train_autoencoder(
+            apply_scaler(scaler, clipped), replace(config.autoencoder, seed=config.seed)
+        )
+    return Preprocessor(bounds=bounds, scaler=scaler, autoencoder=autoencoder)
 
 
 def train_artifact(
@@ -107,45 +117,16 @@ def train_artifact(
     """Fit preprocessing on the full dataset and train one classifier."""
     if dataset.n_rows == 0:
         raise EmptyInput("cannot train on an empty dataset")
+    if config.classifier not in CLASSIFIERS:
+        raise ConfigError(f"train needs a single classifier kind, got {config.classifier!r}")
     ds = stratified_subsample(dataset, config.max_rows, config.seed)
-    spec = FeatureSpec()
-
-    bounds, clipped = bound_outliers(ds.features)
-    scaler = fit_scaler(clipped)
-    X = apply_scaler(scaler, clipped)
-
-    autoencoder = None
-    if config.feature_mode == "latent":
-        autoencoder = neural.train_autoencoder(X, _seeded(config.autoencoder, config.seed))
-        X = neural.encode(autoencoder, X)
-
-    work = Dataset(features=X, labels=ds.labels, urls=ds.urls)
-    kind = config.classifier
-    if kind == "mlp":
-        model = neural.train_mlp(work, _seeded(config.mlp, config.seed))
-    elif kind == "knn":
-        model = knn_mod.KnnModel(
-            stored_features=work.features,
-            stored_labels=work.labels,
-            default_k=min(config.knn_k, work.n_rows),
-        )
-    elif kind == "xgb":
-        model = trees.train_xgb(work, config.xgb)
-    elif kind == "gb":
-        model = trees.train_gradient_boosting(work, config.gb)
-    elif kind == "rf":
-        model = trees.train_random_forest(work, _seeded(config.forest, config.seed))
-    else:
-        raise ConfigError(f"train needs a single classifier kind, got {kind!r}")
-
+    preprocessor = fit_preprocessor(ds.features, config)
+    work = Dataset(features=preprocessor.transform(ds.features), labels=ds.labels, urls=ds.urls)
     return ModelArtifact(
-        feature_spec=spec,
-        bounds=bounds,
-        scaler=scaler,
-        feature_mode=_feature_mode_name(config),
-        autoencoder=autoencoder,
-        classifier_kind=kind,
-        classifier=model,
+        feature_spec=FeatureSpec(),
+        preprocessor=preprocessor,
+        classifier_kind=config.classifier,
+        classifier=CLASSIFIERS[config.classifier].train(work, config),
         seed=config.seed,
         dataset_fingerprint=fingerprint,
     )
@@ -157,35 +138,15 @@ def run_compare(
     """Subsample, split, preprocess, and run the five-way comparison."""
     ds = stratified_subsample(dataset, config.max_rows, config.seed)
     train, test = stratified_split(ds, config.split_config())
-
-    bounds, train_clipped = bound_outliers(train.features)
-    scaler = fit_scaler(train_clipped)
-    train_x = apply_scaler(scaler, train_clipped)
-    test_x = apply_scaler(scaler, apply_bounds(bounds, test.features))
-
-    if config.feature_mode == "latent":
-        autoencoder = neural.train_autoencoder(
-            train_x, _seeded(config.autoencoder, config.seed)
-        )
-        train_x = neural.encode(autoencoder, train_x)
-        test_x = neural.encode(autoencoder, test_x)
-
-    comparison = ComparisonConfig(
-        seed=config.seed,
-        knn_k=config.knn_k,
-        mlp=config.mlp,
-        forest=config.forest,
-        gb=config.gb,
-        xgb=config.xgb,
+    preprocessor = fit_preprocessor(train.features, config)
+    return compare_classifiers(
+        Dataset(preprocessor.transform(train.features), train.labels, train.urls),
+        Dataset(preprocessor.transform(test.features), test.labels, test.urls),
+        config,
         split_descriptor=(
             f"{int((1 - config.test_fraction) * 100)}/{int(config.test_fraction * 100)} "
             f"stratified, {ds.n_rows} rows, features={config.feature_mode}"
         ),
-    )
-    return compare_classifiers(
-        Dataset(train_x, train.labels, train.urls),
-        Dataset(test_x, test.labels, test.urls),
-        comparison,
     )
 
 

@@ -316,13 +316,9 @@ def train_random_forest(train: Dataset, params: ForestParams | None = None) -> F
     )
 
 
-def forest_confidence(model: ForestModel, x: np.ndarray) -> float:
-    return float(np.mean([predict_tree(t, x) for t in model.trees]))
-
-
 def predict_forest(model: ForestModel, x: np.ndarray) -> tuple[int, float]:
     """Mean leaf fraction across trees; label 1 iff confidence >= 0.5."""
-    confidence = forest_confidence(model, x)
+    confidence = float(predict_forest_batch(model, x)[0])
     return (1 if confidence >= 0.5 else 0), confidence
 
 
@@ -373,37 +369,52 @@ def _base_rate_log_odds(y: np.ndarray) -> float:
     return math.log(p / (1.0 - p))
 
 
-def train_gradient_boosting(train: Dataset, params: BoostParams | None = None) -> BoostedModel:
-    """First-order boosting: least-squares trees on log-loss residuals.
+def _boost(
+    train: Dataset, *, variant: str, n_rounds: int, learning_rate: float,
+    max_depth: int, min_samples_leaf: int, newton_splits: bool,
+    lam: float = 0.0, gamma: float = 0.0,
+) -> BoostedModel:
+    """The boosting loop shared by both variants.
 
-    Leaf values take the single Newton step sum(residual) / sum(p(1-p))
-    over leaf members; no row or feature sampling, so training is a pure
+    Each round fits a second-order tree to the log-loss gradients. Leaf
+    values are the Newton step -sum(grad) / (sum(p(1-p)) + lam); split gains
+    use the hessians p(1-p) when newton_splits, else unit hessians (a
+    least-squares fit to the residuals). No sampling: training is a pure
     function of (data, params).
     """
-    if params is None:
-        params = BoostParams()
     X = np.asarray(train.features, dtype=np.float64)
     y = np.asarray(train.labels, dtype=np.float64)
     init_score = _base_rate_log_odds(y)
-    n = X.shape[0]
     tree_params = TreeParams(
-        max_depth=params.max_depth,
-        min_samples_leaf=params.min_samples_leaf,
-        criterion="second_order",
+        max_depth=max_depth, min_samples_leaf=min_samples_leaf, criterion="second_order"
     )
-    ones = np.ones(n, dtype=np.float64)
+    ones = np.ones(X.shape[0], dtype=np.float64)
 
-    scores = np.full(n, init_score, dtype=np.float64)
+    scores = np.full(X.shape[0], init_score, dtype=np.float64)
     trees = []
-    for _ in range(params.n_rounds):
+    for _ in range(n_rounds):
         p = sigmoid(scores)
-        targets = GradientTargets(grad=p - y, hess=ones, leaf_hess=p * (1.0 - p))
+        h = p * (1.0 - p)
+        targets = GradientTargets(
+            grad=p - y, hess=h if newton_splits else ones, leaf_hess=h, lam=lam, gamma=gamma
+        )
         tree = grow_tree(X, targets, tree_params)
         trees.append(tree)
-        scores += params.learning_rate * predict_tree_batch(tree, X)
+        scores += learning_rate * predict_tree_batch(tree, X)
     return BoostedModel(
-        variant="gradient_boosting", init_score=init_score,
-        trees=trees, learning_rate=params.learning_rate,
+        variant=variant, init_score=init_score, trees=trees,
+        learning_rate=learning_rate, lam=lam, gamma=gamma,
+    )
+
+
+def train_gradient_boosting(train: Dataset, params: BoostParams | None = None) -> BoostedModel:
+    """First-order boosting: least-squares trees on log-loss residuals."""
+    if params is None:
+        params = BoostParams()
+    return _boost(
+        train, variant="gradient_boosting", n_rounds=params.n_rounds,
+        learning_rate=params.learning_rate, max_depth=params.max_depth,
+        min_samples_leaf=params.min_samples_leaf, newton_splits=False,
     )
 
 
@@ -411,42 +422,17 @@ def train_xgb(train: Dataset, params: XgbParams | None = None) -> BoostedModel:
     """Second-order boosting with L2 leaf regularization and gain penalty."""
     if params is None:
         params = XgbParams()
-    X = np.asarray(train.features, dtype=np.float64)
-    y = np.asarray(train.labels, dtype=np.float64)
-    init_score = _base_rate_log_odds(y)
-    n = X.shape[0]
-    tree_params = TreeParams(
-        max_depth=params.max_depth,
-        min_samples_leaf=params.min_samples_leaf,
-        criterion="second_order",
-    )
-
-    scores = np.full(n, init_score, dtype=np.float64)
-    trees = []
-    for _ in range(params.n_rounds):
-        p = sigmoid(scores)
-        h = p * (1.0 - p)
-        targets = GradientTargets(
-            grad=p - y, hess=h, leaf_hess=h, lam=params.lam, gamma=params.gamma
-        )
-        tree = grow_tree(X, targets, tree_params)
-        trees.append(tree)
-        scores += params.eta * predict_tree_batch(tree, X)
-    return BoostedModel(
-        variant="xgboost_style", init_score=init_score, trees=trees,
-        learning_rate=params.eta, lam=params.lam, gamma=params.gamma,
-    )
-
-
-def boosted_score(model: BoostedModel, x: np.ndarray) -> float:
-    return model.init_score + model.learning_rate * sum(
-        predict_tree(t, x) for t in model.trees
+    return _boost(
+        train, variant="xgboost_style", n_rounds=params.n_rounds,
+        learning_rate=params.eta, max_depth=params.max_depth,
+        min_samples_leaf=params.min_samples_leaf, newton_splits=True,
+        lam=params.lam, gamma=params.gamma,
     )
 
 
 def predict_boosted(model: BoostedModel, x: np.ndarray) -> tuple[int, float]:
     """sigmoid(init + lr * sum of tree outputs); label 1 iff >= 0.5."""
-    confidence = float(sigmoid(np.asarray(boosted_score(model, x))))
+    confidence = float(predict_boosted_batch(model, x)[0])
     return (1 if confidence >= 0.5 else 0), confidence
 
 

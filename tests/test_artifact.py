@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +10,20 @@ from urlsentry.artifact import (
     predict_feature_matrix,
     predict_urls,
     save_model,
+    transform_features,
 )
 from urlsentry.config import PipelineConfig
 from urlsentry.errors import CorruptArtifact, FeatureSpecMismatch, UnsupportedVersion
 from urlsentry.features import featurize_many
 from urlsentry.neural import TrainConfig
 from urlsentry.runner import load_labeled_dataset, train_artifact
-from urlsentry.trees import BoostParams, ForestParams, XgbParams
+from urlsentry.trees import (
+    BoostParams,
+    ForestParams,
+    XgbParams,
+    predict_boosted,
+    predict_forest,
+)
 
 from conftest import random_urls
 
@@ -130,3 +139,48 @@ def test_predictions_via_feature_matrix_match_urls_path(training_data):
     assert np.array_equal(
         predict_urls(artifact, urls), predict_feature_matrix(artifact, features)
     )
+
+
+def rewrite_payload(path, mutate) -> None:
+    """Apply mutate to the saved payload and store a matching checksum."""
+    document = json.loads(path.read_text())
+    mutate(document["payload"])
+    canon = json.dumps(document["payload"], sort_keys=True, separators=(",", ":"))
+    document["checksum"] = hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(document))
+
+
+@pytest.mark.parametrize(
+    "trained_mode, key, value",
+    [
+        ("latent", "feature_mode", "raw"),
+        ("raw", "feature_mode", "autoencoder_latent"),
+        ("raw", "feature_mode", "latent"),
+        ("raw", "classifier_kind", "svm"),
+    ],
+)
+def test_inconsistent_payload_rejected(trained_mode, key, value, training_data, tmp_path):
+    artifact = train_artifact(training_data, small_config("xgb", trained_mode))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+    rewrite_payload(path, lambda payload: payload.update({key: value}))
+    with pytest.raises(CorruptArtifact, match=value):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "kind, predict_one", [("xgb", predict_boosted), ("gb", predict_boosted), ("rf", predict_forest)]
+)
+def test_scalar_and_batch_confidences_identical(kind, predict_one, training_data):
+    # ten trees/rounds: enough that a differently ordered float sum would show
+    cfg = replace(
+        small_config(kind),
+        forest=ForestParams(n_trees=10, max_depth=4),
+        gb=BoostParams(n_rounds=10),
+        xgb=XgbParams(n_rounds=10),
+    )
+    artifact = train_artifact(training_data, cfg)
+    X = transform_features(artifact, training_data.features)
+    batch = predict_feature_matrix(artifact, training_data.features)
+    scalar = [predict_one(artifact.classifier, x)[1] for x in X]
+    assert [float(b) for b in batch] == scalar

@@ -89,6 +89,12 @@ class TestCmdTrain:
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.csv")]) == 1
 
+    def test_non_utf8_csv_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"url,type\nhttp://caf\xe9.com/menu,benign\n")
+        assert main(["train", "--data", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "UnicodeDecodeError" in capsys.readouterr().err
+
 
 class TestCmdPredict:
     def make_knn_artifact(self, tiny_csv, tmp_path, k=1):
@@ -117,6 +123,15 @@ class TestCmdPredict:
         code = main(["predict", "--model", model, "--data", str(urls_file)])
         assert code == 1
         assert "no URLs" in capsys.readouterr().err
+
+    def test_non_utf8_url_list_exits_one(self, tmp_path, tiny_csv, capsys):
+        model = self.make_knn_artifact(tiny_csv, tmp_path)
+        urls_file = tmp_path / "urls.txt"
+        urls_file.write_bytes(b"http://caf\xe9.com/menu\n")
+        code = main(["predict", "--model", model, "--data", str(urls_file),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "UnicodeDecodeError" in capsys.readouterr().err
 
     def test_partition_conservation_and_safe_list(self, tiny_csv, tmp_path, capsys):
         model = self.make_knn_artifact(tiny_csv, tmp_path, k=3)
@@ -217,6 +232,18 @@ class TestCmdCompareAndReport:
         assert code == 0
         assert (out2 / "accuracy_chart.svg").exists()
 
+    @pytest.mark.parametrize(
+        "row", ["MLP,not-a-number", "MLP"], ids=["non_numeric", "one_column"]
+    )
+    def test_report_malformed_row_exits_one(self, tmp_path, capsys, row):
+        path = tmp_path / "comparison.csv"
+        path.write_text(f"classifier,accuracy\nK-NN,0.5\n{row}\n")
+        code = main(["report", "--data", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedRow")
+        assert "line 3" in err
+
 
 class TestConfigHandling:
     def test_config_file_and_flag_override(self, tmp_path):
@@ -240,6 +267,11 @@ class TestConfigHandling:
         code = main(["train", "--data", tiny_csv, "--config", str(cfg_file)])
         assert code == 1
         assert "ConfigError" in capsys.readouterr().err
+
+    def test_directory_as_config_exits_one(self, tmp_path, tiny_csv, capsys):
+        code = main(["train", "--data", tiny_csv, "--config", str(tmp_path)])
+        assert code == 1
+        assert "IsADirectoryError" in capsys.readouterr().err
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from urlsentry.config import PipelineConfig
 from urlsentry.errors import EmptyInput, EmptyMatrix, LengthMismatch
 from urlsentry.evaluation import (
     CLASSIFIER_ORDER,
-    ComparisonConfig,
     ComparisonTable,
     ConfusionMatrix,
     compare_classifiers,
@@ -84,7 +84,7 @@ class TestComputeMetrics:
 
 
 def fast_config(seed=42):
-    return ComparisonConfig(
+    return PipelineConfig(
         seed=seed,
         knn_k=3,
         mlp=TrainConfig(epochs=200, batch_size=8),

@@ -356,4 +356,12 @@ def load_model(path: str) -> ModelArtifact:
             f"feature_mode {feature_mode!r} disagrees with the autoencoder, "
             f"which implies {artifact.feature_mode!r}"
         )
+    dim = artifact.feature_spec.dim
+    for section, names in (("bounds", ("lower", "upper")), ("scaler", ("min", "max"))):
+        for name in names:
+            shape = np.shape(payload[section][name])
+            if shape != (dim,):
+                raise CorruptArtifact(
+                    f"{section}.{name} has shape {shape}, the feature spec needs ({dim},)"
+                )
     return artifact

@@ -32,7 +32,6 @@ from .evaluation import (
 from .runner import (
     dataset_fingerprint,
     evaluate_artifact,
-    filter_predictions,
     load_labeled_dataset,
     make_verdicts,
     run_compare,
@@ -183,16 +182,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     for v in verdicts:
         print(f"{v.url}\t{v.confidence:.6f}\t{v.label}")
 
-    safe, flagged = filter_predictions(
-        [(v.url, v.confidence) for v in verdicts], config.threshold
-    )
+    safe = [v.url for v in verdicts if v.label == "safe"]
     out_dir = _ensure_out(config.out_dir)
     safe_path = os.path.join(out_dir, "safe_urls.txt")
     with open(safe_path, "w", encoding="utf-8", newline="\n") as fh:
-        for url, _ in safe:
+        for url in safe:
             fh.write(url + "\n")
     print(
-        f"{len(flagged)} flagged, {len(safe)} safe "
+        f"{len(verdicts) - len(safe)} flagged, {len(safe)} safe "
         f"(threshold {config.threshold}); safe list: {safe_path}",
         file=sys.stderr,
     )

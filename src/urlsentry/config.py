@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from . import neural, trees
 from .artifact import CLASSIFIER_KINDS
 from .errors import ConfigError
-from .pipeline import DEFAULT_LABEL_MAP, SplitConfig
+from .pipeline import DEFAULT_LABEL_MAP
 
 FEATURE_MODES = ("raw", "latent")
 CLASSIFIER_CHOICES = CLASSIFIER_KINDS + ("all",)
@@ -36,9 +36,6 @@ class PipelineConfig:
     classifier: str = "all"
     threshold: float = 0.5
     seed: int = 42
-    test_fraction: float = 0.2
-    stratified: bool = True
-    max_rows: int = 50_000
     out_dir: str = "out"
     data_path: str | None = None
     model_path: str | None = None
@@ -52,11 +49,6 @@ class PipelineConfig:
     gb: trees.BoostParams = field(default_factory=trees.BoostParams)
     xgb: trees.XgbParams = field(default_factory=trees.XgbParams)
 
-    def split_config(self) -> SplitConfig:
-        return SplitConfig(
-            test_fraction=self.test_fraction, seed=self.seed, stratified=self.stratified
-        )
-
     def validate(self) -> "PipelineConfig":
         if self.feature_mode not in FEATURE_MODES:
             raise ConfigError(f"features must be one of {FEATURE_MODES}, got {self.feature_mode!r}")
@@ -66,8 +58,6 @@ class PipelineConfig:
             )
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         return self
 
 

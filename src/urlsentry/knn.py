@@ -29,14 +29,31 @@ class KnnModel:
             raise KOutOfRange(f"default_k {self.default_k} outside [1, {n}]")
 
 
-def _check_query(model: KnnModel, x: np.ndarray, k: int) -> np.ndarray:
-    q = np.asarray(x, dtype=np.float64)
+def _checked(model: KnnModel, X: np.ndarray, k: int | None) -> tuple[np.ndarray, int]:
+    """The queries as a float matrix and k, both checked against the stored rows."""
+    if k is None:
+        k = model.default_k
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n, d = model.stored_features.shape
-    if q.shape != (d,):
-        raise DimensionMismatch(f"query width {q.shape} != stored width {d}")
+    if X.ndim != 2 or X.shape[1] != d:
+        raise DimensionMismatch(f"query width {X.shape[1:]} != stored width {d}")
     if not 1 <= k <= n:
         raise KOutOfRange(f"k {k} outside [1, {n}]")
-    return q
+    return X, k
+
+
+def _one_row(x: np.ndarray) -> np.ndarray:
+    q = np.asarray(x, dtype=np.float64)
+    if q.ndim != 1:
+        raise DimensionMismatch(f"query must be one vector, got shape {q.shape}")
+    return q[None, :]
+
+
+def _nearest(model: KnnModel, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances from q to every stored row, and the k nearest indices."""
+    diff = model.stored_features - q
+    sq = (diff * diff).sum(axis=1)
+    return sq, _k_smallest_indices(sq, k)
 
 
 def _k_smallest_indices(sq_dist: np.ndarray, k: int) -> np.ndarray:
@@ -56,36 +73,26 @@ def _k_smallest_indices(sq_dist: np.ndarray, k: int) -> np.ndarray:
 
 def k_nearest(model: KnnModel, x: np.ndarray, k: int) -> list[tuple[int, float]]:
     """The k nearest stored rows as (index, euclidean distance), ascending."""
-    q = _check_query(model, x, k)
-    diff = model.stored_features - q
-    sq = (diff * diff).sum(axis=1)
-    idx = _k_smallest_indices(sq, k)
+    X, k = _checked(model, _one_row(x), k)
+    sq, idx = _nearest(model, X[0], k)
     return [(int(i), float(np.sqrt(sq[i]))) for i in idx]
 
 
 def predict_knn(model: KnnModel, x: np.ndarray, k: int | None = None) -> tuple[int, float]:
-    """Majority vote over the k nearest neighbors.
+    """Majority vote over the k nearest neighbors; a one-row predict_knn_batch.
 
     Returns (label, confidence) where confidence is the malicious-vote
     fraction; a 50/50 vote classifies as malicious.
     """
-    if k is None:
-        k = model.default_k
-    q = _check_query(model, x, k)
-    diff = model.stored_features - q
-    sq = (diff * diff).sum(axis=1)
-    idx = _k_smallest_indices(sq, k)
-    confidence = float(model.stored_labels[idx].sum()) / k
-    label = 1 if confidence >= 0.5 else 0
-    return label, confidence
+    confidence = float(predict_knn_batch(model, _one_row(x), k)[0])
+    return (1 if confidence >= 0.5 else 0), confidence
 
 
 def predict_knn_batch(model: KnnModel, X: np.ndarray, k: int | None = None) -> np.ndarray:
     """Malicious-vote confidence for each query row."""
-    if k is None:
-        k = model.default_k
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X, k = _checked(model, X, k)
     out = np.empty(X.shape[0], dtype=np.float64)
-    for i in range(X.shape[0]):
-        _, out[i] = predict_knn(model, X[i], k)
+    for i, q in enumerate(X):
+        _, idx = _nearest(model, q, k)
+        out[i] = float(model.stored_labels[idx].sum()) / k
     return out

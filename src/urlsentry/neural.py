@@ -202,12 +202,12 @@ def train_mlp(train: Dataset, cfg: TrainConfig | None = None) -> MlpModel:
 
 
 def predict_proba_mlp(model: MlpModel, x: np.ndarray) -> float:
-    """Probability the input is malicious, strictly inside (0, 1)."""
-    out, _ = forward(model, x)
-    return float(np.clip(out[0] if out.ndim else out, PROB_EPS, 1.0 - PROB_EPS))
+    """Probability the input is malicious; a one-row predict_proba_mlp_batch."""
+    return float(predict_proba_mlp_batch(model, x)[0])
 
 
 def predict_proba_mlp_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Probability each row is malicious, strictly inside (0, 1)."""
     out, _ = forward(model, np.atleast_2d(X))
     return np.clip(out[:, 0], PROB_EPS, 1.0 - PROB_EPS)
 
@@ -254,13 +254,5 @@ def reconstruction_mse(model: AutoencoderModel, X: np.ndarray) -> float:
 
 def encode(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
     """Map input(s) to the latent representation."""
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if X.shape[1] != model.encoder_layers[0].weights.shape[1]:
-        raise DimensionMismatch(
-            f"input width {X.shape[1]} != encoder width "
-            f"{model.encoder_layers[0].weights.shape[1]}"
-        )
-    a = X
-    for layer in model.encoder_layers:
-        a = _activate(a @ layer.weights.T + layer.biases, layer.activation)
-    return a if np.asarray(x).ndim > 1 else a[0]
+    latent, _ = forward(MlpModel(model.encoder_layers), x)
+    return latent

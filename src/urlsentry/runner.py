@@ -34,6 +34,7 @@ from .features import FeatureSpec, featurize_many
 from .pipeline import (
     CleanReport,
     Dataset,
+    SplitConfig,
     apply_bounds,  # no caller here; perfbench/inproc.py traces this binding
     apply_scaler,
     bound_outliers,
@@ -44,6 +45,10 @@ from .pipeline import (
     stratified_split,
     stratified_subsample,
 )
+
+
+# Training and comparison subsample larger datasets to this many rows (stratified).
+MAX_ROWS = 50_000
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,7 @@ def train_artifact(
         raise EmptyInput("cannot train on an empty dataset")
     if config.classifier not in CLASSIFIERS:
         raise ConfigError(f"train needs a single classifier kind, got {config.classifier!r}")
-    ds = stratified_subsample(dataset, config.max_rows, config.seed)
+    ds = stratified_subsample(dataset, MAX_ROWS, config.seed)
     preprocessor = fit_preprocessor(ds.features, config)
     work = Dataset(features=preprocessor.transform(ds.features), labels=ds.labels, urls=ds.urls)
     return ModelArtifact(
@@ -136,15 +141,16 @@ def run_compare(
     dataset: Dataset, config: PipelineConfig
 ) -> tuple[ComparisonTable, dict[str, ConfusionMatrix]]:
     """Subsample, split, preprocess, and run the five-way comparison."""
-    ds = stratified_subsample(dataset, config.max_rows, config.seed)
-    train, test = stratified_split(ds, config.split_config())
+    ds = stratified_subsample(dataset, MAX_ROWS, config.seed)
+    split = SplitConfig(seed=config.seed)
+    train, test = stratified_split(ds, split)
     preprocessor = fit_preprocessor(train.features, config)
     return compare_classifiers(
         Dataset(preprocessor.transform(train.features), train.labels, train.urls),
         Dataset(preprocessor.transform(test.features), test.labels, test.urls),
         config,
         split_descriptor=(
-            f"{int((1 - config.test_fraction) * 100)}/{int(config.test_fraction * 100)} "
+            f"{int((1 - split.test_fraction) * 100)}/{int(split.test_fraction * 100)} "
             f"stratified, {ds.n_rows} rows, features={config.feature_mode}"
         ),
     )

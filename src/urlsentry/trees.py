@@ -49,7 +49,6 @@ class SplitDecision:
 class TreeParams:
     max_depth: int
     min_samples_leaf: int = 1
-    criterion: str = "gini"  # gini | second_order
 
 
 @dataclass
@@ -293,11 +292,7 @@ def train_random_forest(train: Dataset, params: ForestParams | None = None) -> F
     n, d = X.shape
     m = params.m_features if params.m_features is not None else math.ceil(math.sqrt(d))
     m = min(m, d)
-    tree_params = TreeParams(
-        max_depth=params.max_depth,
-        min_samples_leaf=params.min_samples_leaf,
-        criterion="gini",
-    )
+    tree_params = TreeParams(max_depth=params.max_depth, min_samples_leaf=params.min_samples_leaf)
 
     trees = []
     for t in range(params.n_trees):
@@ -385,9 +380,7 @@ def _boost(
     X = np.asarray(train.features, dtype=np.float64)
     y = np.asarray(train.labels, dtype=np.float64)
     init_score = _base_rate_log_odds(y)
-    tree_params = TreeParams(
-        max_depth=max_depth, min_samples_leaf=min_samples_leaf, criterion="second_order"
-    )
+    tree_params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     ones = np.ones(X.shape[0], dtype=np.float64)
 
     scores = np.full(X.shape[0], init_score, dtype=np.float64)

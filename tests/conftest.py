@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,15 @@ def separable_dataset(seed: int = 123, n_per_class: int = 10) -> Dataset:
     assert np.abs(signed).min() > 0.5, "toy set lost its separation margin"
     assert all((signed[i] > 0) == (y[i] == 1) for i in range(len(y)))
     return Dataset(X, y, [f"toy-{i}" for i in range(len(y))])
+
+
+def rewrite_payload(path, mutate) -> None:
+    """Apply mutate to a saved artifact's payload and store a matching checksum."""
+    document = json.loads(path.read_text())
+    mutate(document["payload"])
+    canon = json.dumps(document["payload"], sort_keys=True, separators=(",", ":"))
+    document["checksum"] = hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(document))
 
 
 @pytest.fixture(scope="session")

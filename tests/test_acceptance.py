@@ -17,7 +17,7 @@ from urlsentry.artifact import load_model, predict_urls, save_model, transform_f
 from urlsentry.cli import main
 from urlsentry.config import PipelineConfig
 from urlsentry.features import featurize_many
-from urlsentry.knn import KnnModel, predict_knn
+from urlsentry.knn import KnnModel, predict_knn, predict_knn_batch
 from urlsentry.neural import TrainConfig
 from urlsentry.pipeline import Dataset, apply_scaler, bound_outliers, fit_scaler
 from urlsentry.runner import filter_predictions, load_labeled_dataset, run_compare, train_artifact
@@ -171,6 +171,9 @@ def test_criterion_3_knn_oracle_equivalence():
                 for qi in range(queries.shape[0]):
                     got = predict_knn(model, queries[qi], k)
                     assert got == (int(want_labels[qi]), float(want_conf[qi]))
+                assert predict_knn_batch(model, queries, k).tolist() == [
+                    float(c) for c in want_conf
+                ]
         elapsed = time.monotonic() - start
         assert elapsed < 30, f"KNN oracle suite took {elapsed:.1f}s"
 

@@ -1,4 +1,3 @@
-import hashlib
 import json
 from dataclasses import replace
 
@@ -25,7 +24,7 @@ from urlsentry.trees import (
     predict_forest,
 )
 
-from conftest import random_urls
+from conftest import random_urls, rewrite_payload
 
 
 def small_config(kind: str, feature_mode: str = "latent") -> PipelineConfig:
@@ -141,15 +140,6 @@ def test_predictions_via_feature_matrix_match_urls_path(training_data):
     )
 
 
-def rewrite_payload(path, mutate) -> None:
-    """Apply mutate to the saved payload and store a matching checksum."""
-    document = json.loads(path.read_text())
-    mutate(document["payload"])
-    canon = json.dumps(document["payload"], sort_keys=True, separators=(",", ":"))
-    document["checksum"] = hashlib.sha256(canon.encode("utf-8")).hexdigest()
-    path.write_text(json.dumps(document))
-
-
 @pytest.mark.parametrize(
     "trained_mode, key, value",
     [
@@ -165,6 +155,18 @@ def test_inconsistent_payload_rejected(trained_mode, key, value, training_data, 
     save_model(artifact, str(path))
     rewrite_payload(path, lambda payload: payload.update({key: value}))
     with pytest.raises(CorruptArtifact, match=value):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("section, name", [
+    ("bounds", "lower"), ("bounds", "upper"), ("scaler", "min"), ("scaler", "max"),
+])
+def test_short_preprocessing_array_rejected(section, name, training_data, tmp_path):
+    artifact = train_artifact(training_data, small_config("xgb", "raw"))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+    rewrite_payload(path, lambda payload: payload[section][name].pop())
+    with pytest.raises(CorruptArtifact, match=f"{section}.{name} has shape \\(17,\\)"):
         load_model(str(path))
 
 

@@ -19,6 +19,8 @@ from urlsentry.runner import (
     train_artifact,
 )
 
+from conftest import rewrite_payload
+
 
 def write_rows(path, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -154,6 +156,19 @@ class TestCmdPredict:
         flagged = [l.split("\t")[0] for l in verdict_lines if l.endswith("flagged")]
         assert len(safe) + len(flagged) == 3
         assert "warning" in captured.err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("section, name", [("bounds", "upper"), ("scaler", "min")])
+    def test_short_preprocessing_array_exits_one(
+        self, command, section, name, tiny_csv, tmp_path, capsys
+    ):
+        model = tmp_path / "knn.json"
+        self.make_knn_artifact(tiny_csv, tmp_path)
+        rewrite_payload(model, lambda payload: payload[section][name].pop())
+        data = ["--data", tiny_csv] if command == "evaluate" else ["https://example.org/docs"]
+        code = main([command, "--model", str(model), "--out", str(tmp_path / "o"), *data])
+        assert code == 1
+        assert "CorruptArtifact" in capsys.readouterr().err
 
 
 class TestCmdEvaluate:

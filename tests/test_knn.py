@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from urlsentry.errors import DimensionMismatch, KOutOfRange
-from urlsentry.knn import KnnModel, k_nearest, predict_knn
+from urlsentry.knn import KnnModel, k_nearest, predict_knn, predict_knn_batch
 
 
 def brute_force_predict(features, labels, x, k):
@@ -50,10 +50,20 @@ class TestKNearest:
             k_nearest(model, np.array([0.0, 0.0]), k=3)
         with pytest.raises(KOutOfRange):
             k_nearest(model, np.array([0.0, 0.0]), k=0)
+        with pytest.raises(KOutOfRange):
+            predict_knn_batch(model, np.zeros((4, 2)), k=3)
+        with pytest.raises(KOutOfRange):
+            predict_knn_batch(model, np.zeros((4, 2)), k=0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             k_nearest(small_model(), np.array([1.0, 2.0, 3.0]), k=1)
+        with pytest.raises(DimensionMismatch):
+            predict_knn_batch(small_model(), np.zeros((4, 3)))
+        with pytest.raises(DimensionMismatch):
+            predict_knn_batch(small_model(), np.zeros((4, 1, 2)))
+        with pytest.raises(DimensionMismatch):
+            predict_knn(small_model(), np.zeros((1, 2)))
 
 
 class TestPredictKnn:
@@ -104,6 +114,24 @@ class TestPredictKnn:
                     assert predict_knn(model, x, k) == brute_force_predict(
                         features, labels, x, k
                     )
+
+    def test_batch_matches_brute_force_with_ties(self):
+        rng = np.random.default_rng(3)
+        # a small integer grid: many stored rows share the k-th distance
+        features = rng.integers(0, 3, size=(80, 3)).astype(np.float64)
+        labels = rng.integers(0, 2, size=80)
+        model = KnnModel(features, labels, default_k=5)
+        queries = np.vstack([
+            rng.integers(0, 3, size=(30, 3)).astype(np.float64),
+            features[:10],  # exact matches
+            rng.normal(size=(10, 3)),
+        ])
+        sq = ((queries[:, None, :] - features[None, :, :]) ** 2).sum(axis=2)
+        kth = np.sort(sq, axis=1)[:, 4]
+        assert ((sq <= kth[:, None]).sum(axis=1) > 5).sum() >= 20, "too few k-th ties"
+        for k in (1, 3, 5, 80):
+            want = [brute_force_predict(features, labels, q, k)[1] for q in queries]
+            assert predict_knn_batch(model, queries, k).tolist() == want
 
     def test_k1_training_consistency(self):
         rng = np.random.default_rng(2)

@@ -30,6 +30,19 @@ def identity_layer(d):
     return LayerParams(weights=np.eye(d), biases=np.zeros(d), activation="identity")
 
 
+def assert_one_row_view(scalar, batch, X):
+    """scalar(X[i]) is exactly batch(X[i:i+1])[0] and agrees with row i of batch(X).
+
+    Against a larger batch the match is to rounding only: BLAS may round a
+    one-row product (matrix-vector) differently from a many-row one.
+    """
+    full = batch(X)
+    for i, x in enumerate(X):
+        one = scalar(x)
+        assert np.array_equal(one, batch(X[i:i + 1])[0])
+        np.testing.assert_allclose(one, full[i], rtol=1e-12, atol=0)
+
+
 def finite_difference_grads(model, X, T, loss, h=1e-5):
     """Central-difference oracle over every parameter."""
     loss_fn = bce_loss if loss == "bce" else mse_loss
@@ -177,6 +190,13 @@ class TestPredictProba:
         held_out = np.array([4.2, 4.4])  # malicious side of x + y = 5
         assert predict_proba_mlp(model, held_out) >= 0.5
 
+    def test_scalar_is_one_row_batch(self, toy_dataset):
+        model = train_mlp(toy_dataset, TrainConfig(epochs=5, seed=3))
+        X = np.vstack([toy_dataset.features, np.random.default_rng(4).normal(size=(30, 2))])
+        assert_one_row_view(
+            lambda x: predict_proba_mlp(model, x), lambda X: predict_proba_mlp_batch(model, X), X
+        )
+
     def test_output_strictly_inside_unit_interval(self, toy_dataset):
         model = train_mlp(toy_dataset, TrainConfig(epochs=5, seed=2))
         for x in (np.array([1e6, 1e6]), np.array([-1e6, -1e6]), np.array([0.0, 0.0])):
@@ -240,6 +260,7 @@ class TestAutoencoder:
         z = encode(ae, X[0])
         assert z.shape == (8,)
         assert np.array_equal(z, encode(ae, X[0]))
+        assert_one_row_view(lambda x: encode(ae, x), lambda X: encode(ae, X), X)
 
     def test_latent_too_large(self):
         X = np.ones((5, 3))

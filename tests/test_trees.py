@@ -340,7 +340,7 @@ class TestXgb:
             lam=1.0,
         )
         leaf = grow_tree(np.array([[0.0], [0.0]]), targets,
-                         TreeParams(max_depth=0, criterion="second_order"))
+                         TreeParams(max_depth=0))
         assert leaf.value == 0.0
 
     def test_huge_gamma_forces_stump(self, toy_dataset):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Callable
@@ -285,6 +286,29 @@ def _payload(artifact: ModelArtifact) -> dict:
     }
 
 
+def _check_ensemble(model: BoostedModel | ForestModel, width: int) -> None:
+    """Reject trees training cannot produce: a split outside the input, a non-finite number."""
+    if isinstance(model, BoostedModel):
+        for name in ("init_score", "learning_rate"):
+            value = getattr(model, name)
+            if not math.isfinite(value):
+                raise CorruptArtifact(f"{name} is {value}, not finite")
+    stack = list(model.trees)
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            if not math.isfinite(node.value):
+                raise CorruptArtifact(f"a leaf value is {node.value}, not finite")
+            continue
+        if not 0 <= node.feature_index < width:
+            raise CorruptArtifact(
+                f"a tree splits on feature {node.feature_index}, outside [0, {width})"
+            )
+        if not math.isfinite(node.threshold):
+            raise CorruptArtifact(f"a split threshold is {node.threshold}, not finite")
+        stack += (node.left, node.right)
+
+
 def _canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -364,4 +388,7 @@ def load_model(path: str) -> ModelArtifact:
                 raise CorruptArtifact(
                     f"{section}.{name} has shape {shape}, the feature spec needs ({dim},)"
                 )
+    if isinstance(artifact.classifier, (BoostedModel, ForestModel)):
+        autoencoder = artifact.preprocessor.autoencoder
+        _check_ensemble(artifact.classifier, dim if autoencoder is None else autoencoder.latent_dim)
     return artifact

@@ -6,6 +6,15 @@ Shared conventions, fixed so models serialize and replay bit-exactly:
   - split ties break on (lower feature index, then lower threshold);
   - splits whose gain is not strictly positive are rejected.
 
+Split search is presorted (exact greedy, Chen & Guestrin 2016, sec. 4.1):
+each column is stably argsorted once per tree (once per boosting run, since
+every round sees the same X), and a split partitions every feature's order
+into its children with a row mask, which keeps relative order. Node row sets
+are always ascending, so a node's order for feature f, a stable partition of
+one stable per-column argsort, equals a fresh stable argsort of the node's
+rows by f: ties stay in row order and every gain is summed exactly as a
+per-node sort would sum it.
+
 Random forest trees draw a bootstrap sample and per-node feature subsets
 from a per-tree generator seeded seed + tree_index, so the ensemble is
 independent of training order. Boosting uses no sampling at all.
@@ -23,6 +32,7 @@ from .neural import sigmoid
 from .pipeline import Dataset
 
 LEAF_DENOM_FLOOR = 1e-12  # guards Newton leaf values when hessians vanish
+_SCORE_BLOCK = 1 << 16  # elements scored per pass: temporaries stay within 512 KiB or one column
 
 
 @dataclass
@@ -91,6 +101,113 @@ def second_order_gain(
     ) - gamma
 
 
+def _candidates(candidate_features, d: int) -> np.ndarray:
+    """Candidate feature indices in ascending order, each checked against [0, d)."""
+    cands = sorted(int(f) for f in candidate_features)
+    for f in cands:
+        if not 0 <= f < d:
+            raise DimensionMismatch(f"candidate feature {f} is outside [0, {d})")
+    return np.array(cands, dtype=np.intp)
+
+
+def _presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of features as contiguous rows, and the stable argsort of each."""
+    cols = np.ascontiguousarray(features.T)
+    return cols, np.argsort(cols, axis=1, kind="stable")
+
+
+def _split_sorted(
+    cands: np.ndarray,
+    orders: np.ndarray,
+    values: np.ndarray,
+    targets: np.ndarray,
+    hessians: np.ndarray | None,
+    lam: float,
+    gamma: float,
+    min_samples_leaf: int,
+) -> SplitDecision | None:
+    """Best split of one node over all candidate features at once.
+
+    Row r of orders lists the node's rows sorted stably by feature cands[r],
+    and row r of values holds that feature's values in that order; targets
+    and hessians are indexed by row. Gini on binary labels when hessians is
+    None, else the second-order gain. Features with no admissible split are
+    dropped, and the rest are scored _SCORE_BLOCK elements at a time. The
+    winner is picked feature by feature in ascending order with a strict >,
+    so the earliest of equal gains wins and a NaN gain, once best, is never
+    displaced.
+    """
+    n = values.shape[1]
+    left_n = np.arange(1, n, dtype=np.float64)
+    right_n = n - left_n
+    valid = values[:, :-1] != values[:, 1:]
+    valid &= (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
+    splittable = valid.any(axis=1)
+    if not splittable.all():
+        cands, orders, values, valid = (
+            a[splittable] for a in (cands, orders, values, valid)
+        )
+
+    best = None
+    step = max(1, _SCORE_BLOCK // n)
+    for start in range(0, len(cands), step):
+        block = slice(start, start + step)
+        gains = _gains(orders[block], targets, hessians, lam, gamma, left_n, right_n)
+        gains = np.where(valid[block], gains, -np.inf)
+        for r, pos in enumerate(np.argmax(gains, axis=1).tolist()):
+            gain = float(gains[r, pos])
+            if gain <= 0.0:
+                continue
+            if best is None or gain > best[0]:
+                best = (gain, start + r, pos)
+    if best is None:
+        return None
+    gain, r, pos = best
+    threshold = float((values[r, pos] + values[r, pos + 1]) / 2.0)
+    return SplitDecision(feature_index=int(cands[r]), threshold=threshold, gain=gain)
+
+
+def _gains(
+    orders: np.ndarray,
+    targets: np.ndarray,
+    hessians: np.ndarray | None,
+    lam: float,
+    gamma: float,
+    left_n: np.ndarray,
+    right_n: np.ndarray,
+) -> np.ndarray:
+    """Gain of splitting after each position of each row of orders.
+
+    cumsum(axis=1) adds sequentially, so each row equals a one-feature
+    cumsum, and every gain, bit for bit.
+    """
+    n = orders.shape[1]
+    if hessians is None:
+        pos_prefix = np.cumsum(targets[orders].astype(np.int64), axis=1)
+        total_pos = int(pos_prefix[0, -1])
+        parent = gini((n - total_pos, total_pos))
+        left_pos = pos_prefix[:, :-1].astype(np.float64)
+        p1l = left_pos / left_n
+        p0l = (left_n - left_pos) / left_n
+        gl = 1.0 - p0l * p0l - p1l * p1l
+        right_pos = total_pos - left_pos
+        p1r = right_pos / right_n
+        p0r = (right_n - right_pos) / right_n
+        gr = 1.0 - p0r * p0r - p1r * p1r
+        return parent - (left_n / n) * gl - (right_n / n) * gr
+    g_prefix = np.cumsum(targets[orders], axis=1)
+    h_prefix = np.cumsum(hessians[orders], axis=1)
+    g_total = g_prefix[:, -1:]
+    h_total = h_prefix[:, -1:]
+    gl_s, hl_s = g_prefix[:, :-1], h_prefix[:, :-1]
+    gr_s, hr_s = g_total - gl_s, h_total - hl_s
+    return 0.5 * (
+        gl_s * gl_s / (hl_s + lam)
+        + gr_s * gr_s / (hr_s + lam)
+        - g_total * g_total / (h_total + lam)
+    ) - gamma
+
+
 def best_split(
     features: np.ndarray,
     targets: np.ndarray,
@@ -108,63 +225,21 @@ def best_split(
     per-row gradients and hessians must be given. Returns None when no
     candidate achieves strictly positive gain.
     """
+    if criterion not in ("gini", "second_order"):
+        raise ValueError(f"unknown criterion {criterion!r}")
+    if criterion == "second_order" and hessians is None:
+        raise ValueError("second_order criterion requires hessians")
+    cands = _candidates(candidate_features, features.shape[1])
     n = features.shape[0]
     if n < 2:
         raise TooFewRows(f"cannot split {n} row(s)")
 
-    best: SplitDecision | None = None
-    for f in sorted(int(f) for f in candidate_features):
-        col = features[:, f]
-        order = np.argsort(col, kind="stable")
-        sorted_col = col[order]
-
-        left_n = np.arange(1, n, dtype=np.float64)
-        right_n = n - left_n
-        valid = sorted_col[:-1] != sorted_col[1:]
-        valid &= (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
-        if not valid.any():
-            continue
-
-        if criterion == "gini":
-            ys = targets[order].astype(np.int64)
-            pos_prefix = np.cumsum(ys)
-            total_pos = int(pos_prefix[-1])
-            parent = gini((n - total_pos, total_pos))
-            left_pos = pos_prefix[:-1].astype(np.float64)
-            p1l = left_pos / left_n
-            p0l = (left_n - left_pos) / left_n
-            gl = 1.0 - p0l * p0l - p1l * p1l
-            right_pos = total_pos - left_pos
-            p1r = right_pos / right_n
-            p0r = (right_n - right_pos) / right_n
-            gr = 1.0 - p0r * p0r - p1r * p1r
-            gains = parent - (left_n / n) * gl - (right_n / n) * gr
-        elif criterion == "second_order":
-            if hessians is None:
-                raise ValueError("second_order criterion requires hessians")
-            g_prefix = np.cumsum(targets[order])
-            h_prefix = np.cumsum(hessians[order])
-            g_total = g_prefix[-1]
-            h_total = h_prefix[-1]
-            gl_s, hl_s = g_prefix[:-1], h_prefix[:-1]
-            gr_s, hr_s = g_total - gl_s, h_total - hl_s
-            gains = 0.5 * (
-                gl_s * gl_s / (hl_s + lam)
-                + gr_s * gr_s / (hr_s + lam)
-                - g_total * g_total / (h_total + lam)
-            ) - gamma
-        else:
-            raise ValueError(f"unknown criterion {criterion!r}")
-
-        gains = np.where(valid, gains, -np.inf)
-        pos = int(np.argmax(gains))
-        gain = float(gains[pos])
-        if gain <= 0.0:
-            continue
-        if best is None or gain > best.gain:
-            threshold = float((sorted_col[pos] + sorted_col[pos + 1]) / 2.0)
-            best = SplitDecision(feature_index=f, threshold=threshold, gain=gain)
-    return best
+    cols = features.T[cands]
+    orders = np.argsort(cols, axis=1, kind="stable")
+    return _split_sorted(
+        cands, orders, np.take_along_axis(cols, orders, axis=1), targets,
+        None if criterion == "gini" else hessians, lam, gamma, min_samples_leaf,
+    )
 
 
 def _leaf_value(targets, idx: np.ndarray) -> float:
@@ -187,52 +262,75 @@ def grow_tree(
     ("second_order"). feature_sampler, when given, returns the candidate
     feature indices for one node; None considers every feature.
     """
-    d = features.shape[1]
+    return _grow(*_presort(features), targets, params, feature_sampler)
 
-    def candidates() -> np.ndarray:
+
+def _grow(
+    cols: np.ndarray,
+    orders: np.ndarray,
+    targets,
+    params: TreeParams,
+    feature_sampler=None,
+) -> TreeNode:
+    """grow_tree on the presorted columns and orders of features (see _presort)."""
+    d, n = cols.shape
+    boosted = isinstance(targets, GradientTargets)
+    every_feature = np.arange(d)
+    in_left = np.zeros(n, dtype=bool)
+
+    def node_split(orders: np.ndarray) -> SplitDecision | None:
         if feature_sampler is None:
-            return np.arange(d)
-        return feature_sampler()
+            cands = every_feature
+        else:
+            cands = _candidates(feature_sampler(), d)
+            orders = orders[cands]
+        values = cols[cands[:, None], orders]
+        if boosted:
+            return _split_sorted(
+                cands, orders, values, targets.grad, targets.hess,
+                targets.lam, targets.gamma, params.min_samples_leaf,
+            )
+        return _split_sorted(
+            cands, orders, values, targets, None, 0.0, 0.0, params.min_samples_leaf
+        )
 
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
+    def build(idx: np.ndarray, orders: np.ndarray, depth: int) -> TreeNode:
         leaf = TreeNode(value=_leaf_value(targets, idx))
         if depth >= params.max_depth or len(idx) < 2:
             return leaf
-        if not isinstance(targets, GradientTargets):
+        if not boosted:
             labels = targets[idx]
             if labels.min() == labels.max():
                 return leaf
 
-        if isinstance(targets, GradientTargets):
-            split = best_split(
-                features[idx], targets.grad[idx], candidates(), "second_order",
-                hessians=targets.hess[idx], lam=targets.lam, gamma=targets.gamma,
-                min_samples_leaf=params.min_samples_leaf,
-            )
-        else:
-            split = best_split(
-                features[idx], targets[idx], candidates(), "gini",
-                min_samples_leaf=params.min_samples_leaf,
-            )
+        split = node_split(orders)
         if split is None:
             return leaf
 
-        go_left = features[idx, split.feature_index] < split.threshold
+        go_left = cols[split.feature_index, idx] < split.threshold
+        in_left[idx] = go_left
+        left_rows = in_left[orders].ravel()
+        # Popped one at a time, so a pending sibling is the only extra order held.
+        children = [
+            np.compress(~left_rows, orders).reshape(d, -1),
+            np.compress(left_rows, orders).reshape(d, -1),
+        ]
+        del orders, left_rows
         return TreeNode(
             feature_index=split.feature_index,
             threshold=split.threshold,
-            left=build(idx[go_left], depth + 1),
-            right=build(idx[~go_left], depth + 1),
+            left=build(idx[go_left], children.pop(), depth + 1),
+            right=build(idx[~go_left], children.pop(), depth + 1),
         )
 
-    return build(np.arange(features.shape[0]), 0)
+    return build(np.arange(n), orders, 0)
 
 
 def predict_tree(tree: TreeNode, x: np.ndarray) -> float:
     """Route one input to its leaf; boundary values (x == threshold) go right."""
     node = tree
     while not node.is_leaf:
-        if node.feature_index >= len(x):
+        if not 0 <= node.feature_index < len(x):
             raise DimensionMismatch(
                 f"tree expects feature {node.feature_index}, input has {len(x)}"
             )
@@ -248,7 +346,7 @@ def predict_tree_batch(tree: TreeNode, X: np.ndarray) -> np.ndarray:
         if node.is_leaf:
             out[idx] = node.value
             return
-        if node.feature_index >= X.shape[1]:
+        if not 0 <= node.feature_index < X.shape[1]:
             raise DimensionMismatch(
                 f"tree expects feature {node.feature_index}, input has {X.shape[1]}"
             )
@@ -382,6 +480,7 @@ def _boost(
     init_score = _base_rate_log_odds(y)
     tree_params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     ones = np.ones(X.shape[0], dtype=np.float64)
+    cols, orders = _presort(X)
 
     scores = np.full(X.shape[0], init_score, dtype=np.float64)
     trees = []
@@ -391,7 +490,7 @@ def _boost(
         targets = GradientTargets(
             grad=p - y, hess=h if newton_splits else ones, leaf_hess=h, lam=lam, gamma=gamma
         )
-        tree = grow_tree(X, targets, tree_params)
+        tree = _grow(cols, orders, targets, tree_params)
         trees.append(tree)
         scores += learning_rate * predict_tree_batch(tree, X)
     return BoostedModel(

@@ -170,6 +170,53 @@ def test_short_preprocessing_array_rejected(section, name, training_data, tmp_pa
         load_model(str(path))
 
 
+def first_split(tree: dict) -> dict:
+    assert "feature" in tree, "root of the first tree is a leaf"
+    return tree
+
+
+def first_leaf(tree: dict) -> dict:
+    while "value" not in tree:
+        tree = tree["left"]
+    return tree
+
+
+@pytest.mark.parametrize("mutate, message", [
+    pytest.param(lambda c: first_split(c["trees"][0]).update(feature=-13),
+                 "feature -13, outside \\[0, 18\\)", id="negative-feature"),
+    pytest.param(lambda c: first_split(c["trees"][0]).update(feature=18),
+                 "feature 18, outside \\[0, 18\\)", id="feature-past-width"),
+    pytest.param(lambda c: first_split(c["trees"][-1]).update(threshold=float("nan")),
+                 "threshold is nan", id="nan-threshold"),
+    pytest.param(lambda c: first_leaf(c["trees"][0]).update(value=float("inf")),
+                 "leaf value is inf", id="inf-leaf"),
+    pytest.param(lambda c: c.update(init_score=float("nan")),
+                 "init_score is nan", id="nan-init-score"),
+    pytest.param(lambda c: c.update(learning_rate=float("-inf")),
+                 "learning_rate is -inf", id="inf-learning-rate"),
+])
+def test_invalid_tree_rejected(mutate, message, training_data, tmp_path):
+    artifact = train_artifact(training_data, small_config("xgb", "raw"))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+    rewrite_payload(path, lambda payload: mutate(payload["classifier"]))
+    with pytest.raises(CorruptArtifact, match=message):
+        load_model(str(path))
+
+
+def test_latent_tree_feature_checked_against_latent_width(training_data, tmp_path):
+    artifact = train_artifact(training_data, small_config("rf", "latent"))
+    width = artifact.preprocessor.autoencoder.latent_dim
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+    root = lambda payload: first_split(payload["classifier"]["trees"][0])
+    rewrite_payload(path, lambda payload: root(payload).update(feature=width - 1))
+    load_model(str(path))
+    rewrite_payload(path, lambda payload: root(payload).update(feature=width))
+    with pytest.raises(CorruptArtifact, match=f"outside \\[0, {width}\\)"):
+        load_model(str(path))
+
+
 @pytest.mark.parametrize(
     "kind, predict_one", [("xgb", predict_boosted), ("gb", predict_boosted), ("rf", predict_forest)]
 )

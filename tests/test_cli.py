@@ -171,6 +171,21 @@ class TestCmdPredict:
         assert "CorruptArtifact" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field, value", [("feature", -13), ("threshold", float("nan"))])
+    def test_invalid_tree_exits_one(self, field, value, tiny_csv, tmp_path, capsys):
+        cfg = PipelineConfig(classifier="xgb", feature_mode="raw", seed=1)
+        dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+        model = tmp_path / "xgb.json"
+        save_model(train_artifact(dataset, cfg), str(model))
+        rewrite_payload(
+            model, lambda payload: payload["classifier"]["trees"][0].update({field: value})
+        )
+        code = main(["predict", "--model", str(model), "--out", str(tmp_path / "o"),
+                     "https://example.org/docs"])
+        assert code == 1
+        assert "CorruptArtifact" in capsys.readouterr().err
+
+
 class TestCmdEvaluate:
     def test_self_evaluation_k1_perfect(self, tiny_csv, tmp_path, capsys):
         cfg = PipelineConfig(

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from urlsentry import trees
 from urlsentry.errors import DimensionMismatch, EmptyNode, SingleClassTrainingSet, TooFewRows
@@ -130,6 +135,21 @@ class TestBestSplit:
         with pytest.raises(TooFewRows):
             best_split(np.array([[1.0]]), np.array([1]), [0], "gini")
 
+    @pytest.mark.parametrize("candidates", [[-2], [0, 2], [-1, 0]])
+    def test_candidate_outside_columns_rejected(self, candidates):
+        features = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(DimensionMismatch):
+            best_split(features, np.array([0, 1]), candidates)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda X, y: best_split(X, y, [1], "entropy"), id="unknown-criterion"),
+        pytest.param(lambda X, y: best_split(X, y, [1], "second_order"), id="no-hessians"),
+    ])
+    def test_bad_arguments_rejected_even_without_a_split(self, call):
+        features = np.array([[0.0, 3.0], [1.0, 3.0], [2.0, 3.0]])  # column 1 is constant
+        with pytest.raises(ValueError):
+            call(features, np.array([0, 1, 1]))
+
     def test_matches_exhaustive_enumeration_gini(self):
         rng = np.random.default_rng(3)
         for trial in range(15):
@@ -218,6 +238,14 @@ class TestPredictTree:
                         left=TreeNode(value=0.0), right=TreeNode(value=1.0))
         with pytest.raises(DimensionMismatch):
             predict_tree(tree, np.array([1.0]))
+
+    def test_negative_feature_rejected(self):
+        tree = TreeNode(feature_index=-1, threshold=0.5,
+                        left=TreeNode(value=0.0), right=TreeNode(value=1.0))
+        with pytest.raises(DimensionMismatch):
+            predict_tree(tree, np.array([1.0, 0.0]))
+        with pytest.raises(DimensionMismatch):
+            predict_tree_batch(tree, np.array([[1.0, 0.0]]))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(6)
@@ -387,3 +415,232 @@ class TestPredictBoosted:
             learning_rate=model.learning_rate, lam=model.lam, gamma=model.gamma,
         )
         assert predict_boosted(extended, x)[1] >= before
+
+
+# ---------------------------------------------------------------------------
+# Whole models against a per-node-argsort reference
+# ---------------------------------------------------------------------------
+
+def reference_best_split(features, targets, candidate_features, criterion="gini", *,
+                         hessians=None, lam=0.0, gamma=0.0, min_samples_leaf=1):
+    """Split search that argsorts every candidate column afresh at every node."""
+    n = features.shape[0]
+    best = None
+    for f in sorted(int(f) for f in candidate_features):
+        col = features[:, f]
+        order = np.argsort(col, kind="stable")
+        sorted_col = col[order]
+
+        left_n = np.arange(1, n, dtype=np.float64)
+        right_n = n - left_n
+        valid = sorted_col[:-1] != sorted_col[1:]
+        valid &= (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
+        if not valid.any():
+            continue
+
+        if criterion == "gini":
+            ys = targets[order].astype(np.int64)
+            pos_prefix = np.cumsum(ys)
+            total_pos = int(pos_prefix[-1])
+            parent = gini((n - total_pos, total_pos))
+            left_pos = pos_prefix[:-1].astype(np.float64)
+            p1l = left_pos / left_n
+            p0l = (left_n - left_pos) / left_n
+            gl = 1.0 - p0l * p0l - p1l * p1l
+            right_pos = total_pos - left_pos
+            p1r = right_pos / right_n
+            p0r = (right_n - right_pos) / right_n
+            gr = 1.0 - p0r * p0r - p1r * p1r
+            gains = parent - (left_n / n) * gl - (right_n / n) * gr
+        else:
+            g_prefix = np.cumsum(targets[order])
+            h_prefix = np.cumsum(hessians[order])
+            g_total = g_prefix[-1]
+            h_total = h_prefix[-1]
+            gl_s, hl_s = g_prefix[:-1], h_prefix[:-1]
+            gr_s, hr_s = g_total - gl_s, h_total - hl_s
+            gains = 0.5 * (
+                gl_s * gl_s / (hl_s + lam)
+                + gr_s * gr_s / (hr_s + lam)
+                - g_total * g_total / (h_total + lam)
+            ) - gamma
+
+        gains = np.where(valid, gains, -np.inf)
+        pos = int(np.argmax(gains))
+        gain = float(gains[pos])
+        if gain <= 0.0:
+            continue
+        if best is None or gain > best.gain:
+            threshold = float((sorted_col[pos] + sorted_col[pos + 1]) / 2.0)
+            best = trees.SplitDecision(feature_index=f, threshold=threshold, gain=gain)
+    return best
+
+
+def reference_grow_tree(features, targets, params, feature_sampler=None):
+    """Recursive CART growth calling reference_best_split on each node's rows."""
+    d = features.shape[1]
+
+    def build(idx, depth):
+        leaf = TreeNode(value=trees._leaf_value(targets, idx))
+        if depth >= params.max_depth or len(idx) < 2:
+            return leaf
+        if not isinstance(targets, GradientTargets):
+            labels = targets[idx]
+            if labels.min() == labels.max():
+                return leaf
+        candidates = np.arange(d) if feature_sampler is None else feature_sampler()
+        if isinstance(targets, GradientTargets):
+            split = reference_best_split(
+                features[idx], targets.grad[idx], candidates, "second_order",
+                hessians=targets.hess[idx], lam=targets.lam, gamma=targets.gamma,
+                min_samples_leaf=params.min_samples_leaf,
+            )
+        else:
+            split = reference_best_split(
+                features[idx], targets[idx], candidates, "gini",
+                min_samples_leaf=params.min_samples_leaf,
+            )
+        if split is None:
+            return leaf
+        go_left = features[idx, split.feature_index] < split.threshold
+        return TreeNode(
+            feature_index=split.feature_index,
+            threshold=split.threshold,
+            left=build(idx[go_left], depth + 1),
+            right=build(idx[~go_left], depth + 1),
+        )
+
+    return build(np.arange(features.shape[0]), 0)
+
+
+def reference_boost(X, y, n_rounds, learning_rate, max_depth, min_samples_leaf,
+                    newton_splits, lam=0.0, gamma=0.0):
+    y = y.astype(np.float64)
+    params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+    scores = np.full(len(y), math.log(np.mean(y) / (1.0 - np.mean(y))))
+    grown = []
+    for _ in range(n_rounds):
+        p = sigmoid(scores)
+        h = p * (1.0 - p)
+        targets = GradientTargets(grad=p - y, hess=h if newton_splits else np.ones(len(y)),
+                                  leaf_hess=h, lam=lam, gamma=gamma)
+        tree = reference_grow_tree(X, targets, params)
+        grown.append(tree)
+        scores += learning_rate * predict_tree_batch(tree, X)
+    return grown
+
+
+def reference_forest(X, y, params):
+    n, d = X.shape
+    m = min(params.m_features, d)
+    tree_params = TreeParams(max_depth=params.max_depth, min_samples_leaf=params.min_samples_leaf)
+    grown = []
+    for t in range(params.n_trees):
+        rng = np.random.default_rng(params.seed + t)
+        rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+        sampler = None
+        if m < d:
+            sampler = lambda rng=rng: np.sort(rng.choice(d, size=m, replace=False))
+        grown.append(reference_grow_tree(X[rows], y[rows], tree_params, sampler))
+    return grown
+
+
+def nodes(tree):
+    """Pre-order (feature, threshold, value) of every node."""
+    out = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        out.append((node.feature_index, node.threshold, node.value))
+        if not node.is_leaf:
+            stack += (node.right, node.left)
+    return out
+
+
+@st.composite
+def tie_heavy_data(draw, min_rows=2):
+    """Integer-grid features (many ties), optional constant column and duplicated rows."""
+    n = draw(st.integers(min_rows, 48))
+    d = draw(st.integers(1, 4))
+    grid = draw(st.integers(1, 5))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=st.integers(0, grid).map(float)))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    constant = draw(st.none() | st.integers(0, d - 1))
+    if constant is not None:
+        X[:, constant] = 1.0
+    if draw(st.booleans()):
+        rows = draw(hnp.arrays(np.intp, n, elements=st.integers(0, n - 1)))
+        X, y = X[rows], y[rows]
+    return X, y
+
+
+MODEL_SETTINGS = settings(max_examples=40, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestPresortedMatchesReference:
+    @MODEL_SETTINGS
+    @given(tie_heavy_data(), st.integers(0, 6), st.sampled_from([1, 3]))
+    def test_grow_tree_gini(self, data, max_depth, min_samples_leaf):
+        X, y = data
+        params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        assert nodes(grow_tree(X, y, params)) == nodes(reference_grow_tree(X, y, params))
+
+    @MODEL_SETTINGS
+    @given(tie_heavy_data(), st.integers(0, 5), st.sampled_from([1, 3]),
+           st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.01]), st.data())
+    def test_grow_tree_second_order(self, data, max_depth, min_samples_leaf, lam, gamma, draw):
+        X, _ = data
+        n = X.shape[0]
+        floats = st.floats(-1.0, 1.0, allow_nan=False, width=64)
+        grad = draw.draw(hnp.arrays(np.float64, n, elements=floats))
+        hess = draw.draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, 0.1, 0.25, 0.7])))
+        targets = GradientTargets(grad=grad, hess=hess, leaf_hess=hess, lam=lam, gamma=gamma)
+        params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = grow_tree(X, targets, params)
+            want = reference_grow_tree(X, targets, params)
+        assert nodes(got) == nodes(want)
+
+    def test_nan_gains_split_like_reference(self):
+        # zero hessians with lam=0 make every gain 0/0 or inf - inf: NaN
+        rng = np.random.default_rng(10)
+        X = rng.integers(0, 4, size=(30, 3)).astype(np.float64)
+        grad = rng.normal(size=30)
+        targets = GradientTargets(grad=grad, hess=np.zeros(30), leaf_hess=np.zeros(30))
+        params = TreeParams(max_depth=4)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            split = best_split(X, grad, range(3), "second_order", hessians=np.zeros(30))
+            got = grow_tree(X, targets, params)
+            want = reference_grow_tree(X, targets, params)
+        assert math.isnan(split.gain)
+        assert not got.is_leaf
+        assert nodes(got) == nodes(want)
+
+    @MODEL_SETTINGS
+    @given(tie_heavy_data(min_rows=4), st.sampled_from([1, 3]),
+           st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 0.05]))
+    def test_boosting(self, data, min_samples_leaf, lam, gamma):
+        X, y = data
+        assume(0 < y.sum() < len(y))
+        ds = Dataset(X, y, [f"u{i}" for i in range(len(y))])
+        xgb = train_xgb(ds, XgbParams(n_rounds=3, max_depth=3, lam=lam, gamma=gamma,
+                                      min_samples_leaf=min_samples_leaf))
+        want = reference_boost(X, y, 3, 0.3, 3, min_samples_leaf, True, lam, gamma)
+        assert [nodes(t) for t in xgb.trees] == [nodes(t) for t in want]
+        gb = train_gradient_boosting(ds, BoostParams(n_rounds=3, max_depth=2,
+                                                     min_samples_leaf=min_samples_leaf))
+        want = reference_boost(X, y, 3, 0.1, 2, min_samples_leaf, False)
+        assert [nodes(t) for t in gb.trees] == [nodes(t) for t in want]
+
+    @MODEL_SETTINGS
+    @given(tie_heavy_data(), st.integers(1, 4), st.booleans(), st.sampled_from([1, 3]),
+           st.integers(0, 1000))
+    def test_random_forest(self, data, m_features, bootstrap, min_samples_leaf, seed):
+        X, y = data
+        params = ForestParams(n_trees=3, max_depth=6, m_features=m_features,
+                              bootstrap=bootstrap, min_samples_leaf=min_samples_leaf,
+                              seed=seed)
+        forest = train_random_forest(Dataset(X, y, [f"u{i}" for i in range(len(y))]), params)
+        want = reference_forest(X, y, params)
+        assert [nodes(t) for t in forest.trees] == [nodes(t) for t in want]

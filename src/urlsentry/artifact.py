@@ -1,8 +1,8 @@
 """Versioned on-disk model bundles and the classifier registry.
 
 An artifact is a single JSON document carrying the feature spec, fitted
-preprocessing (outlier bounds + scaler + optional autoencoder), and one
-classifier. All floats serialize at full round-trip precision and the
+preprocessing (outlier bounds, the scaler they imply, optional autoencoder),
+and one classifier. All floats serialize at full round-trip precision and the
 payload is covered by a SHA-256 checksum; the creation timestamp lives
 outside the checksum so re-running the same training reproduces the payload
 byte for byte.
@@ -45,14 +45,17 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class Preprocessor:
-    """Preprocessing fitted on training rows: winsorize, scale, optionally encode."""
+    """Preprocessing fitted on training rows: winsorize, scale, optionally encode.
+
+    Min-max scaling uses the bounds: they are the winsorized columns' min and max.
+    """
 
     bounds: OutlierBounds
-    scaler: Scaler
     autoencoder: AutoencoderModel | None = None
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        X = apply_scaler(self.scaler, apply_bounds(self.bounds, features))
+        scaler = Scaler(col_min=self.bounds.lower, col_max=self.bounds.upper)
+        X = apply_scaler(scaler, apply_bounds(self.bounds, features))
         if self.autoencoder is not None:
             X = encode(self.autoencoder, X)
         return np.atleast_2d(X)
@@ -87,6 +90,8 @@ def _layer_to_dict(layer: LayerParams) -> dict:
 
 
 def _layer_from_dict(d: dict) -> LayerParams:
+    if d["activation"] not in neural.ACTIVATIONS:
+        raise CorruptArtifact(f"unknown activation {d['activation']!r}")
     return LayerParams(
         weights=np.asarray(d["weights"], dtype=np.float64),
         biases=np.asarray(d["biases"], dtype=np.float64),
@@ -273,10 +278,11 @@ def predict_urls(artifact: ModelArtifact, urls: list[str]) -> np.ndarray:
 
 def _payload(artifact: ModelArtifact) -> dict:
     pre = artifact.preprocessor
+    lower, upper = pre.bounds.lower.tolist(), pre.bounds.upper.tolist()
     return {
         "feature_spec": {"keywords": list(artifact.feature_spec.keywords)},
-        "bounds": {"lower": pre.bounds.lower.tolist(), "upper": pre.bounds.upper.tolist()},
-        "scaler": {"min": pre.scaler.col_min.tolist(), "max": pre.scaler.col_max.tolist()},
+        "bounds": {"lower": lower, "upper": upper},
+        "scaler": {"min": lower, "max": upper},  # the bounds again, as format 1 stores
         "feature_mode": artifact.feature_mode,
         "autoencoder": _autoencoder_to_dict(pre.autoencoder),
         "classifier_kind": artifact.classifier_kind,
@@ -352,17 +358,15 @@ def load_model(path: str) -> ModelArtifact:
 
     try:
         kind = payload["classifier_kind"]  # an unknown kind is a KeyError too
+        arrays = {
+            f"{section}.{name}": np.asarray(payload[section][name], dtype=np.float64)
+            for section, names in (("bounds", ("lower", "upper")), ("scaler", ("min", "max")))
+            for name in names
+        }
         artifact = ModelArtifact(
             feature_spec=FeatureSpec(keywords=tuple(payload["feature_spec"]["keywords"])),
             preprocessor=Preprocessor(
-                bounds=OutlierBounds(
-                    lower=np.asarray(payload["bounds"]["lower"], dtype=np.float64),
-                    upper=np.asarray(payload["bounds"]["upper"], dtype=np.float64),
-                ),
-                scaler=Scaler(
-                    col_min=np.asarray(payload["scaler"]["min"], dtype=np.float64),
-                    col_max=np.asarray(payload["scaler"]["max"], dtype=np.float64),
-                ),
+                bounds=OutlierBounds(lower=arrays["bounds.lower"], upper=arrays["bounds.upper"]),
                 autoencoder=_autoencoder_from_dict(payload["autoencoder"]),
             ),
             classifier_kind=kind,
@@ -381,13 +385,16 @@ def load_model(path: str) -> ModelArtifact:
             f"which implies {artifact.feature_mode!r}"
         )
     dim = artifact.feature_spec.dim
-    for section, names in (("bounds", ("lower", "upper")), ("scaler", ("min", "max"))):
-        for name in names:
-            shape = np.shape(payload[section][name])
-            if shape != (dim,):
-                raise CorruptArtifact(
-                    f"{section}.{name} has shape {shape}, the feature spec needs ({dim},)"
-                )
+    for name, array in arrays.items():
+        if array.shape != (dim,):
+            raise CorruptArtifact(
+                f"{name} has shape {array.shape}, the feature spec needs ({dim},)"
+            )
+    if not (
+        np.array_equal(arrays["scaler.min"], arrays["bounds.lower"])
+        and np.array_equal(arrays["scaler.max"], arrays["bounds.upper"])
+    ):
+        raise CorruptArtifact("the scaler differs from the bounds that determine it")
     if isinstance(artifact.classifier, (BoostedModel, ForestModel)):
         autoencoder = artifact.preprocessor.autoencoder
         _check_ensemble(artifact.classifier, dim if autoencoder is None else autoencoder.latent_dim)

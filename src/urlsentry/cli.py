@@ -1,8 +1,10 @@
 """Command line interface.
 
-Subcommands: train, compare, evaluate, predict, report. Exit codes:
-0 success, 1 data/config/file error (including unreadable or non-UTF-8
-input), 2 internal error.
+Subcommands: train, compare, evaluate, predict, report. _COMMANDS declares
+the flags each one reads, and a subcommand rejects any other flag; the
+config file (--config) still takes every key. Exit codes: 0 success (and
+--help), 1 usage, config, data or file error (including unreadable or
+non-UTF-8 input), 2 internal error.
 """
 
 from __future__ import annotations
@@ -13,14 +15,8 @@ import os
 import sys
 
 from .artifact import load_model, save_model
-from .config import (
-    CLASSIFIER_CHOICES,
-    CONFIG_FILE_KEYS,
-    FEATURE_MODES,
-    build_config,
-    parse_config_file,
-)
-from .errors import MalformedRow, UrlSentryError
+from .config import CONFIG_KEYS, build_config, parse_config_file
+from .errors import MalformedRow, UrlSentryError, UsageError
 from .evaluation import (
     ComparisonTable,
     comparison_csv,
@@ -39,44 +35,9 @@ from .runner import (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="urlsentry",
-        description="Lexical malicious-URL detection: train, compare, and filter.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--data", help="input CSV (url,type) or URL list file")
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--model", help="model artifact path")
-        p.add_argument("--seed", type=int, help="random seed (default 42)")
-        p.add_argument("--threshold", type=float, help="confidence threshold in [0,1]")
-        p.add_argument("--out", help="output directory (default ./out)")
-        p.add_argument("--features", choices=FEATURE_MODES, help="feature mode")
-        p.add_argument("--classifier", choices=CLASSIFIER_CHOICES, help="classifier kind")
-
-    p_train = sub.add_parser("train", help="train one classifier and write an artifact")
-    add_common(p_train)
-
-    p_compare = sub.add_parser("compare", help="train all five classifiers head-to-head")
-    add_common(p_compare)
-
-    p_eval = sub.add_parser("evaluate", help="score an artifact on a labeled CSV")
-    add_common(p_eval)
-
-    p_pred = sub.add_parser("predict", help="classify URLs and emit a safe list")
-    add_common(p_pred)
-    p_pred.add_argument("urls", nargs="*", help="URLs given directly on the command line")
-
-    p_report = sub.add_parser("report", help="re-render chart/report from a comparison CSV")
-    add_common(p_report)
-    return parser
-
-
 def _config_from_args(args: argparse.Namespace):
     file_values = parse_config_file(args.config) if args.config else {}
-    flags = {key: getattr(args, key) for key in CONFIG_FILE_KEYS}
+    flags = {key: value for key, value in vars(args).items() if key in CONFIG_KEYS}
     return build_config(file_values, flags)
 
 
@@ -89,10 +50,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if config.data_path is None:
         raise UrlSentryError("train requires --data <csv>")
-    if config.classifier == "all":
-        # an artifact holds exactly one classifier
-        print("classifier 'all' applies to compare; training random forest", file=sys.stderr)
-        config.classifier = "rf"
 
     stage = "load"
     try:
@@ -227,19 +184,51 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+_FLAG_HELP = {
+    "config": "flat key = value config file; flags override it",
+    **{key: help_text for key, (_, _, help_text) in CONFIG_KEYS.items()},
+}
+
+# Subcommand -> (handler, help, the flags it reads); predict also takes URLs.
 _COMMANDS = {
-    "train": cmd_train,
-    "compare": cmd_compare,
-    "evaluate": cmd_evaluate,
-    "predict": cmd_predict,
-    "report": cmd_report,
+    "train": (cmd_train, "train one classifier and write an artifact",
+              "data config model seed out features classifier"),
+    "compare": (cmd_compare, "train all five classifiers head-to-head",
+                "data config seed out features"),
+    "evaluate": (cmd_evaluate, "score an artifact on a labeled CSV", "data config model"),
+    "predict": (cmd_predict, "classify URLs and emit a safe list",
+                "data config model threshold out"),
+    "report": (cmd_report, "re-render chart/report from a comparison CSV", "data config out"),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing usage and exiting 2."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="urlsentry",
+        description="Lexical malicious-URL detection: train, compare, and filter.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", help=_FLAG_HELP[flag])
+        if name == "predict":
+            p.add_argument("urls", nargs="*", help="URLs given directly on the command line")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except (UrlSentryError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -2,7 +2,8 @@
 
 The config file is flat key = value text using the same keys as the CLI
 flags; CLI flags override file values, and unknown keys are rejected so a
-typo cannot silently fall back to a default.
+typo cannot silently fall back to a default. Flag values arrive as the raw
+strings a file would hold and go through the same parsers.
 """
 
 from __future__ import annotations
@@ -15,25 +16,25 @@ from .errors import ConfigError
 from .pipeline import DEFAULT_LABEL_MAP
 
 FEATURE_MODES = ("raw", "latent")
-CLASSIFIER_CHOICES = CLASSIFIER_KINDS + ("all",)
 
-# Config-file key (= CLI flag name) -> (PipelineConfig field, value parser).
+# Config-file key (= CLI flag name) -> (PipelineConfig field, value parser, help).
 CONFIG_KEYS = {
-    "data": ("data_path", str),
-    "model": ("model_path", str),
-    "seed": ("seed", int),
-    "threshold": ("threshold", float),
-    "out": ("out_dir", str),
-    "features": ("feature_mode", str),
-    "classifier": ("classifier", str),
+    "data": ("data_path", str, "labeled CSV; URL list (predict); comparison CSV (report)"),
+    "model": ("model_path", str, "model artifact path"),
+    "seed": ("seed", int, "random seed (default 42)"),
+    "threshold": ("threshold", float, "confidence threshold in [0,1] (default 0.5)"),
+    "out": ("out_dir", str, "output directory (default ./out)"),
+    "features": ("feature_mode", str, f"feature mode: {'|'.join(FEATURE_MODES)} (default latent)"),
+    "classifier": (
+        "classifier", str, f"classifier kind: {'|'.join(CLASSIFIER_KINDS)} (default rf)"
+    ),
 }
-CONFIG_FILE_KEYS = tuple(CONFIG_KEYS)
 
 
 @dataclass
 class PipelineConfig:
     feature_mode: str = "latent"
-    classifier: str = "all"
+    classifier: str = "rf"
     threshold: float = 0.5
     seed: int = 42
     out_dir: str = "out"
@@ -52,12 +53,14 @@ class PipelineConfig:
     def validate(self) -> "PipelineConfig":
         if self.feature_mode not in FEATURE_MODES:
             raise ConfigError(f"features must be one of {FEATURE_MODES}, got {self.feature_mode!r}")
-        if self.classifier not in CLASSIFIER_CHOICES:
+        if self.classifier not in CLASSIFIER_KINDS:
             raise ConfigError(
-                f"classifier must be one of {CLASSIFIER_CHOICES}, got {self.classifier!r}"
+                f"classifier must be one of {CLASSIFIER_KINDS}, got {self.classifier!r}"
             )
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         return self
 
 
@@ -72,7 +75,7 @@ def parse_config_file(path: str) -> dict[str, str]:
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{line_no}: expected key = value, got {stripped!r}")
             key, value = (part.strip() for part in stripped.split("=", 1))
-            if key not in CONFIG_FILE_KEYS:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
             values[key] = value
     return values
@@ -90,7 +93,7 @@ def build_config(file_values: dict[str, str], flag_values: dict) -> PipelineConf
     for key, value in merged.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        field_name, parse = CONFIG_KEYS[key]
+        field_name, parse, _ = CONFIG_KEYS[key]
         try:
             cfg = replace(cfg, **{field_name: parse(value)})
         except ValueError as exc:

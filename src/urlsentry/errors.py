@@ -90,3 +90,7 @@ class FeatureSpecMismatch(UrlSentryError):
 
 class ConfigError(UrlSentryError):
     """Raised for unknown or invalid configuration keys/values."""
+
+
+class UsageError(UrlSentryError):
+    """Raised for a command line the CLI cannot parse."""

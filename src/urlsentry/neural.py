@@ -27,7 +27,7 @@ PROB_EPS = 1e-12  # keeps probabilities strictly inside (0, 1) and logs finite
 class LayerParams:
     weights: np.ndarray  # d_out x d_in
     biases: np.ndarray  # d_out
-    activation: str  # sigmoid | relu | identity
+    activation: str  # a key of ACTIVATIONS
 
 
 @dataclass
@@ -69,24 +69,12 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "sigmoid":
-        return sigmoid(z)
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "identity":
-        return z
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def _activation_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "sigmoid":
-        return a * (1.0 - a)
-    if kind == "relu":
-        return (z > 0).astype(np.float64)
-    if kind == "identity":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {kind!r}")
+# name -> (f(z), df/dz given the pre-activation z and a = f(z))
+ACTIVATIONS = {
+    "sigmoid": (sigmoid, lambda z, a: a * (1.0 - a)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0).astype(np.float64)),
+    "identity": (lambda z: z, lambda z, a: np.ones_like(z)),
+}
 
 
 def forward(model, x: np.ndarray):
@@ -106,7 +94,7 @@ def forward(model, x: np.ndarray):
     a = X
     for layer in layers:
         z = a @ layer.weights.T + layer.biases
-        a = _activate(z, layer.activation)
+        a = ACTIVATIONS[layer.activation][0](z)
         pre_acts.append(z)
         activations.append(a)
     out = a if np.asarray(x).ndim > 1 else a[0]
@@ -140,9 +128,7 @@ def gradients(model, batch_x: np.ndarray, batch_target: np.ndarray, loss: str):
         delta = (cache["act"][-1] - T) / n
     elif loss == "mse":
         d_out = (2.0 / (n * T.shape[1])) * (cache["act"][-1] - T)
-        delta = d_out * _activation_grad(
-            cache["pre"][-1], cache["act"][-1], layers[-1].activation
-        )
+        delta = d_out * ACTIVATIONS[layers[-1].activation][1](cache["pre"][-1], cache["act"][-1])
     else:
         raise ValueError(f"unknown loss {loss!r}")
 
@@ -151,8 +137,8 @@ def gradients(model, batch_x: np.ndarray, batch_target: np.ndarray, loss: str):
         a_prev = cache["act"][i]  # cache["act"][0] is the input batch
         grads[i] = (delta.T @ a_prev, delta.sum(axis=0))
         if i > 0:
-            delta = (delta @ layers[i].weights) * _activation_grad(
-                cache["pre"][i - 1], cache["act"][i], layers[i - 1].activation
+            delta = (delta @ layers[i].weights) * ACTIVATIONS[layers[i - 1].activation][1](
+                cache["pre"][i - 1], cache["act"][i]
             )
     return grads
 

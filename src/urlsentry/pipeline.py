@@ -68,7 +68,6 @@ class OutlierBounds:
 class SplitConfig:
     test_fraction: float = 0.2
     seed: int = 42
-    stratified: bool = True
 
 
 @dataclass
@@ -206,26 +205,20 @@ def _round_half_up(x: float) -> int:
 def stratified_split(ds: Dataset, cfg: SplitConfig) -> tuple[Dataset, Dataset]:
     """Split into train/test partitions, deterministic in cfg.seed.
 
-    Stratified mode draws round(class_count * test_fraction) test rows per
-    class; partitions preserve the original row order.
+    Draws round(class_count * test_fraction) test rows per class;
+    partitions preserve the original row order.
     """
     n = ds.n_rows
     rng = np.random.default_rng(cfg.seed)
     test_idx: list[int] = []
-
-    if cfg.stratified:
-        classes = np.unique(ds.labels)
-        if len(classes) < 2:
-            raise DegenerateSplit("stratified split requires both classes present")
-        for cls in sorted(int(c) for c in classes):
-            cls_idx = np.flatnonzero(ds.labels == cls)
-            n_test = _round_half_up(len(cls_idx) * cfg.test_fraction)
-            perm = rng.permutation(len(cls_idx))
-            test_idx.extend(int(i) for i in cls_idx[perm[:n_test]])
-    else:
-        n_test = _round_half_up(n * cfg.test_fraction)
-        perm = rng.permutation(n)
-        test_idx.extend(int(i) for i in perm[:n_test])
+    classes = np.unique(ds.labels)
+    if len(classes) < 2:
+        raise DegenerateSplit("stratified split requires both classes present")
+    for cls in sorted(int(c) for c in classes):
+        cls_idx = np.flatnonzero(ds.labels == cls)
+        n_test = _round_half_up(len(cls_idx) * cfg.test_fraction)
+        perm = rng.permutation(len(cls_idx))
+        test_idx.extend(int(i) for i in cls_idx[perm[:n_test]])
 
     test_mask = np.zeros(n, dtype=bool)
     test_mask[test_idx] = True

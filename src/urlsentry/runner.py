@@ -1,7 +1,7 @@
 """End-to-end orchestration shared by the CLI commands.
 
 Pipeline order, fixed for train and inference alike:
-featurize -> winsorize (train bounds) -> min-max scale (train scaler)
+featurize -> winsorize (train bounds) -> min-max scale (to those bounds)
 -> optional autoencoder latents -> classifier.
 """
 
@@ -35,7 +35,9 @@ from .pipeline import (
     CleanReport,
     Dataset,
     SplitConfig,
-    apply_bounds,  # no caller here; perfbench/inproc.py traces this binding
+    # apply_bounds, apply_scaler and fit_scaler have no caller here;
+    # perfbench/inproc.py traces these bindings
+    apply_bounds,
     apply_scaler,
     bound_outliers,
     clean,
@@ -105,15 +107,15 @@ def load_labeled_dataset(
 
 
 def fit_preprocessor(features: np.ndarray, config: PipelineConfig) -> Preprocessor:
-    """Fit winsorizing bounds, the scaler and, in latent mode, the autoencoder."""
-    bounds, clipped = bound_outliers(features)
-    scaler = fit_scaler(clipped)
-    autoencoder = None
-    if config.feature_mode == "latent":
-        autoencoder = neural.train_autoencoder(
-            apply_scaler(scaler, clipped), replace(config.autoencoder, seed=config.seed)
-        )
-    return Preprocessor(bounds=bounds, scaler=scaler, autoencoder=autoencoder)
+    """Fit winsorizing bounds and, in latent mode, the autoencoder."""
+    bounds, _ = bound_outliers(features)
+    preprocessor = Preprocessor(bounds=bounds)
+    if config.feature_mode != "latent":
+        return preprocessor
+    autoencoder = neural.train_autoencoder(
+        preprocessor.transform(features), replace(config.autoencoder, seed=config.seed)
+    )
+    return replace(preprocessor, autoencoder=autoencoder)
 
 
 def train_artifact(

@@ -170,6 +170,36 @@ def test_short_preprocessing_array_rejected(section, name, training_data, tmp_pa
         load_model(str(path))
 
 
+@pytest.mark.parametrize("name", ["min", "max"])
+def test_scaler_differing_from_bounds_rejected(name, training_data, tmp_path):
+    artifact = train_artifact(training_data, small_config("knn", "raw"))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+    payload = json.loads(path.read_text())["payload"]
+    assert payload["scaler"] == {"min": payload["bounds"]["lower"],
+                                 "max": payload["bounds"]["upper"]}
+
+    def bump(payload):
+        payload["scaler"][name][0] += 1
+
+    rewrite_payload(path, bump)
+    with pytest.raises(CorruptArtifact, match="scaler differs from the bounds"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("kind, layers", [
+    ("mlp", lambda payload: payload["classifier"]["layers"]),
+    ("knn", lambda payload: payload["autoencoder"]["encoder"]),
+], ids=["mlp", "autoencoder"])
+def test_unknown_activation_rejected(kind, layers, training_data, tmp_path):
+    artifact = train_artifact(training_data, small_config(kind, "latent"))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+    rewrite_payload(path, lambda payload: layers(payload)[0].update(activation="tanh"))
+    with pytest.raises(CorruptArtifact, match="unknown activation 'tanh'"):
+        load_model(str(path))
+
+
 def first_split(tree: dict) -> dict:
     assert "feature" in tree, "root of the first tree is a leaf"
     return tree

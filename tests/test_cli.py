@@ -165,8 +165,9 @@ class TestCmdPredict:
         model = tmp_path / "knn.json"
         self.make_knn_artifact(tiny_csv, tmp_path)
         rewrite_payload(model, lambda payload: payload[section][name].pop())
-        data = ["--data", tiny_csv] if command == "evaluate" else ["https://example.org/docs"]
-        code = main([command, "--model", str(model), "--out", str(tmp_path / "o"), *data])
+        data = (["--data", tiny_csv] if command == "evaluate"
+                else ["--out", str(tmp_path / "o"), "https://example.org/docs"])
+        code = main([command, "--model", str(model), *data])
         assert code == 1
         assert "CorruptArtifact" in capsys.readouterr().err
 
@@ -184,6 +185,20 @@ class TestCmdPredict:
                      "https://example.org/docs"])
         assert code == 1
         assert "CorruptArtifact" in capsys.readouterr().err
+
+    def test_unknown_activation_exits_one(self, tiny_csv, tmp_path, capsys):
+        cfg = PipelineConfig(classifier="mlp", feature_mode="raw", seed=1,
+                             mlp=TrainConfig(epochs=2))
+        dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+        model = tmp_path / "mlp.json"
+        save_model(train_artifact(dataset, cfg), str(model))
+        rewrite_payload(
+            model, lambda payload: payload["classifier"]["layers"][0].update(activation="tanh")
+        )
+        code = main(["predict", "--model", str(model), "--out", str(tmp_path / "o"),
+                     "https://example.org/docs"])
+        assert code == 1
+        assert "CorruptArtifact: unknown activation 'tanh'" in capsys.readouterr().err
 
 
 class TestCmdEvaluate:
@@ -311,6 +326,85 @@ class TestConfigHandling:
         cfg_file = tmp_path / "ok.cfg"
         cfg_file.write_text("# comment\n\nseed = 4  # trailing\n")
         assert parse_config_file(str(cfg_file)) == {"seed": "4"}
+
+
+# The flags each subcommand reads; every other flag is a usage error.
+FLAGS_READ = {
+    "train": {"--data", "--config", "--model", "--seed", "--out", "--features", "--classifier"},
+    "compare": {"--data", "--config", "--seed", "--out", "--features"},
+    "evaluate": {"--data", "--config", "--model"},
+    "predict": {"--data", "--config", "--model", "--threshold", "--out"},
+    "report": {"--data", "--config", "--out"},
+}
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("command", FLAGS_READ)
+    def test_help_lists_exactly_the_flags_read(self, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        text = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z]+", text)) == FLAGS_READ[command] | {"--help"}
+        assert not re.search(r"\ball\b", text)
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--threshold", "0.3"],
+        ["compare", "--classifier", "knn"],
+        ["evaluate", "--out", "o"],
+        ["predict", "--seed", "1", "https://example.org/docs"],
+        ["report", "--model", "m.json"],
+    ], ids=lambda argv: argv[0])
+    def test_flag_not_read_exits_one(self, argv, tiny_csv, tmp_path, capsys):
+        assert argv[1] not in FLAGS_READ[argv[0]]
+        assert main([*argv, "--data", tiny_csv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: UsageError:")
+        assert f"unrecognized arguments: {argv[1]}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", "abc"],
+        ["compare", "--seed", "-1"],
+        ["predict", "--threshold", "abc", "https://example.org/docs"],
+        ["compare", "--features", "bogus"],
+        ["train", "--classifier", "all"],
+    ], ids=lambda argv: "=".join(argv[1:3]))
+    def test_bad_flag_value_exits_one(self, argv, tiny_csv, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main([*argv, "--data", tiny_csv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ConfigError:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["train", "--bogus", "1"], ["predict", "--threshold"],
+    ], ids=["empty", "unknown-command", "unknown-flag", "missing-value"])
+    def test_unparsable_command_line_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: UsageError:")
+
+    def test_train_defaults_to_random_forest(self, tiny_csv, tmp_path, capsys):
+        argv = ["train", "--data", tiny_csv, "--seed", "3"]
+        assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+        default = capsys.readouterr()
+        assert main([*argv, "--classifier", "rf", "--out", str(tmp_path / "rf")]) == 0
+        checksums = [
+            json.loads((tmp_path / name / "model.json").read_text())["checksum"]
+            for name in ("default", "rf")
+        ]
+        assert checksums[0] == checksums[1]
+        assert "trained classifier=rf" in default.out
+        assert default.err == ""
+
+    def test_config_file_takes_every_key_for_every_command(self, tmp_path):
+        scores = tmp_path / "comparison.csv"
+        scores.write_text("classifier,accuracy\nK-NN,0.5\n")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            f"data = {scores}\nout = {tmp_path / 'o'}\nmodel = unused.json\nseed = 3\n"
+            "threshold = 0.3\nfeatures = raw\nclassifier = knn\n"
+        )
+        assert main(["report", "--config", str(cfg_file)]) == 0
+        assert (tmp_path / "o" / "accuracy_chart.svg").exists()
 
 
 class TestFilterPredictions:

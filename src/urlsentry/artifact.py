@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import neural, trees
-from .errors import CorruptArtifact, FeatureSpecMismatch, UnsupportedVersion
+from .errors import CorruptArtifact, FeatureSpecMismatch, KOutOfRange, UnsupportedVersion
 from .features import FeatureSpec, featurize_many
 from .knn import KnnModel, predict_knn_batch
 from .neural import AutoencoderModel, LayerParams, MlpModel, encode, predict_proba_mlp_batch
@@ -171,7 +171,7 @@ def _knn_to_dict(model: KnnModel) -> dict:
 def _knn_from_dict(d: dict) -> KnnModel:
     return KnnModel(
         stored_features=np.asarray(d["features"], dtype=np.float64),
-        stored_labels=np.asarray(d["labels"], dtype=np.int64),
+        stored_labels=np.asarray(d["labels"]),
         default_k=int(d["default_k"]),
     )
 
@@ -377,7 +377,7 @@ def load_model(path: str) -> ModelArtifact:
             created_at=document.get("created_at", ""),
         )
         feature_mode = payload["feature_mode"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, KOutOfRange) as exc:
         raise CorruptArtifact(f"artifact payload is structurally invalid: {exc}") from exc
     if feature_mode != artifact.feature_mode:
         raise CorruptArtifact(
@@ -395,7 +395,12 @@ def load_model(path: str) -> ModelArtifact:
         and np.array_equal(arrays["scaler.max"], arrays["bounds.upper"])
     ):
         raise CorruptArtifact("the scaler differs from the bounds that determine it")
+    autoencoder = artifact.preprocessor.autoencoder
+    width = dim if autoencoder is None else autoencoder.latent_dim
     if isinstance(artifact.classifier, (BoostedModel, ForestModel)):
-        autoencoder = artifact.preprocessor.autoencoder
-        _check_ensemble(artifact.classifier, dim if autoencoder is None else autoencoder.latent_dim)
+        _check_ensemble(artifact.classifier, width)
+    if isinstance(artifact.classifier, KnnModel):
+        stored = artifact.classifier.stored_features.shape[1]
+        if stored != width:
+            raise CorruptArtifact(f"kNN rows are {stored} wide, the transformed input is {width}")
     return artifact

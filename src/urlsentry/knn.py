@@ -1,9 +1,12 @@
 """Exact k-nearest-neighbor classification with majority voting.
 
-Search is brute force over the stored training matrix: at the scale this
-pipeline runs (tens of thousands of rows), exactness is worth more than an
-approximate index. Tie rules are fixed: equal distances order by lower
-stored index; an exact vote tie classifies as malicious.
+Search is exact, over distinct rows: identical stored rows (equal bytes)
+form one group with a row count and a positive-label count, identical
+query rows are scored once, and each distinct query is compared with each
+distinct stored row. At the scale this pipeline runs (tens of thousands of
+rows), exactness is worth more than an approximate index. Tie rules are
+fixed: equal distances order by lower stored index; an exact vote tie
+classifies as malicious.
 """
 
 from __future__ import annotations
@@ -22,9 +25,16 @@ class KnnModel:
     default_k: int = 5
 
     def __post_init__(self):
+        if self.stored_features.ndim != 2 or self.stored_features.shape[1] == 0:
+            raise ValueError(
+                f"stored features must be a matrix of at least one column, "
+                f"not of shape {self.stored_features.shape}"
+            )
         n = self.stored_features.shape[0]
-        if len(self.stored_labels) != n:
+        if np.shape(self.stored_labels) != (n,):
             raise ValueError("features and labels must align")
+        if not np.isin(self.stored_labels, (0, 1)).all():
+            raise ValueError("stored labels must be 0 or 1")
         if not 1 <= self.default_k <= n:
             raise KOutOfRange(f"default_k {self.default_k} outside [1, {n}]")
 
@@ -88,11 +98,71 @@ def predict_knn(model: KnnModel, x: np.ndarray, k: int | None = None) -> tuple[i
     return (1 if confidence >= 0.5 else 0), confidence
 
 
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct row of X, and each row's group.
+
+    Rows are compared by their bytes, so -0.0 and 0.0 stay apart.
+    """
+    X = np.ascontiguousarray(X)
+    rows = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    _, first, group = np.unique(rows, return_index=True, return_inverse=True)
+    return first, group
+
+
+@dataclass(frozen=True)
+class _StoredGroups:
+    """The stored rows grouped by exact bytes."""
+
+    features: np.ndarray  # one row per group
+    counts: np.ndarray  # rows per group
+    positives: np.ndarray  # positive labels per group
+    group: np.ndarray  # each stored row's group
+    labels: np.ndarray  # each stored row's label
+
+    @classmethod
+    def of(cls, model: KnnModel) -> _StoredGroups:
+        first, group = _distinct_rows(model.stored_features)
+        labels = model.stored_labels
+        return cls(
+            features=model.stored_features[first],
+            counts=np.bincount(group, minlength=len(first)),
+            positives=np.bincount(group[labels == 1], minlength=len(first)),
+            group=group,
+            labels=labels,
+        )
+
+    def positive_votes(self, q: np.ndarray, k: int) -> int:
+        """Positive labels among the k stored rows nearest to q, ties by lower index."""
+        diff = self.features - q
+        sq = (diff * diff).sum(axis=1)
+        # Each group holds at least one row, so the k nearest rows lie in groups
+        # no farther than the k-th nearest group.
+        if k < len(sq):
+            cand = np.flatnonzero(sq <= np.partition(sq, k - 1)[k - 1])
+        else:
+            cand = np.arange(len(sq))
+        cand = cand[np.argsort(sq[cand], kind="stable")]
+        dist = sq[cand]
+        reach = int(np.searchsorted(np.cumsum(self.counts[cand]), k))
+        if reach == len(cand):  # the k-th distance is NaN: no row is within it
+            return 0
+        below = cand[dist < dist[reach]]
+        tied = cand[dist == dist[reach]]
+        votes = int(self.positives[below].sum())
+        need = k - int(self.counts[below].sum())
+        if need == self.counts[tied].sum():
+            return votes + int(self.positives[tied].sum())
+        at_kth = np.zeros(len(sq), dtype=bool)
+        at_kth[tied] = True
+        return votes + int(self.labels[np.flatnonzero(at_kth[self.group])[:need]].sum())
+
+
 def predict_knn_batch(model: KnnModel, X: np.ndarray, k: int | None = None) -> np.ndarray:
-    """Malicious-vote confidence for each query row."""
+    """Malicious-vote confidence for each query row; each distinct row is scored once."""
     X, k = _checked(model, X, k)
-    out = np.empty(X.shape[0], dtype=np.float64)
-    for i, q in enumerate(X):
-        _, idx = _nearest(model, q, k)
-        out[i] = float(model.stored_labels[idx].sum()) / k
-    return out
+    if k == len(model.stored_labels):  # every stored row votes, whatever its distance
+        return np.full(X.shape[0], float(model.stored_labels.sum()) / k)
+    stored = _StoredGroups.of(model)
+    first, group = _distinct_rows(X)
+    votes = np.array([stored.positive_votes(q, k) for q in X[first]], dtype=np.int64)
+    return votes[group] / k

@@ -200,6 +200,50 @@ def test_unknown_activation_rejected(kind, layers, training_data, tmp_path):
         load_model(str(path))
 
 
+@pytest.mark.parametrize("label", [2, -1, 0.5])
+def test_knn_label_outside_zero_one_rejected(label, training_data, tmp_path):
+    artifact = train_artifact(training_data, small_config("knn", "raw"))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+    rewrite_payload(path, lambda payload: payload["classifier"]["labels"].__setitem__(0, label))
+    with pytest.raises(CorruptArtifact, match="labels must be 0 or 1"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("default_k", [lambda n: 0, lambda n: n + 1], ids=["zero", "rows+1"])
+def test_knn_default_k_outside_stored_rows_rejected(default_k, training_data, tmp_path):
+    artifact = train_artifact(training_data, small_config("knn", "raw"))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+    n = training_data.n_rows
+    k = default_k(n)
+    rewrite_payload(path, lambda payload: payload["classifier"].update(default_k=k))
+    with pytest.raises(CorruptArtifact, match=f"default_k {k} outside \\[1, {n}\\]"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("feature_mode, change", [
+    ("raw", lambda row: row.pop()),
+    ("latent", lambda row: row.append(0.0)),
+], ids=["raw-one-short", "latent-one-wide"])
+def test_knn_width_checked_against_transformed_width(feature_mode, change, training_data,
+                                                     tmp_path):
+    artifact = train_artifact(training_data, small_config("knn", feature_mode))
+    width = artifact.classifier.stored_features.shape[1]
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+
+    def reshape(payload):
+        for row in payload["classifier"]["features"]:
+            change(row)
+
+    rewrite_payload(path, reshape)
+    stored = width - 1 if feature_mode == "raw" else width + 1
+    with pytest.raises(CorruptArtifact, match=f"kNN rows are {stored} wide, "
+                                              f"the transformed input is {width}"):
+        load_model(str(path))
+
+
 def first_split(tree: dict) -> dict:
     assert "feature" in tree, "root of the first tree is a leaf"
     return tree

@@ -172,6 +172,15 @@ class TestCmdPredict:
         assert "CorruptArtifact" in capsys.readouterr().err
 
 
+    def test_knn_label_outside_zero_one_exits_one(self, tiny_csv, tmp_path, capsys):
+        model = tmp_path / "knn.json"
+        self.make_knn_artifact(tiny_csv, tmp_path)
+        rewrite_payload(model, lambda payload: payload["classifier"]["labels"].__setitem__(0, 2))
+        code = main(["predict", "--model", str(model), "--out", str(tmp_path / "o"),
+                     "https://example.org/docs"])
+        assert code == 1
+        assert "CorruptArtifact" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, value", [("feature", -13), ("threshold", float("nan"))])
     def test_invalid_tree_exits_one(self, field, value, tiny_csv, tmp_path, capsys):
         cfg = PipelineConfig(classifier="xgb", feature_mode="raw", seed=1)

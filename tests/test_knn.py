@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from urlsentry.errors import DimensionMismatch, KOutOfRange
-from urlsentry.knn import KnnModel, k_nearest, predict_knn, predict_knn_batch
+from urlsentry.knn import KnnModel, _nearest, k_nearest, predict_knn, predict_knn_batch
 
 
 def brute_force_predict(features, labels, x, k):
@@ -13,6 +16,30 @@ def brute_force_predict(features, labels, x, k):
     votes = [int(labels[i]) for i in order[:k]]
     confidence = sum(votes) / k
     return (1 if confidence >= 0.5 else 0), confidence
+
+
+def per_query_reference(model, X, k):
+    """The per-query loop predict_knn_batch replaced: each query row against every stored row."""
+    out = np.empty(X.shape[0], dtype=np.float64)
+    for i, q in enumerate(X):
+        _, idx = _nearest(model, q, k)
+        out[i] = float(model.stored_labels[idx].sum()) / k
+    return out
+
+
+@st.composite
+def duplicated_grid_cases(draw):
+    """A model whose stored rows repeat a few grid rows, queries that repeat too, and a k."""
+    d = draw(st.integers(1, 3))
+    grid = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+    pool = draw(st.lists(hnp.arrays(np.float64, d, elements=grid), min_size=1, max_size=10))
+    n = draw(st.integers(1, 40))
+    picks = draw(hnp.arrays(np.intp, n, elements=st.integers(0, len(pool) - 1)))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    queries = draw(st.lists(st.sampled_from(pool) | hnp.arrays(np.float64, d, elements=grid),
+                            min_size=1, max_size=12))
+    k = draw(st.integers(1, n))
+    return KnnModel(np.array(pool)[picks], labels, default_k=1), np.array(queries), k
 
 
 def small_model():
@@ -133,6 +160,21 @@ class TestPredictKnn:
             want = [brute_force_predict(features, labels, q, k)[1] for q in queries]
             assert predict_knn_batch(model, queries, k).tolist() == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(duplicated_grid_cases())
+    def test_batch_matches_per_query_reference(self, case):
+        model, queries, k = case
+        got = predict_knn_batch(model, queries, k)
+        assert got.tobytes() == per_query_reference(model, queries, k).tobytes()
+
+    def test_nan_distances_match_per_query_reference(self):
+        features = np.array([[0.0], [np.nan], [1.0], [0.0], [np.nan]])
+        model = KnnModel(features, np.array([1, 1, 0, 1, 1]), default_k=1)
+        queries = np.array([[0.0], [np.nan], [0.5]])
+        for k in range(1, 6):
+            got = predict_knn_batch(model, queries, k)
+            assert got.tobytes() == per_query_reference(model, queries, k).tobytes()
+
     def test_k1_training_consistency(self):
         rng = np.random.default_rng(2)
         features = rng.normal(size=(60, 4))
@@ -143,3 +185,19 @@ class TestPredictKnn:
             label, confidence = predict_knn(model, features[i], k=1)
             assert label == labels[i]
             assert confidence == float(labels[i])
+
+
+class TestKnnModel:
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 1], [0.5, 1]])
+    def test_labels_outside_zero_one_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            KnnModel(np.zeros((2, 1)), np.array(labels))
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 0)])
+    def test_features_without_columns_rejected(self, shape):
+        with pytest.raises(ValueError, match="at least one column"):
+            KnnModel(np.zeros(shape), np.array([0, 1]))
+
+    def test_labels_not_one_per_row_rejected(self):
+        with pytest.raises(ValueError, match="must align"):
+            KnnModel(np.zeros((2, 1)), np.array([[0], [1]]))

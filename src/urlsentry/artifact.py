@@ -315,6 +315,33 @@ def _check_ensemble(model: BoostedModel | ForestModel, width: int) -> None:
         stack += (node.left, node.right)
 
 
+def _check_layers(name: str, layers: list[LayerParams], width_in: int, width_out: int) -> None:
+    """Reject a layer stack whose widths do not chain from width_in to width_out."""
+    if not layers:
+        raise CorruptArtifact(f"the {name} has no layers")
+    width = width_in
+    for i, layer in enumerate(layers):
+        if layer.weights.ndim != 2 or layer.weights.shape[1] != width:
+            raise CorruptArtifact(
+                f"{name} layer {i} has weights of shape {layer.weights.shape}, "
+                f"its input is {width} wide"
+            )
+        width = layer.weights.shape[0]
+        if layer.biases.shape != (width,):
+            raise CorruptArtifact(
+                f"{name} layer {i} has biases of shape {layer.biases.shape}, "
+                f"its output is {width} wide"
+            )
+    if width != width_out:
+        raise CorruptArtifact(f"the {name} outputs {width} values, {width_out} expected")
+
+
+def _check_finite(name: str, array: np.ndarray) -> None:
+    bad = array[~np.isfinite(array)]
+    if bad.size:
+        raise CorruptArtifact(f"{name} holds {bad[0]}, not finite")
+
+
 def _canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -390,17 +417,24 @@ def load_model(path: str) -> ModelArtifact:
             raise CorruptArtifact(
                 f"{name} has shape {array.shape}, the feature spec needs ({dim},)"
             )
+        _check_finite(name, array)
     if not (
         np.array_equal(arrays["scaler.min"], arrays["bounds.lower"])
         and np.array_equal(arrays["scaler.max"], arrays["bounds.upper"])
     ):
         raise CorruptArtifact("the scaler differs from the bounds that determine it")
     autoencoder = artifact.preprocessor.autoencoder
-    width = dim if autoencoder is None else autoencoder.latent_dim
+    width = dim
+    if autoencoder is not None:
+        width = autoencoder.latent_dim
+        _check_layers("encoder", autoencoder.encoder_layers, dim, width)
+    if isinstance(artifact.classifier, MlpModel):
+        _check_layers("MLP", artifact.classifier.layers, width, 1)
     if isinstance(artifact.classifier, (BoostedModel, ForestModel)):
         _check_ensemble(artifact.classifier, width)
     if isinstance(artifact.classifier, KnnModel):
         stored = artifact.classifier.stored_features.shape[1]
         if stored != width:
             raise CorruptArtifact(f"kNN rows are {stored} wide, the transformed input is {width}")
+        _check_finite("the kNN rows", artifact.classifier.stored_features)
     return artifact

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, KOutOfRange
+from .pipeline import distinct_rows
 
 
 @dataclass
@@ -98,17 +99,6 @@ def predict_knn(model: KnnModel, x: np.ndarray, k: int | None = None) -> tuple[i
     return (1 if confidence >= 0.5 else 0), confidence
 
 
-def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first index of each distinct row of X, and each row's group.
-
-    Rows are compared by their bytes, so -0.0 and 0.0 stay apart.
-    """
-    X = np.ascontiguousarray(X)
-    rows = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
-    _, first, group = np.unique(rows, return_index=True, return_inverse=True)
-    return first, group
-
-
 @dataclass(frozen=True)
 class _StoredGroups:
     """The stored rows grouped by exact bytes."""
@@ -121,7 +111,7 @@ class _StoredGroups:
 
     @classmethod
     def of(cls, model: KnnModel) -> _StoredGroups:
-        first, group = _distinct_rows(model.stored_features)
+        first, group = distinct_rows(model.stored_features)
         labels = model.stored_labels
         return cls(
             features=model.stored_features[first],
@@ -163,6 +153,6 @@ def predict_knn_batch(model: KnnModel, X: np.ndarray, k: int | None = None) -> n
     if k == len(model.stored_labels):  # every stored row votes, whatever its distance
         return np.full(X.shape[0], float(model.stored_labels.sum()) / k)
     stored = _StoredGroups.of(model)
-    first, group = _distinct_rows(X)
+    first, group = distinct_rows(X)
     votes = np.array([stored.positive_votes(q, k) for q in X[first]], dtype=np.int64)
     return votes[group] / k

@@ -166,6 +166,17 @@ def apply_scaler(scaler: Scaler, features: np.ndarray) -> np.ndarray:
     return out
 
 
+def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct row of X, and each row's group.
+
+    Rows are compared by their bytes, so -0.0 and 0.0 stay apart.
+    """
+    X = np.ascontiguousarray(X)
+    rows = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    _, first, group = np.unique(rows, return_index=True, return_inverse=True)
+    return first, group
+
+
 def _nearest_rank(sorted_col: np.ndarray, pct: float) -> float:
     """Nearest-rank percentile: value at index ceil(pct/100 * n), 1-based."""
     n = len(sorted_col)

@@ -6,18 +6,30 @@ Shared conventions, fixed so models serialize and replay bit-exactly:
   - split ties break on (lower feature index, then lower threshold);
   - splits whose gain is not strictly positive are rejected.
 
-Split search is presorted (exact greedy, Chen & Guestrin 2016, sec. 4.1):
-each column is stably argsorted once per tree (once per boosting run, since
-every round sees the same X), and a split partitions every feature's order
-into its children with a row mask, which keeps relative order. Node row sets
-are always ascending, so a node's order for feature f, a stable partition of
-one stable per-column argsort, equals a fresh stable argsort of the node's
-rows by f: ties stay in row order and every gain is summed exactly as a
-per-node sort would sum it.
+Split search is presorted (exact greedy, Chen & Guestrin 2016, sec. 4.1).
+Second-order (boosting) trees argsort each column stably once per boosting
+run, since every round sees the same X, and a split partitions every
+feature's order into its children with a row mask, which keeps relative
+order. Node row sets are always ascending, so a node's order for feature f,
+a stable partition of one stable per-column argsort, equals a fresh stable
+argsort of the node's rows by f: ties stay in row order and every gain is
+summed exactly as a per-node sort would sum it.
+
+Gini trees (the random forest, grow_tree on labels, best_split "gini") work
+on weighted distinct rows. The training rows are grouped by their bytes and
+the distinct rows' columns are presorted once; a tree then holds, per
+distinct row, how many of its rows fall there and how many of those are
+positive. A gini gain at a boundary between two values depends only on the
+integer prefix counts, so every gain, midpoint threshold and leaf value
+pos / n is the same float a row-by-row search computes.
 
 Random forest trees draw a bootstrap sample and per-node feature subsets
 from a per-tree generator seeded seed + tree_index, so the ensemble is
-independent of training order. Boosting uses no sampling at all.
+independent of training order. The forest grows _LOCKSTEP_TREES trees at a
+time in lockstep: each step takes from every tree the next node of its own
+preorder stack, so each generator draws in the order a recursive build
+draws, and scores all those nodes in one batched numpy search. Boosting
+uses no sampling at all.
 """
 
 from __future__ import annotations
@@ -29,10 +41,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyNode, SingleClassTrainingSet, TooFewRows
 from .neural import sigmoid
-from .pipeline import Dataset
+from .pipeline import Dataset, distinct_rows
 
 LEAF_DENOM_FLOOR = 1e-12  # guards Newton leaf values when hessians vanish
 _SCORE_BLOCK = 1 << 16  # elements scored per pass: temporaries stay within 512 KiB or one column
+_LOCKSTEP_TREES = 25  # forest trees grown together, one node of each per batched split search
+_GINI_BLOCK = 1 << 14  # (node, feature, distinct row) elements per batched gini search
 
 
 @dataclass
@@ -120,28 +134,26 @@ def _split_sorted(
     cands: np.ndarray,
     orders: np.ndarray,
     values: np.ndarray,
-    targets: np.ndarray,
-    hessians: np.ndarray | None,
+    grad: np.ndarray,
+    hess: np.ndarray,
     lam: float,
     gamma: float,
     min_samples_leaf: int,
 ) -> SplitDecision | None:
-    """Best split of one node over all candidate features at once.
+    """Best second-order split of one node over all candidate features at once.
 
     Row r of orders lists the node's rows sorted stably by feature cands[r],
-    and row r of values holds that feature's values in that order; targets
-    and hessians are indexed by row. Gini on binary labels when hessians is
-    None, else the second-order gain. Features with no admissible split are
-    dropped, and the rest are scored _SCORE_BLOCK elements at a time. The
-    winner is picked feature by feature in ascending order with a strict >,
-    so the earliest of equal gains wins and a NaN gain, once best, is never
+    and row r of values holds that feature's values in that order; grad and
+    hess are indexed by row. Features with no admissible split are dropped,
+    and the rest are scored _SCORE_BLOCK elements at a time. The winner is
+    picked feature by feature in ascending order with a strict >, so the
+    earliest of equal gains wins and a NaN gain, once best, is never
     displaced.
     """
     n = values.shape[1]
-    left_n = np.arange(1, n, dtype=np.float64)
-    right_n = n - left_n
+    left_n = np.arange(1, n)
     valid = values[:, :-1] != values[:, 1:]
-    valid &= (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
+    valid &= (left_n >= min_samples_leaf) & (n - left_n >= min_samples_leaf)
     splittable = valid.any(axis=1)
     if not splittable.all():
         cands, orders, values, valid = (
@@ -152,7 +164,7 @@ def _split_sorted(
     step = max(1, _SCORE_BLOCK // n)
     for start in range(0, len(cands), step):
         block = slice(start, start + step)
-        gains = _gains(orders[block], targets, hessians, lam, gamma, left_n, right_n)
+        gains = _gains(orders[block], grad, hess, lam, gamma)
         gains = np.where(valid[block], gains, -np.inf)
         for r, pos in enumerate(np.argmax(gains, axis=1).tolist()):
             gain = float(gains[r, pos])
@@ -168,35 +180,15 @@ def _split_sorted(
 
 
 def _gains(
-    orders: np.ndarray,
-    targets: np.ndarray,
-    hessians: np.ndarray | None,
-    lam: float,
-    gamma: float,
-    left_n: np.ndarray,
-    right_n: np.ndarray,
+    orders: np.ndarray, grad: np.ndarray, hess: np.ndarray, lam: float, gamma: float
 ) -> np.ndarray:
-    """Gain of splitting after each position of each row of orders.
+    """Second-order gain of splitting after each position of each row of orders.
 
     cumsum(axis=1) adds sequentially, so each row equals a one-feature
     cumsum, and every gain, bit for bit.
     """
-    n = orders.shape[1]
-    if hessians is None:
-        pos_prefix = np.cumsum(targets[orders].astype(np.int64), axis=1)
-        total_pos = int(pos_prefix[0, -1])
-        parent = gini((n - total_pos, total_pos))
-        left_pos = pos_prefix[:, :-1].astype(np.float64)
-        p1l = left_pos / left_n
-        p0l = (left_n - left_pos) / left_n
-        gl = 1.0 - p0l * p0l - p1l * p1l
-        right_pos = total_pos - left_pos
-        p1r = right_pos / right_n
-        p0r = (right_n - right_pos) / right_n
-        gr = 1.0 - p0r * p0r - p1r * p1r
-        return parent - (left_n / n) * gl - (right_n / n) * gr
-    g_prefix = np.cumsum(targets[orders], axis=1)
-    h_prefix = np.cumsum(hessians[orders], axis=1)
+    g_prefix = np.cumsum(grad[orders], axis=1)
+    h_prefix = np.cumsum(hess[orders], axis=1)
     g_total = g_prefix[:, -1:]
     h_total = h_prefix[:, -1:]
     gl_s, hl_s = g_prefix[:, :-1], h_prefix[:, :-1]
@@ -206,6 +198,205 @@ def _gains(
         + gr_s * gr_s / (hr_s + lam)
         - g_total * g_total / (h_total + lam)
     ) - gamma
+
+
+def _distinct_presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_presort of the distinct rows of features, and each row's distinct row.
+
+    The orders are int32: node blocks of distinct-row ids are the gini
+    grower's largest state.
+    """
+    first, group = distinct_rows(features)
+    cols, orders = _presort(features[first])
+    return cols, orders.astype(np.int32), group
+
+
+def _tally(group: np.ndarray, labels: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """How many rows, and how many positive labels, fall on each distinct row."""
+    counts = np.bincount(group, minlength=size)
+    positives = np.bincount(group, weights=labels, minlength=size)
+    return counts.astype(np.int32), positives.astype(np.int32)
+
+
+def _gini_splits(
+    cols: np.ndarray,
+    counts: np.ndarray,
+    positives: np.ndarray,
+    nodes: list[tuple],
+    min_samples_leaf: int,
+) -> list[SplitDecision | None]:
+    """Best gini split of each node, or None, in one batched search.
+
+    cols (d, U) holds the distinct rows' columns; counts[t, u] and
+    positives[t, u] say how many of tree t's rows are distinct row u and
+    how many of those are positive. A node is (t, block, cands, n, pos):
+    block holds the keys t * U + u of its distinct rows u sorted by
+    feature 0, then by feature 1, and so on (d runs of equal length), cands
+    its ascending candidate features, n and pos its row and positive counts.
+
+    Each (node, candidate) pair is one segment of flat arrays. A boundary
+    between two distinct values cuts the node where the row-by-row search
+    cuts it after the last row of the lower value, with the same integer
+    prefix counts, so the gain formula below gives the same floats, and the
+    threshold is the same midpoint. Gains are computed only at such
+    boundaries that leave min_samples_leaf rows on each side. The winner is
+    the first maximum in (feature, position) order, kept only if positive:
+    the per-feature rule of _split_sorted, since gini gains are never NaN.
+    """
+    d, U = cols.shape
+    tree_ids, blocks, cands, n, pos = zip(*nodes)
+    k = np.array([len(block) for block in blocks]) // d
+    seg_node = np.repeat(np.arange(len(nodes)), [len(c) for c in cands])
+    seg_feat = np.concatenate(cands)
+    seg_len = k[seg_node]
+    ends = np.cumsum(seg_len)
+    starts = ends - seg_len
+    seg_of = np.repeat(np.arange(len(seg_len)), seg_len)
+    block_starts = np.cumsum(d * k) - d * k
+    shift = block_starts[seg_node] + seg_feat * seg_len - starts
+    keys = np.concatenate(blocks)[np.arange(ends[-1]) + shift[seg_of]]
+    to_value = (seg_feat - np.array(tree_ids)[seg_node]) * U
+    values = cols.ravel()[keys + to_value[seg_of]]
+    row_n = counts.ravel()[keys]
+    row_pos = positives.ravel()[keys]
+    cum_n = np.cumsum(row_n, dtype=np.int64)
+    cum_pos = np.cumsum(row_pos, dtype=np.int64)
+
+    boundary = np.empty(len(values), dtype=bool)
+    np.not_equal(values[:-1], values[1:], out=boundary[:-1])
+    boundary[ends - 1] = False
+    at = np.flatnonzero(boundary)
+    seg = seg_of[at]
+    node = seg_node[seg]
+    left_n = cum_n[at] - (cum_n[starts] - row_n[starts])[seg]
+    if min_samples_leaf > 1:  # every boundary leaves at least one row on each side
+        node_n = np.array(n, dtype=np.int64)[node]
+        keep = (left_n >= min_samples_leaf) & (node_n - left_n >= min_samples_leaf)
+        at, seg, node, left_n = at[keep], seg[keep], node[keep], left_n[keep]
+
+    left_pos = (cum_pos[at] - (cum_pos[starts] - row_pos[starts])[seg]).astype(np.float64)
+    left_n = left_n.astype(np.float64)
+    total_n = np.array(n, dtype=np.float64)
+    total_pos = np.array(pos, dtype=np.float64)
+    p0 = (total_n - total_pos) / total_n
+    p1 = total_pos / total_n
+    parent = (1.0 - p0 * p0 - p1 * p1)[node]
+    total_n, total_pos = total_n[node], total_pos[node]
+    p1l = left_pos / left_n
+    p0l = (left_n - left_pos) / left_n
+    gl = 1.0 - p0l * p0l - p1l * p1l
+    right_n = total_n - left_n
+    right_pos = total_pos - left_pos
+    p1r = right_pos / right_n
+    p0r = (right_n - right_pos) / right_n
+    gr = 1.0 - p0r * p0r - p1r * p1r
+    gains = parent - (left_n / total_n) * gl - (right_n / total_n) * gr
+
+    best = np.full(len(nodes), -np.inf)
+    np.maximum.at(best, node, gains)
+    hits = np.flatnonzero(gains == best[node])
+    first = np.full(len(nodes), len(gains))
+    np.minimum.at(first, node[hits], hits)
+    won = np.flatnonzero(best > 0.0)
+    cut = at[first[won]]
+    thresholds = (values[cut] + values[cut + 1]) / 2.0
+    decisions: list[SplitDecision | None] = [None] * len(nodes)
+    for i, feature, threshold, gain in zip(
+        won.tolist(), seg_feat[seg[first[won]]].tolist(), thresholds.tolist(), best[won].tolist()
+    ):
+        decisions[i] = SplitDecision(feature_index=feature, threshold=threshold, gain=gain)
+    return decisions
+
+
+def _batches(items: list, costs: list[int], budget: int):
+    """Consecutive runs of items whose costs sum to at most budget, or single items."""
+    batch, size = [], 0
+    for item, cost in zip(items, costs):
+        if batch and size + cost > budget:
+            yield batch
+            batch, size = [], 0
+        batch.append(item)
+        size += cost
+    yield batch
+
+
+def _grow_gini(
+    cols: np.ndarray,
+    orders: np.ndarray,
+    counts: np.ndarray,
+    positives: np.ndarray,
+    params: TreeParams,
+    samplers: list,
+) -> list[TreeNode]:
+    """Grow one gini tree per row of counts, all in lockstep.
+
+    cols and orders are _distinct_presort's; counts and positives are as in
+    _gini_splits. samplers[t] is None (every feature) or returns tree t's
+    ascending candidate features for one node. Each tree keeps its own
+    preorder stack: a step pops, per tree, leaves until the next node that
+    needs a split search and draws its candidates, so every sampler is
+    called in the order a recursive build calls it. One _gini_splits call
+    per _GINI_BLOCK elements then scores the popped nodes of all trees, and
+    their blocks are partitioned with one compress per side.
+    """
+    d, U = cols.shape
+    every_feature = np.arange(d)
+    goes_left = np.zeros(counts.size, dtype=bool)  # per (tree, distinct row)
+    roots, stacks = [], []
+    for t in range(len(counts)):
+        n, pos = int(counts[t].sum()), int(positives[t].sum())
+        roots.append(TreeNode(value=pos / n))
+        stacks.append([(roots[-1], orders[(counts[t] > 0)[orders]] + t * U, n, pos, 0)])
+
+    while True:
+        todo = []
+        for t, stack in enumerate(stacks):
+            while stack:
+                node, block, n, pos, depth = stack.pop()
+                if depth < params.max_depth and 0 < pos < n:
+                    sampler = samplers[t]
+                    cands = every_feature if sampler is None else sampler()
+                    todo.append((t, block, cands, n, pos, node, depth))
+                    break
+        if not todo:
+            return roots
+        costs = [len(item[2]) * len(item[1]) // d for item in todo]
+        for batch in _batches(todo, costs, _GINI_BLOCK):
+            decisions = _gini_splits(
+                cols, counts, positives, [item[:5] for item in batch], params.min_samples_leaf
+            )
+            split = [(item, s) for item, s in zip(batch, decisions) if s is not None]
+            if not split:
+                continue
+            t = np.array([item[0] for item, _ in split])
+            k = np.array([len(item[1]) for item, _ in split]) // d
+            feature = np.array([s.feature_index for _, s in split])
+            blocks = np.concatenate([item[1] for item, _ in split])
+            starts = np.cumsum(k) - k
+            row_starts = np.cumsum(d * k) - d * k + feature * k  # each split feature's run
+            keys = blocks[np.arange(starts[-1] + k[-1]) + np.repeat(row_starts - starts, k)]
+            left = cols.ravel()[keys + np.repeat((feature - t) * U, k)] < np.repeat(
+                [s.threshold for _, s in split], k
+            )
+            goes_left[keys] = left
+            k_left = np.add.reduceat(left, starts, dtype=np.int64)
+            n_left = np.add.reduceat(counts.ravel()[keys] * left, starts, dtype=np.int64)
+            pos_left = np.add.reduceat(positives.ravel()[keys] * left, starts, dtype=np.int64)
+            to_left = goes_left[blocks]
+            lefts, rights = blocks[to_left], blocks[~to_left]
+            left_ends = (d * np.cumsum(k_left)).tolist()
+            right_ends = (d * np.cumsum(k - k_left)).tolist()
+            for ((t, _, _, n, pos, node, depth), s), l0, l1, r0, r1, nl, pl in zip(
+                split, [0] + left_ends, left_ends, [0] + right_ends, right_ends,
+                n_left.tolist(), pos_left.tolist(),
+            ):
+                node.value, node.feature_index, node.threshold = None, s.feature_index, s.threshold
+                node.left = TreeNode(value=pl / nl)
+                node.right = TreeNode(value=(pos - pl) / (n - nl))
+                stacks[t] += [
+                    (node.right, rights[r0:r1], n - nl, pos - pl, depth + 1),
+                    (node.left, lefts[l0:l1], nl, pl, depth + 1),
+                ]
 
 
 def best_split(
@@ -234,11 +425,16 @@ def best_split(
     if n < 2:
         raise TooFewRows(f"cannot split {n} row(s)")
 
+    if criterion == "gini":
+        cols, orders, group = _distinct_presort(features)
+        counts, positives = _tally(group, targets, cols.shape[1])
+        node = (0, orders.ravel(), cands, n, int(positives.sum()))
+        return _gini_splits(cols, counts[None], positives[None], [node], min_samples_leaf)[0]
     cols = features.T[cands]
     orders = np.argsort(cols, axis=1, kind="stable")
     return _split_sorted(
         cands, orders, np.take_along_axis(cols, orders, axis=1), targets,
-        None if criterion == "gini" else hessians, lam, gamma, min_samples_leaf,
+        hessians, lam, gamma, min_samples_leaf,
     )
 
 
@@ -256,25 +452,35 @@ def grow_tree(
     params: TreeParams,
     feature_sampler=None,
 ) -> TreeNode:
-    """Recursively grow a tree until pure, depth-limited, or gain-starved.
+    """Grow a tree until pure, depth-limited, or gain-starved.
 
     targets: binary labels (criterion "gini") or GradientTargets
     ("second_order"). feature_sampler, when given, returns the candidate
     feature indices for one node; None considers every feature.
     """
-    return _grow(*_presort(features), targets, params, feature_sampler)
+    d = features.shape[1]
+    sampler = None
+    if feature_sampler is not None:
+        sampler = lambda: _candidates(feature_sampler(), d)
+    if isinstance(targets, GradientTargets):
+        return _grow(*_presort(features), targets, params, sampler)
+    cols, orders, group = _distinct_presort(features)
+    counts, positives = _tally(group, targets, cols.shape[1])
+    return _grow_gini(cols, orders, counts[None], positives[None], params, [sampler])[0]
 
 
 def _grow(
     cols: np.ndarray,
     orders: np.ndarray,
-    targets,
+    targets: GradientTargets,
     params: TreeParams,
     feature_sampler=None,
 ) -> TreeNode:
-    """grow_tree on the presorted columns and orders of features (see _presort)."""
+    """A second-order grow_tree on the presorted columns and orders of features (see _presort).
+
+    feature_sampler, when given, returns ascending candidate features in [0, d).
+    """
     d, n = cols.shape
-    boosted = isinstance(targets, GradientTargets)
     every_feature = np.arange(d)
     in_left = np.zeros(n, dtype=bool)
 
@@ -282,27 +488,17 @@ def _grow(
         if feature_sampler is None:
             cands = every_feature
         else:
-            cands = _candidates(feature_sampler(), d)
+            cands = feature_sampler()
             orders = orders[cands]
-        values = cols[cands[:, None], orders]
-        if boosted:
-            return _split_sorted(
-                cands, orders, values, targets.grad, targets.hess,
-                targets.lam, targets.gamma, params.min_samples_leaf,
-            )
         return _split_sorted(
-            cands, orders, values, targets, None, 0.0, 0.0, params.min_samples_leaf
+            cands, orders, cols[cands[:, None], orders], targets.grad, targets.hess,
+            targets.lam, targets.gamma, params.min_samples_leaf,
         )
 
     def build(idx: np.ndarray, orders: np.ndarray, depth: int) -> TreeNode:
         leaf = TreeNode(value=_leaf_value(targets, idx))
         if depth >= params.max_depth or len(idx) < 2:
             return leaf
-        if not boosted:
-            labels = targets[idx]
-            if labels.min() == labels.max():
-                return leaf
-
         split = node_split(orders)
         if split is None:
             return leaf
@@ -392,17 +588,23 @@ def train_random_forest(train: Dataset, params: ForestParams | None = None) -> F
     m = min(m, d)
     tree_params = TreeParams(max_depth=params.max_depth, min_samples_leaf=params.min_samples_leaf)
 
+    cols, orders, group = _distinct_presort(X)
+    size = cols.shape[1]
     trees = []
-    for t in range(params.n_trees):
-        rng = np.random.default_rng(params.seed + t)
-        if params.bootstrap:
-            rows = rng.integers(0, n, size=n)
-        else:
-            rows = np.arange(n)
-        sampler = None
-        if m < d:
-            sampler = lambda rng=rng: np.sort(rng.choice(d, size=m, replace=False))
-        trees.append(grow_tree(X[rows], y[rows], tree_params, sampler))
+    for first in range(0, params.n_trees, _LOCKSTEP_TREES):
+        members = range(first, min(first + _LOCKSTEP_TREES, params.n_trees))
+        counts = np.empty((len(members), size), dtype=np.int32)
+        positives = np.empty_like(counts)
+        samplers = []
+        for i, t in enumerate(members):
+            rng = np.random.default_rng(params.seed + t)
+            rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+            counts[i], positives[i] = _tally(group[rows], y[rows], size)
+            sampler = None
+            if m < d:
+                sampler = lambda rng=rng: np.sort(rng.choice(d, size=m, replace=False))
+            samplers.append(sampler)
+        trees += _grow_gini(cols, orders, counts, positives, tree_params, samplers)
     return ForestModel(
         trees=trees, n_trees=params.n_trees, m_features=m,
         bootstrap=params.bootstrap, seed=params.seed,

@@ -244,6 +244,79 @@ def test_knn_width_checked_against_transformed_width(feature_mode, change, train
         load_model(str(path))
 
 
+@pytest.mark.parametrize("bound, scaler, value", [
+    ("lower", "min", float("-inf")),
+    ("upper", "max", float("inf")),
+    ("lower", "min", float("nan")),
+])
+def test_non_finite_preprocessing_entry_rejected(bound, scaler, value, training_data, tmp_path):
+    artifact = train_artifact(training_data, small_config("knn", "raw"))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+
+    def corrupt(payload):  # the scaler still equals the bounds
+        payload["bounds"][bound][0] = payload["scaler"][scaler][0] = value
+
+    rewrite_payload(path, corrupt)
+    with pytest.raises(CorruptArtifact, match=f"bounds.{bound} holds {value}, not finite"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("feature_mode", ["raw", "latent"])
+@pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+def test_non_finite_knn_row_rejected(feature_mode, value, training_data, tmp_path):
+    artifact = train_artifact(training_data, small_config("knn", feature_mode))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+    rewrite_payload(path, lambda payload: payload["classifier"]["features"][3].__setitem__(1, value))
+    with pytest.raises(CorruptArtifact, match=f"the kNN rows holds? {value}, not finite"):
+        load_model(str(path))
+
+
+def drop_last_column(layer: dict) -> None:
+    for row in layer["weights"]:
+        row.pop()
+
+
+@pytest.mark.parametrize("mutate, message", [
+    pytest.param(lambda ae: drop_last_column(ae["encoder"][0]),
+                 "encoder layer 0 has weights of shape \\(6, 17\\), its input is 18 wide",
+                 id="first-layer-one-short"),
+    pytest.param(lambda ae: ae["encoder"][0]["biases"].pop(),
+                 "encoder layer 0 has biases of shape \\(5,\\), its output is 6 wide",
+                 id="biases-one-short"),
+    pytest.param(lambda ae: ae.update(latent_dim=5),
+                 "the encoder outputs 6 values, 5 expected", id="latent-dim-off"),
+    pytest.param(lambda ae: ae["encoder"].clear(), "the encoder has no layers", id="no-layers"),
+])
+def test_encoder_widths_must_chain(mutate, message, training_data, tmp_path):
+    artifact = train_artifact(training_data, small_config("xgb", "latent"))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+    rewrite_payload(path, lambda payload: mutate(payload["autoencoder"]))
+    with pytest.raises(CorruptArtifact, match=message):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("feature_mode, width", [("raw", 18), ("latent", 6)])
+def test_mlp_first_layer_checked_against_transformed_width(feature_mode, width, training_data,
+                                                           tmp_path):
+    artifact = train_artifact(training_data, small_config("mlp", feature_mode))
+    hidden = artifact.classifier.layers[0].weights.shape[0]
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+
+    def widen(payload):
+        for row in payload["classifier"]["layers"][0]["weights"]:
+            row.append(0.0)
+
+    rewrite_payload(path, widen)
+    with pytest.raises(CorruptArtifact, match=f"MLP layer 0 has weights of shape "
+                                              f"\\({hidden}, {width + 1}\\), "
+                                              f"its input is {width} wide"):
+        load_model(str(path))
+
+
 def first_split(tree: dict) -> dict:
     assert "feature" in tree, "root of the first tree is a leaf"
     return tree

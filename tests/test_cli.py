@@ -98,6 +98,10 @@ class TestCmdTrain:
         assert "UnicodeDecodeError" in capsys.readouterr().err
 
 
+def minus_inf_lower_bound(payload):  # the scaler still equals the bounds
+    payload["bounds"]["lower"][0] = payload["scaler"]["min"][0] = float("-inf")
+
+
 class TestCmdPredict:
     def make_knn_artifact(self, tiny_csv, tmp_path, k=1):
         cfg = PipelineConfig(
@@ -180,6 +184,21 @@ class TestCmdPredict:
                      "https://example.org/docs"])
         assert code == 1
         assert "CorruptArtifact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(minus_inf_lower_bound, id="lower-bound-minus-inf"),
+        pytest.param(lambda payload: payload["classifier"]["features"][0].__setitem__(0, float("nan")),
+                     id="knn-row-nan"),
+    ])
+    def test_non_finite_number_exits_one(self, mutate, tiny_csv, tmp_path, capsys):
+        model = tmp_path / "knn.json"
+        self.make_knn_artifact(tiny_csv, tmp_path)
+        rewrite_payload(model, mutate)
+        code = main(["predict", "--model", str(model), "--out", str(tmp_path / "o"),
+                     "http://login-update.tk/verify?acct=1"])
+        assert code == 1
+        assert "CorruptArtifact" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "safe_urls.txt").exists()
 
     @pytest.mark.parametrize("field, value", [("feature", -13), ("threshold", float("nan"))])
     def test_invalid_tree_exits_one(self, field, value, tiny_csv, tmp_path, capsys):

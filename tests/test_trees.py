@@ -644,3 +644,72 @@ class TestPresortedMatchesReference:
         forest = train_random_forest(Dataset(X, y, [f"u{i}" for i in range(len(y))]), params)
         want = reference_forest(X, y, params)
         assert [nodes(t) for t in forest.trees] == [nodes(t) for t in want]
+
+
+# ---------------------------------------------------------------------------
+# Gini trees over weighted distinct rows, grown in lockstep
+# ---------------------------------------------------------------------------
+
+@st.composite
+def duplicate_heavy_data(draw, min_rows=2):
+    """Few distinct rows, each drawn many times; -0.0 and 0.0 share columns."""
+    d = draw(st.integers(1, 4))
+    pool = draw(hnp.arrays(np.float64, (draw(st.integers(1, 6)), d),
+                           elements=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])))
+    n = draw(st.integers(min_rows, 60))
+    rows = draw(hnp.arrays(np.intp, n, elements=st.integers(0, len(pool) - 1)))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    return pool[rows], y
+
+
+def signed_zero_grid(rng, n, d):
+    """Integer-grid rows with duplicates, where zeros come in both signs."""
+    X = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    X[(X == 0) & (rng.random((n, d)) < 0.5)] = -0.0
+    return X[rng.integers(0, n, size=n)], rng.integers(0, 2, size=n)
+
+
+class TestLockstepGini:
+    @MODEL_SETTINGS
+    @given(duplicate_heavy_data(), st.integers(1, 4), st.booleans(), st.sampled_from([1, 2, 4]),
+           st.integers(0, 6), st.integers(0, 1000))
+    def test_random_forest_on_duplicates(self, data, m_features, bootstrap, min_samples_leaf,
+                                         max_depth, seed):
+        X, y = data
+        params = ForestParams(n_trees=4, max_depth=max_depth, m_features=m_features,
+                              bootstrap=bootstrap, min_samples_leaf=min_samples_leaf, seed=seed)
+        forest = train_random_forest(Dataset(X, y, [f"u{i}" for i in range(len(y))]), params)
+        want = reference_forest(X, y, params)
+        assert [nodes(t) for t in forest.trees] == [nodes(t) for t in want]
+
+    @MODEL_SETTINGS
+    @given(duplicate_heavy_data(), st.sampled_from([1, 2, 4]), st.integers(0, 6))
+    def test_grow_tree_on_duplicates(self, data, min_samples_leaf, max_depth):
+        X, y = data
+        params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        assert nodes(grow_tree(X, y, params)) == nodes(reference_grow_tree(X, y, params))
+
+    @MODEL_SETTINGS
+    @given(duplicate_heavy_data())
+    def test_best_split_matches_exhaustive_on_duplicates(self, data):
+        X, y = data
+        got = best_split(X, y, range(X.shape[1]), "gini")
+        want = exhaustive_best_split(X, y, "gini")
+        if want is None:
+            assert got is None
+        else:
+            assert (got.gain, got.feature_index, got.threshold) == want
+
+    @pytest.mark.parametrize("group, block", [(1, 1), (3, 1), (2, 64), (1000, 10**9)])
+    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
+    def test_group_and_batch_sizes_do_not_change_the_forest(self, monkeypatch, group, block,
+                                                            min_samples_leaf):
+        X, y = signed_zero_grid(np.random.default_rng(11), 150, 5)
+        ds = Dataset(X, y, [f"u{i}" for i in range(len(y))])
+        params = ForestParams(n_trees=7, max_depth=8, m_features=2,
+                              min_samples_leaf=min_samples_leaf, seed=3)
+        want = [nodes(t) for t in train_random_forest(ds, params).trees]
+        assert want == [nodes(t) for t in reference_forest(X, y, params)]
+        monkeypatch.setattr(trees, "_LOCKSTEP_TREES", group)
+        monkeypatch.setattr(trees, "_GINI_BLOCK", block)
+        assert [nodes(t) for t in train_random_forest(ds, params).trees] == want

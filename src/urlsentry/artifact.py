@@ -316,7 +316,8 @@ def _check_ensemble(model: BoostedModel | ForestModel, width: int) -> None:
 
 
 def _check_layers(name: str, layers: list[LayerParams], width_in: int, width_out: int) -> None:
-    """Reject a layer stack whose widths do not chain from width_in to width_out."""
+    """Reject a layer stack whose widths do not chain from width_in to width_out,
+    or that holds a non-finite weight or bias."""
     if not layers:
         raise CorruptArtifact(f"the {name} has no layers")
     width = width_in
@@ -332,6 +333,8 @@ def _check_layers(name: str, layers: list[LayerParams], width_in: int, width_out
                 f"{name} layer {i} has biases of shape {layer.biases.shape}, "
                 f"its output is {width} wide"
             )
+        _check_finite(f"{name} layer {i} weights", layer.weights)
+        _check_finite(f"{name} layer {i} biases", layer.biases)
     if width != width_out:
         raise CorruptArtifact(f"the {name} outputs {width} values, {width_out} expected")
 

@@ -13,7 +13,11 @@ feature's order into its children with a row mask, which keeps relative
 order. Node row sets are always ascending, so a node's order for feature f,
 a stable partition of one stable per-column argsort, equals a fresh stable
 argsort of the node's rows by f: ties stay in row order and every gain is
-summed exactly as a per-node sort would sum it.
+summed exactly as a per-node sort would sum it. Only a cut between two
+distinct sorted values can win, so the gain formula is evaluated at those
+boundaries alone, on prefix sums gathered there. The grower also returns
+each training row's leaf value, which boosting adds to its scores in place
+of routing the training matrix through the new tree.
 
 Gini trees (the random forest, grow_tree on labels, best_split "gini") work
 on weighted distinct rows. The training rows are grouped by their bytes and
@@ -144,60 +148,63 @@ def _split_sorted(
 
     Row r of orders lists the node's rows sorted stably by feature cands[r],
     and row r of values holds that feature's values in that order; grad and
-    hess are indexed by row. Features with no admissible split are dropped,
-    and the rest are scored _SCORE_BLOCK elements at a time. The winner is
-    picked feature by feature in ascending order with a strict >, so the
-    earliest of equal gains wins and a NaN gain, once best, is never
-    displaced.
+    hess are indexed by row. Only a boundary between two distinct values
+    that leaves min_samples_leaf rows on each side can win, so gains are
+    computed at those boundaries alone, _SCORE_BLOCK elements at a time.
+    cumsum(axis=1) adds sequentially, so each row's prefixes equal a
+    one-feature cumsum, and the gain formula sees the same operands as a
+    dense search, bit for bit. The winner is picked from each feature's
+    maximum in ascending feature order with a strict >, so the earliest of
+    equal gains wins and a NaN gain, once best, is never displaced (a
+    feature's maximum is NaN when any of its gains is, as argmax picks the
+    first NaN); within the winning feature, argmax picks the position.
     """
     n = values.shape[1]
-    left_n = np.arange(1, n)
-    valid = values[:, :-1] != values[:, 1:]
-    valid &= (left_n >= min_samples_leaf) & (n - left_n >= min_samples_leaf)
-    splittable = valid.any(axis=1)
-    if not splittable.all():
-        cands, orders, values, valid = (
-            a[splittable] for a in (cands, orders, values, valid)
-        )
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf  # admissible boundaries: [lo, hi)
+    if lo >= hi:
+        return None
 
     best = None
     step = max(1, _SCORE_BLOCK // n)
     for start in range(0, len(cands), step):
         block = slice(start, start + step)
-        gains = _gains(orders[block], grad, hess, lam, gamma)
-        gains = np.where(valid[block], gains, -np.inf)
-        for r, pos in enumerate(np.argmax(gains, axis=1).tolist()):
-            gain = float(gains[r, pos])
+        vals = values[block]
+        valid = np.zeros(vals.shape, dtype=bool)
+        np.not_equal(vals[:, lo:hi], vals[:, lo + 1:hi + 1], out=valid[:, lo:hi])
+        at = np.flatnonzero(valid)  # flat (row, position) of each admissible boundary
+        if not at.size:
+            continue
+        ends = np.searchsorted(at, np.arange(1, len(vals) + 1) * n)
+        counts = ends.copy()
+        counts[1:] -= ends[:-1]
+        starts = ends - counts
+
+        g_prefix = grad[orders[block]]
+        h_prefix = hess[orders[block]]
+        np.cumsum(g_prefix, axis=1, out=g_prefix)
+        np.cumsum(h_prefix, axis=1, out=h_prefix)
+        g_total, h_total = g_prefix[:, -1], h_prefix[:, -1]
+        gl_s, hl_s = np.take(g_prefix, at), np.take(h_prefix, at)
+        gr_s = np.repeat(g_total, counts) - gl_s
+        hr_s = np.repeat(h_total, counts) - hl_s
+        parent = np.repeat(g_total * g_total / (h_total + lam), counts)
+        gains = 0.5 * (gl_s * gl_s / (hl_s + lam) + gr_s * gr_s / (hr_s + lam) - parent) - gamma
+
+        scored = np.flatnonzero(counts)
+        winner = None
+        for r, gain in zip(scored.tolist(), np.maximum.reduceat(gains, starts[scored]).tolist()):
             if gain <= 0.0:
                 continue
             if best is None or gain > best[0]:
-                best = (gain, start + r, pos)
+                best, winner = (gain, start + r), r
+        if winner is not None:
+            first = starts[winner] + int(np.argmax(gains[starts[winner]:ends[winner]]))
+            pos = int(at[first]) - winner * n
     if best is None:
         return None
-    gain, r, pos = best
+    gain, r = best
     threshold = float((values[r, pos] + values[r, pos + 1]) / 2.0)
     return SplitDecision(feature_index=int(cands[r]), threshold=threshold, gain=gain)
-
-
-def _gains(
-    orders: np.ndarray, grad: np.ndarray, hess: np.ndarray, lam: float, gamma: float
-) -> np.ndarray:
-    """Second-order gain of splitting after each position of each row of orders.
-
-    cumsum(axis=1) adds sequentially, so each row equals a one-feature
-    cumsum, and every gain, bit for bit.
-    """
-    g_prefix = np.cumsum(grad[orders], axis=1)
-    h_prefix = np.cumsum(hess[orders], axis=1)
-    g_total = g_prefix[:, -1:]
-    h_total = h_prefix[:, -1:]
-    gl_s, hl_s = g_prefix[:, :-1], h_prefix[:, :-1]
-    gr_s, hr_s = g_total - gl_s, h_total - hl_s
-    return 0.5 * (
-        gl_s * gl_s / (hl_s + lam)
-        + gr_s * gr_s / (hr_s + lam)
-        - g_total * g_total / (h_total + lam)
-    ) - gamma
 
 
 def _distinct_presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -463,7 +470,7 @@ def grow_tree(
     if feature_sampler is not None:
         sampler = lambda: _candidates(feature_sampler(), d)
     if isinstance(targets, GradientTargets):
-        return _grow(*_presort(features), targets, params, sampler)
+        return _grow(*_presort(features), targets, params, sampler)[0]
     cols, orders, group = _distinct_presort(features)
     counts, positives = _tally(group, targets, cols.shape[1])
     return _grow_gini(cols, orders, counts[None], positives[None], params, [sampler])[0]
@@ -475,14 +482,19 @@ def _grow(
     targets: GradientTargets,
     params: TreeParams,
     feature_sampler=None,
-) -> TreeNode:
+) -> tuple[TreeNode, np.ndarray]:
     """A second-order grow_tree on the presorted columns and orders of features (see _presort).
 
     feature_sampler, when given, returns ascending candidate features in [0, d).
+    Also returns each training row's leaf value, which is the tree's
+    prediction for that row: rows are routed by the same < test on the same
+    values that predict_tree_batch applies.
     """
     d, n = cols.shape
     every_feature = np.arange(d)
+    flat_cols = cols.ravel()
     in_left = np.zeros(n, dtype=bool)
+    out = np.empty(n, dtype=np.float64)
 
     def node_split(orders: np.ndarray) -> SplitDecision | None:
         if feature_sampler is None:
@@ -491,17 +503,18 @@ def _grow(
             cands = feature_sampler()
             orders = orders[cands]
         return _split_sorted(
-            cands, orders, cols[cands[:, None], orders], targets.grad, targets.hess,
+            cands, orders, flat_cols[orders + (cands * n)[:, None]], targets.grad, targets.hess,
             targets.lam, targets.gamma, params.min_samples_leaf,
         )
 
     def build(idx: np.ndarray, orders: np.ndarray, depth: int) -> TreeNode:
-        leaf = TreeNode(value=_leaf_value(targets, idx))
-        if depth >= params.max_depth or len(idx) < 2:
-            return leaf
-        split = node_split(orders)
+        split = None
+        if depth < params.max_depth and len(idx) >= 2:
+            split = node_split(orders)
         if split is None:
-            return leaf
+            value = _leaf_value(targets, idx)
+            out[idx] = value
+            return TreeNode(value=value)
 
         go_left = cols[split.feature_index, idx] < split.threshold
         in_left[idx] = go_left
@@ -519,7 +532,7 @@ def _grow(
             right=build(idx[~go_left], children.pop(), depth + 1),
         )
 
-    return build(np.arange(n), orders, 0)
+    return build(np.arange(n), orders, 0), out
 
 
 def predict_tree(tree: TreeNode, x: np.ndarray) -> float:
@@ -692,9 +705,9 @@ def _boost(
         targets = GradientTargets(
             grad=p - y, hess=h if newton_splits else ones, leaf_hess=h, lam=lam, gamma=gamma
         )
-        tree = _grow(cols, orders, targets, tree_params)
+        tree, out = _grow(cols, orders, targets, tree_params)
         trees.append(tree)
-        scores += learning_rate * predict_tree_batch(tree, X)
+        scores += learning_rate * out
     return BoostedModel(
         variant=variant, init_score=init_score, trees=trees,
         learning_rate=learning_rate, lam=lam, gamma=gamma,

@@ -317,6 +317,27 @@ def test_mlp_first_layer_checked_against_transformed_width(feature_mode, width, 
         load_model(str(path))
 
 
+@pytest.mark.parametrize("kind, feature_mode, mutate, message", [
+    pytest.param("mlp", "raw",
+                 lambda p: p["classifier"]["layers"][0]["weights"][0].__setitem__(0, float("nan")),
+                 "MLP layer 0 weights holds nan, not finite", id="mlp-weight"),
+    pytest.param("mlp", "latent",
+                 lambda p: p["classifier"]["layers"][-1]["biases"].__setitem__(0, float("inf")),
+                 "MLP layer 1 biases holds inf, not finite", id="mlp-bias"),
+    pytest.param("xgb", "latent",
+                 lambda p: p["autoencoder"]["encoder"][0]["weights"][2].__setitem__(1, float("-inf")),
+                 "encoder layer 0 weights holds -inf, not finite", id="encoder-weight"),
+])
+def test_non_finite_network_parameter_rejected(kind, feature_mode, mutate, message,
+                                               training_data, tmp_path):
+    artifact = train_artifact(training_data, small_config(kind, feature_mode))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+    rewrite_payload(path, mutate)
+    with pytest.raises(CorruptArtifact, match=message):
+        load_model(str(path))
+
+
 def first_split(tree: dict) -> dict:
     assert "feature" in tree, "root of the first tree is a leaf"
     return tree

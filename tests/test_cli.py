@@ -229,6 +229,25 @@ class TestCmdPredict:
         assert "CorruptArtifact: unknown activation 'tanh'" in capsys.readouterr().err
 
 
+    def test_non_finite_mlp_weight_exits_one(self, tiny_csv, tmp_path, capsys):
+        cfg = PipelineConfig(classifier="mlp", feature_mode="raw", seed=1,
+                             mlp=TrainConfig(epochs=2))
+        dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+        model = tmp_path / "mlp.json"
+        save_model(train_artifact(dataset, cfg), str(model))
+        rewrite_payload(
+            model,
+            lambda payload: payload["classifier"]["layers"][0]["weights"][0].__setitem__(
+                0, float("nan")
+            ),
+        )
+        code = main(["predict", "--model", str(model), "--out", str(tmp_path / "o"),
+                     "http://login-update.tk/verify?acct=1"])
+        assert code == 1
+        assert "CorruptArtifact: MLP layer 0 weights holds nan" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "safe_urls.txt").exists()
+
+
 class TestCmdEvaluate:
     def test_self_evaluation_k1_perfect(self, tiny_csv, tmp_path, capsys):
         cfg = PipelineConfig(

@@ -646,6 +646,124 @@ class TestPresortedMatchesReference:
         assert [nodes(t) for t in forest.trees] == [nodes(t) for t in want]
 
 
+@st.composite
+def distinct_float_data(draw, min_rows=2):
+    """Continuous features with no repeated value: every sorted position is a boundary."""
+    n = draw(st.integers(min_rows, 48))
+    d = draw(st.integers(1, 4))
+    floats = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False, width=64)
+    X = draw(hnp.arrays(np.float64, (n, d), elements=floats, unique=True))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    return X, y
+
+
+def nan_then_finite_columns():
+    """Column 0 has only finite positive gains; column 1's first boundary is 0/0.
+
+    Row 0 has zero gradient and hessian, so with lam=0 a left side holding
+    row 0 alone scores 0 / 0 = NaN. Column 0 sorts it into the middle,
+    column 1 sorts it first.
+    """
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+    grad = np.array([0.0, 1.0, -1.0, 1.0])
+    hess = np.array([0.0, 1.0, 1.0, 1.0])
+    return X, grad, hess
+
+
+class TestBoundaryOnlySecondOrderSearch:
+    def split_pair(self, X, grad, hess, **kwargs):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = best_split(X, grad, range(X.shape[1]), "second_order", hessians=hess, **kwargs)
+            want = reference_best_split(X, grad, range(X.shape[1]), "second_order",
+                                        hessians=hess, **kwargs)
+        return got, want
+
+    def test_nan_feature_after_a_finite_winner_loses(self):
+        X, grad, hess = nan_then_finite_columns()
+        got, want = self.split_pair(X, grad, hess)
+        assert math.isfinite(got.gain) and got.gain > 0.0
+        assert (got.feature_index, got.threshold, got.gain) == (0, 0.5, want.gain)
+        assert (want.feature_index, want.threshold) == (0, 0.5)
+
+    def test_nan_feature_first_wins(self):
+        X, grad, hess = nan_then_finite_columns()
+        got, want = self.split_pair(X[:, ::-1].copy(), grad, hess)
+        assert math.isnan(got.gain) and math.isnan(want.gain)
+        assert (got.feature_index, got.threshold) == (want.feature_index, want.threshold) == (0, 0.5)
+
+    def test_nan_and_finite_features_grow_like_reference(self):
+        X, grad, hess = nan_then_finite_columns()
+        params = TreeParams(max_depth=3)
+        for cols in (X, X[:, ::-1].copy()):
+            targets = GradientTargets(grad=grad, hess=hess, leaf_hess=hess)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = grow_tree(cols, targets, params)
+                want = reference_grow_tree(cols, targets, params)
+            assert nodes(got) == nodes(want)
+
+    @pytest.mark.parametrize("min_samples_leaf, splits", [(3, True), (4, False), (7, False)])
+    def test_min_samples_leaf_at_half_the_node(self, min_samples_leaf, splits):
+        X = np.arange(6.0)[:, None]
+        grad = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+        got, want = self.split_pair(X, grad, np.ones(6), min_samples_leaf=min_samples_leaf)
+        if splits:
+            assert (got.feature_index, got.threshold, got.gain) == (0, 2.5, want.gain)
+        else:
+            assert got is None and want is None
+
+    @MODEL_SETTINGS
+    @given(distinct_float_data(), st.integers(0, 5), st.sampled_from([1, 3]),
+           st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 0.01]), st.data())
+    def test_grow_tree_second_order_all_distinct(self, data, max_depth, min_samples_leaf, lam,
+                                                 gamma, draw):
+        X, _ = data
+        n = X.shape[0]
+        grad = draw.draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0, width=64)))
+        hess = draw.draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, 0.1, 0.25])))
+        targets = GradientTargets(grad=grad, hess=hess, leaf_hess=hess, lam=lam, gamma=gamma)
+        params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = grow_tree(X, targets, params)
+            want = reference_grow_tree(X, targets, params)
+        assert nodes(got) == nodes(want)
+
+    @MODEL_SETTINGS
+    @given(distinct_float_data(min_rows=4), st.sampled_from([1, 3]))
+    def test_boosting_all_distinct(self, data, min_samples_leaf):
+        X, y = data
+        assume(0 < y.sum() < len(y))
+        ds = Dataset(X, y, [f"u{i}" for i in range(len(y))])
+        xgb = train_xgb(ds, XgbParams(n_rounds=3, max_depth=3, min_samples_leaf=min_samples_leaf))
+        want = reference_boost(X, y, 3, 0.3, 3, min_samples_leaf, True, 1.0)
+        assert [nodes(t) for t in xgb.trees] == [nodes(t) for t in want]
+        gb = train_gradient_boosting(ds, BoostParams(n_rounds=3, max_depth=2,
+                                                     min_samples_leaf=min_samples_leaf))
+        want = reference_boost(X, y, 3, 0.1, 2, min_samples_leaf, False)
+        assert [nodes(t) for t in gb.trees] == [nodes(t) for t in want]
+
+    @MODEL_SETTINGS
+    @given(tie_heavy_data(min_rows=4) | distinct_float_data(min_rows=4), st.sampled_from([1, 3]))
+    def test_grower_outputs_are_the_tree_predictions(self, data, min_samples_leaf):
+        X, y = data
+        assume(0 < y.sum() < len(y))
+        ds = Dataset(X, y, [f"u{i}" for i in range(len(y))])
+        grown = []
+        grow = trees._grow
+
+        def recording_grow(*args, **kwargs):
+            grown.append(grow(*args, **kwargs))
+            return grown[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trees, "_grow", recording_grow)
+            train_xgb(ds, XgbParams(n_rounds=4, max_depth=4, min_samples_leaf=min_samples_leaf))
+            train_gradient_boosting(ds, BoostParams(n_rounds=4,
+                                                    min_samples_leaf=min_samples_leaf))
+        assert len(grown) == 8
+        for tree, out in grown:
+            assert out.tobytes() == predict_tree_batch(tree, X).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Gini trees over weighted distinct rows, grown in lockstep
 # ---------------------------------------------------------------------------

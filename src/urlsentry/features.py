@@ -4,11 +4,17 @@ Every feature is computed from the URL string alone (no DNS, no fetching),
 so extraction is deterministic and total: any non-empty string produces a
 vector. Malformed percent-encodings and other oddities are treated as
 literal characters.
+
+featurize_many makes one pass over a batch: each URL is split once by the
+same helper parse_url uses, its values go straight into one flat float
+buffer, and an ASCII URL counts its digits and special characters on its
+bytes. extract_features is its one-row view.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +24,8 @@ from .errors import EmptyUrl
 IP_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
 
 SPECIAL_CHARS = "@?=&%_~"
+_SPECIAL_BYTES = SPECIAL_CHARS.encode("ascii")
+_ASCII_DIGITS = b"0123456789"
 
 DEFAULT_KEYWORDS = ("login", "secure", "account", "verify", "bank", "free")
 
@@ -80,8 +88,8 @@ def _is_dotted_quad(host: str) -> bool:
     return all(0 <= int(octet) <= 255 for octet in m.groups())
 
 
-def parse_url(raw: str) -> UrlParts:
-    """Split a raw URL string into scheme/host/path/query.
+def _split(raw: str) -> tuple[str, str, str, str, str]:
+    """The stripped URL and its scheme, host, path and query.
 
     No "://" means the scheme is empty and parsing starts at the host.
     Scheme and host are lowercased; path and query keep their case.
@@ -111,53 +119,57 @@ def parse_url(raw: str) -> UrlParts:
         path, query = remainder.split("?", 1)
     else:
         path, query = remainder, ""
+    return s, scheme, host, path, query
 
-    return UrlParts(
-        scheme=scheme,
-        host=host,
-        path=path,
-        query=query,
-        host_is_ip=_is_dotted_quad(host),
-    )
+
+def parse_url(raw: str) -> UrlParts:
+    """Split a raw URL string into scheme/host/path/query (see _split)."""
+    _, scheme, host, path, query = _split(raw)
+    return UrlParts(scheme, host, path, query, host_is_ip=_is_dotted_quad(host))
 
 
 def extract_features(raw: str, spec: FeatureSpec | None = None) -> np.ndarray:
     """Compute the lexical feature vector for one URL, in spec order.
 
     Pure function: identical (raw, spec) inputs always yield an identical
-    float64 vector.
+    float64 vector. A one-row featurize_many.
     """
-    if spec is None:
-        spec = FeatureSpec()
-    parts = parse_url(raw)
-    s = raw.strip()
-    lowered = s.lower()
-
-    n = len(s)
-    digits = sum(c.isdigit() for c in s)
-
-    values = [
-        float(n),
-        float(len(parts.host)),
-        float(len(parts.path)),
-        float(s.count(".")),
-        float(s.count("-")),
-        float(digits),
-        float(sum(s.count(c) for c in SPECIAL_CHARS)),
-        digits / n,
-        float(parts.path.count("/")),
-        float(max(parts.host.count(".") - 1, 0)),
-        1.0 if parts.scheme == "https" else 0.0,
-        1.0 if parts.host_is_ip else 0.0,
-    ]
-    values.extend(1.0 if kw in lowered else 0.0 for kw in spec.keywords)
-    return np.asarray(values, dtype=np.float64)
+    return featurize_many([raw], spec)[0]
 
 
 def featurize_many(urls: list[str], spec: FeatureSpec | None = None) -> np.ndarray:
-    """Stack feature vectors for a list of URLs into an n x d matrix."""
+    """Feature vectors for a list of URLs as an n x d float64 matrix, in spec order.
+
+    One pass over the URLs writes every value into one flat float buffer.
+    """
     if spec is None:
         spec = FeatureSpec()
-    if not urls:
-        return np.empty((0, spec.dim), dtype=np.float64)
-    return np.stack([extract_features(u, spec) for u in urls])
+    keywords = spec.keywords
+    values = array("d")
+    for raw in urls:
+        s, scheme, host, path, _ = _split(raw)
+        lowered = s.lower()
+        n = len(s)
+        if s.isascii():  # one byte per character, and only 0-9 are digits
+            b = s.encode("ascii")
+            digits = n - len(b.translate(None, _ASCII_DIGITS))
+            special = n - len(b.translate(None, _SPECIAL_BYTES))
+        else:  # str.isdigit also counts digits such as "²" and "٣"
+            digits = sum(c.isdigit() for c in s)
+            special = sum(map(s.count, SPECIAL_CHARS))
+        values.extend((
+            n,
+            len(host),
+            len(path),
+            s.count("."),
+            s.count("-"),
+            digits,
+            special,
+            digits / n,
+            path.count("/"),
+            max(host.count(".") - 1, 0),
+            scheme == "https",
+            _is_dotted_quad(host),
+        ))
+        values.extend([kw in lowered for kw in keywords])
+    return np.frombuffer(values, dtype=np.float64).reshape(len(urls), spec.dim)

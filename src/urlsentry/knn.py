@@ -1,12 +1,15 @@
 """Exact k-nearest-neighbor classification with majority voting.
 
 Search is exact, over distinct rows: identical stored rows (equal bytes)
-form one group with a row count and a positive-label count, identical
-query rows are scored once, and each distinct query is compared with each
-distinct stored row. At the scale this pipeline runs (tens of thousands of
-rows), exactness is worth more than an approximate index. Tie rules are
-fixed: equal distances order by lower stored index; an exact vote tie
-classifies as malicious.
+form one group with a row count, a positive-label count and its ascending
+stored indices, identical query rows are scored once, and each distinct
+query is compared with each distinct stored row. Distinct queries are taken
+in blocks: their distance rows form one matrix, and the k nearest rows of
+every query in the block are selected together with a constant number of
+numpy calls (partition, a stable sort, segmented row counts). At the scale
+this pipeline runs (tens of thousands of rows), exactness is worth more
+than an approximate index. Tie rules are fixed: equal distances order by
+lower stored index; an exact vote tie classifies as malicious.
 """
 
 from __future__ import annotations
@@ -99,52 +102,106 @@ def predict_knn(model: KnnModel, x: np.ndarray, k: int | None = None) -> tuple[i
     return (1 if confidence >= 0.5 else 0), confidence
 
 
+# Distinct queries whose distance rows are selected together; bounds the
+# (block, distinct stored rows) distance matrix and the candidate arrays.
+_QUERY_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class _StoredGroups:
     """The stored rows grouped by exact bytes."""
 
-    features: np.ndarray  # one row per group
+    features: np.ndarray  # one row per group, C-contiguous
     counts: np.ndarray  # rows per group
     positives: np.ndarray  # positive labels per group
-    group: np.ndarray  # each stored row's group
+    rows: np.ndarray  # stored row indices by group, ascending within each group
+    starts: np.ndarray  # each group's first position in rows
     labels: np.ndarray  # each stored row's label
 
     @classmethod
     def of(cls, model: KnnModel) -> _StoredGroups:
         first, group = distinct_rows(model.stored_features)
         labels = model.stored_labels
+        counts = np.bincount(group, minlength=len(first))
         return cls(
             features=model.stored_features[first],
-            counts=np.bincount(group, minlength=len(first)),
+            counts=counts,
             positives=np.bincount(group[labels == 1], minlength=len(first)),
-            group=group,
+            rows=np.argsort(group, kind="stable"),
+            starts=np.cumsum(counts) - counts,
             labels=labels,
         )
 
-    def positive_votes(self, q: np.ndarray, k: int) -> int:
-        """Positive labels among the k stored rows nearest to q, ties by lower index."""
-        diff = self.features - q
-        sq = (diff * diff).sum(axis=1)
+    def squared_distances(self, Q: np.ndarray) -> np.ndarray:
+        """Squared distances from each query row to each group, one row per query.
+
+        Each row is the difference, its square, and a sum over the columns of a
+        C-contiguous (groups, d) buffer: the arithmetic of _nearest, so the same bits.
+        """
+        buf = np.empty(self.features.shape)
+        out = np.empty((len(Q), len(buf)))
+        for i, q in enumerate(Q):
+            np.subtract(self.features, q, out=buf)
+            np.square(buf, out=buf)
+            buf.sum(axis=1, out=out[i])
+        return out
+
+    def positive_votes(self, D: np.ndarray, k: int) -> np.ndarray:
+        """Positive labels among the k stored rows nearest to each query, ties by lower index.
+
+        D holds one query's squared group distances per row. A query whose k-th
+        nearest distance is NaN gets 0 votes: no row is within it.
+        """
+        b, u = D.shape
         # Each group holds at least one row, so the k nearest rows lie in groups
         # no farther than the k-th nearest group.
-        if k < len(sq):
-            cand = np.flatnonzero(sq <= np.partition(sq, k - 1)[k - 1])
+        if k < u:
+            qi, gi = np.nonzero(D <= np.partition(D, k - 1, axis=1)[:, k - 1 : k])
         else:
-            cand = np.arange(len(sq))
-        cand = cand[np.argsort(sq[cand], kind="stable")]
-        dist = sq[cand]
-        reach = int(np.searchsorted(np.cumsum(self.counts[cand]), k))
-        if reach == len(cand):  # the k-th distance is NaN: no row is within it
-            return 0
-        below = cand[dist < dist[reach]]
-        tied = cand[dist == dist[reach]]
-        votes = int(self.positives[below].sum())
-        need = k - int(self.counts[below].sum())
-        if need == self.counts[tied].sum():
-            return votes + int(self.positives[tied].sum())
-        at_kth = np.zeros(len(sq), dtype=bool)
-        at_kth[tied] = True
-        return votes + int(self.labels[np.flatnonzero(at_kth[self.group])[:need]].sum())
+            qi, gi = np.divmod(np.arange(b * u), u)
+        dist = D[qi, gi]
+        # (qi, gi) come in (query, group) order and lexsort is stable, so this
+        # is (query, distance, group) order.
+        order = np.lexsort((dist, qi))
+        qi, gi, dist = qi[order], gi[order], dist[order]
+        counts = self.counts[gi]
+
+        # The k-th nearest row lies in the first group at which a query's
+        # running row count reaches k.
+        span = np.bincount(qi, minlength=b)
+        start = np.cumsum(span) - span
+        running = np.cumsum(counts)
+        running -= (running - counts)[start[qi]]
+        reach = np.bincount(qi[running < k], minlength=b)
+        found = reach < span
+        kth = np.full(b, np.nan)
+        kth[found] = dist[(start + reach)[found]]
+        kth = kth[qi]
+
+        below = dist < kth
+        tied = dist == kth
+        votes = _sums(qi, below, self.positives[gi], b)
+        need = k - _sums(qi, below, counts, b)
+        # At the k-th distance the need lowest stored indices among the tied
+        # groups' rows vote; a NaN k-th distance ties no group.
+        return votes + self._lowest_index_votes(qi[tied], gi[tied], need, b)
+
+    def _lowest_index_votes(self, qi, gi, need, b) -> np.ndarray:
+        """Positive labels among the need[q] lowest-indexed rows of query q's (q, g) groups."""
+        # The need[q] lowest indices overall lie among each group's need[q] lowest.
+        take = np.minimum(self.counts[gi], need[qi])
+        pair = np.repeat(np.arange(len(qi)), take)
+        offset = np.arange(len(pair)) - np.repeat(np.cumsum(take) - take, take)
+        n = len(self.labels)
+        key = np.sort(qi[pair] * n + self.rows[self.starts[gi][pair] + offset])
+        q, row = np.divmod(key, n)
+        rank = np.arange(len(key)) - np.searchsorted(key, q * n)
+        return _sums(q, rank < need[q], self.labels[row], b)
+
+
+def _sums(qi: np.ndarray, mask: np.ndarray, values: np.ndarray, b: int) -> np.ndarray:
+    """Per query, the sum of values where mask holds, as integers."""
+    return np.bincount(qi[mask], weights=values[mask], minlength=b).astype(np.int64)
 
 
 def predict_knn_batch(model: KnnModel, X: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -154,5 +211,9 @@ def predict_knn_batch(model: KnnModel, X: np.ndarray, k: int | None = None) -> n
         return np.full(X.shape[0], float(model.stored_labels.sum()) / k)
     stored = _StoredGroups.of(model)
     first, group = distinct_rows(X)
-    votes = np.array([stored.positive_votes(q, k) for q in X[first]], dtype=np.int64)
+    Q = X[first]
+    votes = np.empty(len(Q), dtype=np.int64)
+    for lo in range(0, len(Q), _QUERY_BLOCK):
+        block = Q[lo : lo + _QUERY_BLOCK]
+        votes[lo : lo + len(block)] = stored.positive_votes(stored.squared_distances(block), k)
     return votes[group] / k

@@ -3,9 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 import urlsentry
 from urlsentry.pipeline import Dataset
+
+# CI skips shrinking: a failing example is reported as found, since shrinking one
+# that grows whole models against the references can take minutes. Examples,
+# their number and every assertion are those of the default profile.
+settings.register_profile("ci", phases=[p for p in Phase if p is not Phase.shrink])
 
 URL_SCHEMES = ("http://", "https://", "")
 URL_TLDS = (".com", ".org", ".net", ".tk", ".xyz")

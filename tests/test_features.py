@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urlsentry.errors import EmptyUrl
 from urlsentry.features import (
+    SPECIAL_CHARS,
     FeatureSpec,
+    _is_dotted_quad,
     extract_features,
     feature_names,
     featurize_many,
@@ -13,6 +17,74 @@ from urlsentry.features import (
 from conftest import random_urls
 
 SPEC = FeatureSpec()
+
+
+def oracle_parse(raw: str):
+    """The per-URL split featurize_many replaced: (scheme, host, path, query)."""
+    s = raw.strip()
+    if not s:
+        raise EmptyUrl("URL is empty or whitespace-only")
+    if "://" in s:
+        scheme, rest = s.split("://", 1)
+        scheme = scheme.lower()
+    else:
+        scheme, rest = "", s
+    cut = len(rest)
+    for ch in "/?":
+        pos = rest.find(ch)
+        if pos != -1:
+            cut = min(cut, pos)
+    host = rest[:cut].lower()
+    remainder = rest[cut:]
+    if remainder.startswith("?"):
+        path, query = "", remainder[1:]
+    elif "?" in remainder:
+        path, query = remainder.split("?", 1)
+    else:
+        path, query = remainder, ""
+    return scheme, host, path, query
+
+
+def oracle_features(raw: str, spec: FeatureSpec) -> np.ndarray:
+    """The per-URL extractor featurize_many replaced, one float64 vector per URL."""
+    scheme, host, path, _ = oracle_parse(raw)
+    s = raw.strip()
+    lowered = s.lower()
+    n = len(s)
+    digits = sum(c.isdigit() for c in s)
+    values = [
+        float(n),
+        float(len(host)),
+        float(len(path)),
+        float(s.count(".")),
+        float(s.count("-")),
+        float(digits),
+        float(sum(s.count(c) for c in SPECIAL_CHARS)),
+        digits / n,
+        float(path.count("/")),
+        float(max(host.count(".") - 1, 0)),
+        1.0 if scheme == "https" else 0.0,
+        1.0 if _is_dotted_quad(host) else 0.0,
+    ]
+    values.extend(1.0 if kw in lowered else 0.0 for kw in spec.keywords)
+    return np.asarray(values, dtype=np.float64)
+
+
+def oracle_matrix(urls, spec: FeatureSpec) -> np.ndarray:
+    return np.stack([oracle_features(u, spec) for u in urls])
+
+
+# URL pieces that stress the featurizer: Unicode digits ("²" is a digit but not
+# a decimal, "٣" is both) and whitespace, upper-case schemes and hosts, "?"
+# before "/", "://" inside a query, and dotted quads with an octet over 255.
+URL_PIECES = [
+    "http://", "HTTPS://", "https://", "Ftp://", "://", "?", "/", "?/", "/?", ".", "-",
+    "@", "=", "&", "%", "_", "~", "1", "9", "0", "²", "٣", "\u00a0", "\u2003", "\u3000",
+    " ", "\t", "\n", "EXAMPLE.COM", "Login", "BANK", "free", "x", "1.2.3.4", "256.1.1.1",
+    "10.0.0.999", "255.255.255.255", "?u=http://evil.tk/login", "İ", "ß",
+]
+url_text = st.lists(st.sampled_from(URL_PIECES) | st.text(max_size=4), min_size=1,
+                    max_size=12).map("".join).filter(lambda u: u.strip())
 
 
 def idx(name: str) -> int:
@@ -164,6 +236,53 @@ class TestFeatureSpec:
     def test_duplicate_keyword_rejected(self):
         with pytest.raises(ValueError):
             FeatureSpec(keywords=("login", "login"))
+
+
+class TestFeaturizeManyMatchesOracle:
+    CASES = [
+        "HTTPS://Example.COM/Path?Q=1",
+        "HTTP://WWW.BANK.EXAMPLE/login",
+        "example.com?next=/a/b",
+        "http://a.com?x=/y/z",
+        "example.com/r?u=http://evil.tk/login",
+        "http://x.org/a?u=https://y.org/?z=1",
+        "http://256.1.1.1/a",
+        "http://1.2.3.999",
+        "http://255.255.255.255/",
+        "http://1.2.3.4\n/x",
+        "  http://١٢٣.4.5.6/²³ \u2003",
+        "\u00a0https://bank.example/٣\u3000",
+        "weird%%zz",
+    ]
+
+    def test_cases_match_stacked_oracle(self):
+        for spec in (SPEC, FeatureSpec(keywords=("paypal", "İ", "ss"))):
+            got = featurize_many(self.CASES, spec)
+            assert got.tobytes() == oracle_matrix(self.CASES, spec).tobytes()
+
+    def test_random_urls_match_stacked_oracle(self):
+        urls = random_urls(500, seed=17)
+        assert featurize_many(urls, SPEC).tobytes() == oracle_matrix(urls, SPEC).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(url_text, min_size=1, max_size=8))
+    def test_hypothesis_urls_match_stacked_oracle(self, urls):
+        got = featurize_many(urls, SPEC)
+        assert got.dtype == np.float64 and got.shape == (len(urls), SPEC.dim)
+        assert got.tobytes() == oracle_matrix(urls, SPEC).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(url_text)
+    def test_extract_features_is_one_row_of_featurize_many(self, url):
+        assert extract_features(url, SPEC).tobytes() == featurize_many([url], SPEC)[0].tobytes()
+
+    @pytest.mark.parametrize("blank", ["", " ", "\t\n", "\u2003\u00a0"])
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_whitespace_only_entry_anywhere_raises(self, blank, at):
+        urls = ["http://a.com", "b.org/x", "http://1.2.3.4"]
+        urls.insert(at, blank)
+        with pytest.raises(EmptyUrl):
+            featurize_many(urls, SPEC)
 
 
 def test_featurize_many_shape():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from urlsentry import knn
 from urlsentry.errors import DimensionMismatch, KOutOfRange
 from urlsentry.knn import KnnModel, _nearest, k_nearest, predict_knn, predict_knn_batch
 
@@ -40,6 +41,32 @@ def duplicated_grid_cases(draw):
                             min_size=1, max_size=12))
     k = draw(st.integers(1, n))
     return KnnModel(np.array(pool)[picks], labels, default_k=1), np.array(queries), k
+
+
+@st.composite
+def heavy_group_cases(draw):
+    """A few distinct stored rows holding many rows each, queries between them, and a k.
+
+    Grid rows on both sides of a query lie at equal distances, so the k-th
+    distance often falls in several groups at once and only some of their rows vote.
+    """
+    d = draw(st.integers(1, 2))
+    grid = st.sampled_from([-1.0, 0.0, 1.0])
+    pool = draw(st.lists(hnp.arrays(np.float64, d, elements=grid), min_size=2, max_size=4))
+    n = draw(st.integers(8, 60))
+    picks = draw(hnp.arrays(np.intp, n, elements=st.integers(0, len(pool) - 1)))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    queries = draw(st.lists(hnp.arrays(np.float64, d, elements=grid | st.just(0.5)),
+                            min_size=1, max_size=70))
+    k = draw(st.integers(1, n))
+    return KnnModel(np.array(pool)[picks], labels, default_k=1), np.array(queries), k
+
+
+def split_tie_case():
+    """Rows 0, 3, 5 at +1 and rows 1, 2, 4 at -1: from 0 with k = 4, rows 0-3 vote."""
+    features = np.array([[1.0], [-1.0], [-1.0], [1.0], [-1.0], [1.0], [5.0]])
+    model = KnnModel(features, np.array([1, 0, 1, 1, 0, 0, 1]), default_k=4)
+    return model, np.array([[0.0], [0.0], [4.0], [1.0], [np.nan], [-3.0]]), 4
 
 
 def small_model():
@@ -174,6 +201,37 @@ class TestPredictKnn:
         for k in range(1, 6):
             got = predict_knn_batch(model, queries, k)
             assert got.tobytes() == per_query_reference(model, queries, k).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(heavy_group_cases())
+    def test_partial_ties_across_groups_match_per_query_reference(self, case):
+        model, queries, k = case
+        got = predict_knn_batch(model, queries, k)
+        assert got.tobytes() == per_query_reference(model, queries, k).tobytes()
+
+    def test_split_tie_takes_lowest_indices_across_groups(self):
+        model, queries, k = split_tie_case()
+        got = predict_knn_batch(model, queries, k)
+        assert got[0] == 3 / 4  # rows 0, 1, 2, 3 with labels 1, 0, 1, 1
+        assert got.tobytes() == per_query_reference(model, queries, k).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 10**9])
+    def test_query_block_size_does_not_change_votes(self, monkeypatch, block):
+        monkeypatch.setattr(knn, "_QUERY_BLOCK", block)
+        rng = np.random.default_rng(5)
+        features = rng.integers(-1, 2, size=(90, 2)).astype(np.float64)
+        model = KnnModel(features, rng.integers(0, 2, size=90), default_k=5)
+        queries = np.vstack([rng.integers(-1, 2, size=(40, 2)) * 0.5, features[:9],
+                             [[np.nan, 0.0]]])
+        cases = [split_tie_case()] + [(model, queries, k) for k in (1, 5, 17, 89)]
+        for model, queries, k in cases:
+            got = predict_knn_batch(model, queries, k)
+            assert got.tobytes() == per_query_reference(model, queries, k).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_empty_query_matrix_gives_empty_result(self, k):
+        got = predict_knn_batch(small_model(), np.empty((0, 2)), k)
+        assert got.dtype == np.float64 and got.shape == (0,)
 
     def test_k1_training_consistency(self):
         rng = np.random.default_rng(2)

@@ -8,39 +8,66 @@ outside the checksum so re-running the same training reproduces the payload
 byte for byte.
 
 CLASSIFIERS is the one place a classifier kind is defined: its display
-name, how it trains, predicts and (de)serializes. Every kind list and
-dispatch in the package derives from it.
+name, how it trains, predicts, (de)serializes and is checked after loading.
+Every kind list and dispatch in the package derives from it.
+
+The tree and network modules are imported on first use, so loading and
+running a raw k-NN artifact never imports them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from importlib import import_module
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import neural, trees
 from .errors import CorruptArtifact, FeatureSpecMismatch, KOutOfRange, UnsupportedVersion
 from .features import FeatureSpec, featurize_many
 from .knn import KnnModel, predict_knn_batch
-from .neural import AutoencoderModel, LayerParams, MlpModel, encode, predict_proba_mlp_batch
 from .pipeline import Dataset, OutlierBounds, Scaler, apply_bounds, apply_scaler
-from .trees import (
-    BoostedModel,
-    ForestModel,
-    TreeNode,
-    predict_boosted_batch,
-    predict_forest_batch,
-)
 
 if TYPE_CHECKING:
     from .config import PipelineConfig
+    from .neural import AutoencoderModel, LayerParams, MlpModel
+    from .trees import BoostedModel, ForestModel, TreeNode
 
 FORMAT_VERSION = 1
+
+# Batch predictors of the tree and network code, bound here on first access
+# (PEP 562) and called as attributes of this module, so that rebinding one
+# (e.g. for tracing) takes effect.
+_DEFERRED = {
+    "encode": "neural",
+    "predict_proba_mlp_batch": "neural",
+    "predict_boosted_batch": "trees",
+    "predict_forest_batch": "trees",
+}
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    defining = _import(_DEFERRED[name])
+    # The function as defined: a wrapper installed on the defining module's
+    # binding (marked by __wrapped__, as functools.wraps marks it) belongs to
+    # that binding, as it would if this module had imported the name eagerly.
+    function = inspect.unwrap(getattr(defining, name))
+    globals()[name] = function
+    return function
+
+
+def _import(name: str):
+    """The package's `neural` or `trees` module, imported on first use."""
+    return import_module(f"{__package__}.{name}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +84,7 @@ class Preprocessor:
         scaler = Scaler(col_min=self.bounds.lower, col_max=self.bounds.upper)
         X = apply_scaler(scaler, apply_bounds(self.bounds, features))
         if self.autoencoder is not None:
-            X = encode(self.autoencoder, X)
+            X = _module.encode(self.autoencoder, X)
         return np.atleast_2d(X)
 
 
@@ -90,7 +117,9 @@ def _layer_to_dict(layer: LayerParams) -> dict:
 
 
 def _layer_from_dict(d: dict) -> LayerParams:
-    if d["activation"] not in neural.ACTIVATIONS:
+    from .neural import ACTIVATIONS, LayerParams
+
+    if d["activation"] not in ACTIVATIONS:
         raise CorruptArtifact(f"unknown activation {d['activation']!r}")
     return LayerParams(
         weights=np.asarray(d["weights"], dtype=np.float64),
@@ -110,15 +139,20 @@ def _tree_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _tree_from_dict(d: dict) -> TreeNode:
-    if "value" in d:
-        return TreeNode(value=float(d["value"]))
-    return TreeNode(
-        feature_index=int(d["feature"]),
-        threshold=float(d["threshold"]),
-        left=_tree_from_dict(d["left"]),
-        right=_tree_from_dict(d["right"]),
-    )
+def _trees_from_dicts(dicts: list[dict]) -> list[TreeNode]:
+    from .trees import TreeNode
+
+    def build(d: dict) -> TreeNode:
+        if "value" in d:
+            return TreeNode(value=float(d["value"]))
+        return TreeNode(
+            feature_index=int(d["feature"]),
+            threshold=float(d["threshold"]),
+            left=build(d["left"]),
+            right=build(d["right"]),
+        )
+
+    return [build(d) for d in dicts]
 
 
 def _autoencoder_to_dict(model: AutoencoderModel | None) -> dict | None:
@@ -134,11 +168,80 @@ def _autoencoder_to_dict(model: AutoencoderModel | None) -> dict | None:
 def _autoencoder_from_dict(d: dict | None) -> AutoencoderModel | None:
     if d is None:
         return None
+    from .neural import AutoencoderModel
+
     return AutoencoderModel(
         encoder_layers=[_layer_from_dict(l) for l in d["encoder"]],
         decoder_layers=[_layer_from_dict(l) for l in d["decoder"]],
         latent_dim=int(d["latent_dim"]),
     )
+
+
+# ---------------------------------------------------------------------------
+# Checks of a loaded model against the width of its transformed input
+# ---------------------------------------------------------------------------
+
+def _check_finite(name: str, array: np.ndarray) -> None:
+    bad = array[~np.isfinite(array)]
+    if bad.size:
+        raise CorruptArtifact(f"{name} holds {bad[0]}, not finite")
+
+
+def _check_layers(name: str, layers: list[LayerParams], width_in: int, width_out: int) -> None:
+    """Reject a layer stack whose widths do not chain from width_in to width_out,
+    or that holds a non-finite weight or bias."""
+    if not layers:
+        raise CorruptArtifact(f"the {name} has no layers")
+    width = width_in
+    for i, layer in enumerate(layers):
+        if layer.weights.ndim != 2 or layer.weights.shape[1] != width:
+            raise CorruptArtifact(
+                f"{name} layer {i} has weights of shape {layer.weights.shape}, "
+                f"its input is {width} wide"
+            )
+        width = layer.weights.shape[0]
+        if layer.biases.shape != (width,):
+            raise CorruptArtifact(
+                f"{name} layer {i} has biases of shape {layer.biases.shape}, "
+                f"its output is {width} wide"
+            )
+        _check_finite(f"{name} layer {i} weights", layer.weights)
+        _check_finite(f"{name} layer {i} biases", layer.biases)
+    if width != width_out:
+        raise CorruptArtifact(f"the {name} outputs {width} values, {width_out} expected")
+
+
+def _check_knn(model: KnnModel, width: int) -> None:
+    stored = model.stored_features.shape[1]
+    if stored != width:
+        raise CorruptArtifact(f"kNN rows are {stored} wide, the transformed input is {width}")
+    _check_finite("the kNN rows", model.stored_features)
+
+
+def _check_trees(model: BoostedModel | ForestModel, width: int) -> None:
+    """Reject trees training cannot produce: a split outside the input, a non-finite number."""
+    stack = list(model.trees)
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            if not math.isfinite(node.value):
+                raise CorruptArtifact(f"a leaf value is {node.value}, not finite")
+            continue
+        if not 0 <= node.feature_index < width:
+            raise CorruptArtifact(
+                f"a tree splits on feature {node.feature_index}, outside [0, {width})"
+            )
+        if not math.isfinite(node.threshold):
+            raise CorruptArtifact(f"a split threshold is {node.threshold}, not finite")
+        stack += (node.left, node.right)
+
+
+def _check_boosted(model: BoostedModel, width: int) -> None:
+    for name in ("init_score", "learning_rate"):
+        value = getattr(model, name)
+        if not math.isfinite(value):
+            raise CorruptArtifact(f"{name} is {value}, not finite")
+    _check_trees(model, width)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +261,7 @@ class ClassifierKind:
     predict: Callable[[object, np.ndarray], np.ndarray]  # malicious probability per row
     to_dict: Callable[[object], dict]
     from_dict: Callable[[dict], object]
+    check: Callable[[object, int], None]  # raises CorruptArtifact; int: input width
 
 
 def _knn_to_dict(model: KnnModel) -> dict:
@@ -176,16 +280,24 @@ def _knn_from_dict(d: dict) -> KnnModel:
     )
 
 
+def _mlp_from_dict(d: dict) -> MlpModel:
+    from .neural import MlpModel
+
+    return MlpModel(layers=[_layer_from_dict(l) for l in d["layers"]])
+
+
 def _ensemble_to_dict(model: BoostedModel | ForestModel) -> dict:
     """Every dataclass field under its own name, with the trees as nested dicts."""
     return {**vars(model), "trees": [_tree_to_dict(t) for t in model.trees]}
 
 
 def _boosted_from_dict(d: dict) -> BoostedModel:
+    from .trees import BoostedModel
+
     return BoostedModel(
         variant=d["variant"],
         init_score=float(d["init_score"]),
-        trees=[_tree_from_dict(t) for t in d["trees"]],
+        trees=_trees_from_dicts(d["trees"]),
         learning_rate=float(d["learning_rate"]),
         lam=float(d["lam"]),
         gamma=float(d["gamma"]),
@@ -193,8 +305,10 @@ def _boosted_from_dict(d: dict) -> BoostedModel:
 
 
 def _forest_from_dict(d: dict) -> ForestModel:
+    from .trees import ForestModel
+
     return ForestModel(
-        trees=[_tree_from_dict(t) for t in d["trees"]],
+        trees=_trees_from_dicts(d["trees"]),
         n_trees=int(d["n_trees"]),
         m_features=int(d["m_features"]),
         bootstrap=bool(d["bootstrap"]),
@@ -206,10 +320,13 @@ def _forest_from_dict(d: dict) -> ForestModel:
 CLASSIFIERS: dict[str, ClassifierKind] = {
     "mlp": ClassifierKind(
         "MLP",
-        train=lambda ds, config: neural.train_mlp(ds, replace(config.mlp, seed=config.seed)),
-        predict=lambda model, X: predict_proba_mlp_batch(model, X),
+        train=lambda ds, config: _import("neural").train_mlp(
+            ds, replace(config.mlp, seed=config.seed)
+        ),
+        predict=lambda model, X: _module.predict_proba_mlp_batch(model, X),
         to_dict=lambda model: {"layers": [_layer_to_dict(l) for l in model.layers]},
-        from_dict=lambda d: MlpModel(layers=[_layer_from_dict(l) for l in d["layers"]]),
+        from_dict=_mlp_from_dict,
+        check=lambda model, width: _check_layers("MLP", model.layers, width, 1),
     ),
     "knn": ClassifierKind(
         "K-NN",
@@ -217,29 +334,33 @@ CLASSIFIERS: dict[str, ClassifierKind] = {
         predict=lambda model, X: predict_knn_batch(model, X),
         to_dict=_knn_to_dict,
         from_dict=_knn_from_dict,
+        check=_check_knn,
     ),
     "xgb": ClassifierKind(
         "XGB",
-        train=lambda ds, config: trees.train_xgb(ds, config.xgb),
-        predict=lambda model, X: predict_boosted_batch(model, X),
+        train=lambda ds, config: _import("trees").train_xgb(ds, config.xgb),
+        predict=lambda model, X: _module.predict_boosted_batch(model, X),
         to_dict=_ensemble_to_dict,
         from_dict=_boosted_from_dict,
+        check=_check_boosted,
     ),
     "gb": ClassifierKind(
         "Gradient Boosting",
-        train=lambda ds, config: trees.train_gradient_boosting(ds, config.gb),
-        predict=lambda model, X: predict_boosted_batch(model, X),
+        train=lambda ds, config: _import("trees").train_gradient_boosting(ds, config.gb),
+        predict=lambda model, X: _module.predict_boosted_batch(model, X),
         to_dict=_ensemble_to_dict,
         from_dict=_boosted_from_dict,
+        check=_check_boosted,
     ),
     "rf": ClassifierKind(
         "Random Forest",
-        train=lambda ds, config: trees.train_random_forest(
+        train=lambda ds, config: _import("trees").train_random_forest(
             ds, replace(config.forest, seed=config.seed)
         ),
-        predict=lambda model, X: predict_forest_batch(model, X),
+        predict=lambda model, X: _module.predict_forest_batch(model, X),
         to_dict=_ensemble_to_dict,
         from_dict=_forest_from_dict,
+        check=_check_trees,
     ),
 }
 
@@ -292,71 +413,21 @@ def _payload(artifact: ModelArtifact) -> dict:
     }
 
 
-def _check_ensemble(model: BoostedModel | ForestModel, width: int) -> None:
-    """Reject trees training cannot produce: a split outside the input, a non-finite number."""
-    if isinstance(model, BoostedModel):
-        for name in ("init_score", "learning_rate"):
-            value = getattr(model, name)
-            if not math.isfinite(value):
-                raise CorruptArtifact(f"{name} is {value}, not finite")
-    stack = list(model.trees)
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            if not math.isfinite(node.value):
-                raise CorruptArtifact(f"a leaf value is {node.value}, not finite")
-            continue
-        if not 0 <= node.feature_index < width:
-            raise CorruptArtifact(
-                f"a tree splits on feature {node.feature_index}, outside [0, {width})"
-            )
-        if not math.isfinite(node.threshold):
-            raise CorruptArtifact(f"a split threshold is {node.threshold}, not finite")
-        stack += (node.left, node.right)
-
-
-def _check_layers(name: str, layers: list[LayerParams], width_in: int, width_out: int) -> None:
-    """Reject a layer stack whose widths do not chain from width_in to width_out,
-    or that holds a non-finite weight or bias."""
-    if not layers:
-        raise CorruptArtifact(f"the {name} has no layers")
-    width = width_in
-    for i, layer in enumerate(layers):
-        if layer.weights.ndim != 2 or layer.weights.shape[1] != width:
-            raise CorruptArtifact(
-                f"{name} layer {i} has weights of shape {layer.weights.shape}, "
-                f"its input is {width} wide"
-            )
-        width = layer.weights.shape[0]
-        if layer.biases.shape != (width,):
-            raise CorruptArtifact(
-                f"{name} layer {i} has biases of shape {layer.biases.shape}, "
-                f"its output is {width} wide"
-            )
-        _check_finite(f"{name} layer {i} weights", layer.weights)
-        _check_finite(f"{name} layer {i} biases", layer.biases)
-    if width != width_out:
-        raise CorruptArtifact(f"the {name} outputs {width} values, {width_out} expected")
-
-
-def _check_finite(name: str, array: np.ndarray) -> None:
-    bad = array[~np.isfinite(array)]
-    if bad.size:
-        raise CorruptArtifact(f"{name} holds {bad[0]}, not finite")
-
-
 def _canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def save_model(artifact: ModelArtifact, path: str) -> None:
     """Write the artifact as checksummed JSON; numeric values lose no precision."""
     payload = _payload(artifact)
-    canon = _canonical(payload)
     document = {
         "format_version": FORMAT_VERSION,
         "created_at": artifact.created_at or datetime.now(timezone.utc).isoformat(),
-        "checksum": hashlib.sha256(canon.encode("utf-8")).hexdigest(),
+        "checksum": _sha256(_canonical(payload)),
         "payload": payload,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -364,17 +435,65 @@ def save_model(artifact: ModelArtifact, path: str) -> None:
         fh.write("\n")
 
 
+# save_model's layout: HEADER + ', "payload": ' + payload text + '}\n', where
+# HEADER is json.dumps of the three header keys without its closing brace.
+_HEADER_KEYS = ["checksum", "created_at", "format_version"]
+_PAYLOAD_KEY = ', "payload": '
+
+
+def _read_document(path: str) -> tuple[object, str | None]:
+    """The parsed document and, if the file has save_model's layout, its payload text.
+
+    A file in that layout is parsed in two parts, the header and the payload
+    text; as each part must be one whole JSON value, the two give exactly
+    what parsing the whole file gives. Any other file is parsed whole.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    head, key, rest = text.partition(_PAYLOAD_KEY)
+    if key and rest.endswith("}\n"):
+        try:
+            header = json.loads(head + "}")
+            if list(header) == _HEADER_KEYS and json.dumps(header, sort_keys=True) == head + "}":
+                payload_text = rest[:-2]
+                return {**header, "payload": json.loads(payload_text)}, payload_text
+        except json.JSONDecodeError:
+            pass  # not the layout after all: parse the whole file
+    try:
+        return json.loads(text), None
+    except json.JSONDecodeError as exc:
+        raise CorruptArtifact(f"artifact is not valid JSON: {exc}") from exc
+
+
+def _checksum_matches(payload: object, payload_text: str | None, stored: str) -> bool:
+    """Whether the stored checksum is the SHA-256 of the payload's canonical text.
+
+    When the stored payload text holds no backslash and no string containing
+    ", " or ": ", every ", " and ": " in it is a separator. Taking the space
+    out of those separators does not change what the text parses to, so if
+    the text so compacted hashes to the checksum, the parsed payload is the
+    one whose canonical text was checksummed. Otherwise, or if it does not
+    match (keys out of order, other number forms or whitespace), the parsed
+    payload is re-dumped in canonical form and hashed.
+    """
+    if payload_text is not None and "\\" not in payload_text:
+        strings = '"'.join(payload_text.split('"')[1::2])
+        if ", " not in strings and ": " not in strings:
+            compact = payload_text.replace(", ", ",").replace(": ", ":")
+            if _sha256(compact) == stored:
+                return True
+    return _sha256(_canonical(payload)) == stored
+
+
 def load_model(path: str) -> ModelArtifact:
     """Load and verify an artifact; predictions match the saved model exactly."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorruptArtifact(f"artifact is not valid JSON: {exc}") from exc
+    document, payload_text = _read_document(path)
+    if not isinstance(document, dict):
+        raise CorruptArtifact(f"artifact is a JSON {type(document).__name__}, not an object")
 
     version = document.get("format_version")
-    if not isinstance(version, int):
-        raise CorruptArtifact("artifact lacks an integer format_version")
+    if not isinstance(version, int) or isinstance(version, bool) or version < 1:
+        raise CorruptArtifact(f"format_version is {version!r}, not a positive integer")
     if version > FORMAT_VERSION:
         raise UnsupportedVersion(found=version, supported=FORMAT_VERSION)
 
@@ -382,8 +501,7 @@ def load_model(path: str) -> ModelArtifact:
     stored = document.get("checksum")
     if payload is None or stored is None:
         raise CorruptArtifact("artifact lacks payload or checksum")
-    actual = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-    if actual != stored:
+    if not _checksum_matches(payload, payload_text, stored):
         raise CorruptArtifact("checksum mismatch: artifact bytes were altered")
 
     try:
@@ -431,13 +549,5 @@ def load_model(path: str) -> ModelArtifact:
     if autoencoder is not None:
         width = autoencoder.latent_dim
         _check_layers("encoder", autoencoder.encoder_layers, dim, width)
-    if isinstance(artifact.classifier, MlpModel):
-        _check_layers("MLP", artifact.classifier.layers, width, 1)
-    if isinstance(artifact.classifier, (BoostedModel, ForestModel)):
-        _check_ensemble(artifact.classifier, width)
-    if isinstance(artifact.classifier, KnnModel):
-        stored = artifact.classifier.stored_features.shape[1]
-        if stored != width:
-            raise CorruptArtifact(f"kNN rows are {stored} wide, the transformed input is {width}")
-        _check_finite("the kNN rows", artifact.classifier.stored_features)
+    CLASSIFIERS[artifact.classifier_kind].check(artifact.classifier, width)
     return artifact

@@ -10,12 +10,58 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from . import neural, trees
 from .artifact import CLASSIFIER_KINDS
 from .errors import ConfigError
 from .pipeline import DEFAULT_LABEL_MAP
 
 FEATURE_MODES = ("raw", "latent")
+
+
+# Training parameters live here rather than next to their trainers, so a
+# config can be built without importing the tree and network code.
+# trees and neural re-export them under their old names.
+
+@dataclass(frozen=True)
+class TrainConfig:
+    epochs: int = 50
+    batch_size: int = 32
+    learning_rate: float = 0.05
+    hidden_sizes: tuple[int, ...] = (32,)
+    seed: int = 0
+
+
+DEFAULT_AUTOENCODER_CONFIG = TrainConfig(
+    epochs=30, batch_size=32, learning_rate=0.05, hidden_sizes=(8,), seed=0
+)
+
+
+@dataclass(frozen=True)
+class ForestParams:
+    n_trees: int = 100
+    max_depth: int = 12
+    m_features: int | None = None  # None -> ceil(sqrt(d))
+    bootstrap: bool = True
+    min_samples_leaf: int = 1
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class BoostParams:
+    n_rounds: int = 100
+    learning_rate: float = 0.1
+    max_depth: int = 3
+    min_samples_leaf: int = 1
+
+
+@dataclass(frozen=True)
+class XgbParams:
+    n_rounds: int = 100
+    eta: float = 0.3
+    max_depth: int = 6
+    lam: float = 1.0
+    gamma: float = 0.0
+    min_samples_leaf: int = 1
+
 
 # Config-file key (= CLI flag name) -> (PipelineConfig field, value parser, help).
 CONFIG_KEYS = {
@@ -42,13 +88,11 @@ class PipelineConfig:
     model_path: str | None = None
     label_map: dict = field(default_factory=lambda: dict(DEFAULT_LABEL_MAP))
     knn_k: int = 5
-    mlp: neural.TrainConfig = field(default_factory=neural.TrainConfig)
-    autoencoder: neural.TrainConfig = field(
-        default_factory=lambda: neural.DEFAULT_AUTOENCODER_CONFIG
-    )
-    forest: trees.ForestParams = field(default_factory=trees.ForestParams)
-    gb: trees.BoostParams = field(default_factory=trees.BoostParams)
-    xgb: trees.XgbParams = field(default_factory=trees.XgbParams)
+    mlp: TrainConfig = field(default_factory=TrainConfig)
+    autoencoder: TrainConfig = DEFAULT_AUTOENCODER_CONFIG
+    forest: ForestParams = field(default_factory=ForestParams)
+    gb: BoostParams = field(default_factory=BoostParams)
+    xgb: XgbParams = field(default_factory=XgbParams)
 
     def validate(self) -> "PipelineConfig":
         if self.feature_mode not in FEATURE_MODES:

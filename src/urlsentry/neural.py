@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_AUTOENCODER_CONFIG, TrainConfig
 from .errors import (
     DimensionMismatch,
     EmptyMatrix,
@@ -46,27 +47,10 @@ class AutoencoderModel:
         return self.encoder_layers + self.decoder_layers
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 50
-    batch_size: int = 32
-    learning_rate: float = 0.05
-    hidden_sizes: tuple[int, ...] = (32,)
-    seed: int = 0
-
-
-DEFAULT_AUTOENCODER_CONFIG = TrainConfig(
-    epochs=30, batch_size=32, learning_rate=0.05, hidden_sizes=(8,), seed=0
-)
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below: exp never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 # name -> (f(z), df/dz given the pre-activation z and a = f(z))

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import neural
 from .artifact import (
     CLASSIFIERS,
     ModelArtifact,
@@ -112,6 +111,8 @@ def fit_preprocessor(features: np.ndarray, config: PipelineConfig) -> Preprocess
     preprocessor = Preprocessor(bounds=bounds)
     if config.feature_mode != "latent":
         return preprocessor
+    from . import neural  # only latent mode needs the network code
+
     autoencoder = neural.train_autoencoder(
         preprocessor.transform(features), replace(config.autoencoder, seed=config.seed)
     )

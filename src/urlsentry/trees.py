@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import BoostParams, ForestParams, XgbParams
 from .errors import DimensionMismatch, EmptyNode, SingleClassTrainingSet, TooFewRows
 from .neural import sigmoid
 from .pipeline import Dataset, distinct_rows
@@ -571,16 +572,6 @@ def predict_tree_batch(tree: TreeNode, X: np.ndarray) -> np.ndarray:
 # Random forest
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ForestParams:
-    n_trees: int = 100
-    max_depth: int = 12
-    m_features: int | None = None  # None -> ceil(sqrt(d))
-    bootstrap: bool = True
-    min_samples_leaf: int = 1
-    seed: int = 0
-
-
 @dataclass
 class ForestModel:
     trees: list[TreeNode]
@@ -641,24 +632,6 @@ def predict_forest_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Boosting (shared prediction pipeline: sigmoid(init + lr * sum of trees))
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoostParams:
-    n_rounds: int = 100
-    learning_rate: float = 0.1
-    max_depth: int = 3
-    min_samples_leaf: int = 1
-
-
-@dataclass(frozen=True)
-class XgbParams:
-    n_rounds: int = 100
-    eta: float = 0.3
-    max_depth: int = 6
-    lam: float = 1.0
-    gamma: float = 0.0
-    min_samples_leaf: int = 1
-
 
 @dataclass
 class BoostedModel:

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from urlsentry import artifact as artifact_module
 from urlsentry.artifact import (
     load_model,
     predict_feature_matrix,
@@ -13,7 +15,7 @@ from urlsentry.artifact import (
 )
 from urlsentry.config import PipelineConfig
 from urlsentry.errors import CorruptArtifact, FeatureSpecMismatch, UnsupportedVersion
-from urlsentry.features import featurize_many
+from urlsentry.features import FeatureSpec, featurize_many
 from urlsentry.neural import TrainConfig
 from urlsentry.runner import load_labeled_dataset, train_artifact
 from urlsentry.trees import (
@@ -401,3 +403,176 @@ def test_scalar_and_batch_confidences_identical(kind, predict_one, training_data
     batch = predict_feature_matrix(artifact, training_data.features)
     scalar = [predict_one(artifact.classifier, x)[1] for x in X]
     assert [float(b) for b in batch] == scalar
+
+
+# ---------------------------------------------------------------------------
+# Reading the document: its top level, format_version, and the checksum paths
+# ---------------------------------------------------------------------------
+
+def test_payload_key_after_an_empty_header_is_not_json(training_data, tmp_path):
+    path = saved_knn(training_data, tmp_path)
+    head, payload_text = split_saved(path)
+    path.write_text("{" + head[head.index(', "payload": '):] + payload_text + "}\n")
+    with pytest.raises(CorruptArtifact, match="not valid JSON"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3", "null"])
+def test_non_object_document_is_corrupt(text, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(text + "\n")
+    with pytest.raises(CorruptArtifact, match="not an object"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("version", [0, -3, True, False, 1.0, "1", None])
+def test_format_version_outside_one_to_current_is_corrupt(version, training_data, tmp_path):
+    artifact = train_artifact(training_data, small_config("knn", "raw"))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+    document = json.loads(path.read_text())
+    document["format_version"] = version  # outside the checksum
+    path.write_text(json.dumps(document, sort_keys=True) + "\n")
+    with pytest.raises(CorruptArtifact, match="format_version"):
+        load_model(str(path))
+
+
+def count_redumps(monkeypatch) -> list:
+    """Record each call of artifact._canonical while keeping what it returns."""
+    calls = []
+    original = artifact_module._canonical
+    monkeypatch.setattr(artifact_module, "_canonical",
+                        lambda payload: calls.append(1) or original(payload))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["mlp", "knn", "xgb", "gb", "rf"])
+@pytest.mark.parametrize("feature_mode", ["raw", "latent"])
+def test_saved_file_is_checked_on_its_text(kind, feature_mode, training_data, tmp_path,
+                                           monkeypatch):
+    artifact = train_artifact(training_data, small_config(kind, feature_mode))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+
+    def no_redump(payload):
+        raise AssertionError("a save_model file was re-serialized to check its checksum")
+
+    monkeypatch.setattr(artifact_module, "_canonical", no_redump)
+    loaded = load_model(str(path))
+    urls = random_urls(40, seed=5)
+    assert np.array_equal(predict_urls(loaded, urls), predict_urls(artifact, urls))
+
+
+def saved_knn(training_data, tmp_path, keywords=None):
+    artifact = train_artifact(training_data, small_config("knn", "raw"))
+    if keywords is not None:  # same count, so every width stays as trained
+        artifact = replace(artifact, feature_spec=FeatureSpec(keywords=keywords))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+    return path
+
+
+def split_saved(path) -> tuple[str, str]:
+    """(header with the payload key, payload text) of a save_model file."""
+    text = path.read_text()
+    head, key, rest = text.partition(', "payload": ')
+    assert rest.endswith("}\n")
+    return head + key, rest[:-2]
+
+
+@pytest.mark.parametrize("rewrite", [
+    pytest.param(lambda text, doc: json.dumps(doc, sort_keys=True, indent=2) + "\n", id="indent-2"),
+    pytest.param(lambda text, doc: json.dumps(dict(reversed(doc.items()))) + "\n",
+                 id="top-level-keys-out-of-order"),
+    pytest.param(lambda text, doc: text[:-1], id="no-trailing-newline"),
+    pytest.param(lambda text, doc: text.replace('"checksum": ', '"checksum":  ', 1),
+                 id="header-spacing"),
+    pytest.param(lambda text, doc: json.dumps(doc, sort_keys=True, separators=(",", ":")),
+                 id="compact"),
+])
+def test_other_layouts_load_through_the_redump(rewrite, training_data, tmp_path, monkeypatch):
+    path = saved_knn(training_data, tmp_path)
+    expected = load_model(str(path))
+    path.write_text(rewrite(path.read_text(), json.loads(path.read_text())))
+    calls = count_redumps(monkeypatch)
+    loaded = load_model(str(path))
+    assert calls
+    assert np.array_equal(loaded.classifier.stored_features, expected.classifier.stored_features)
+
+
+def test_payload_keys_out_of_order_load_through_the_redump(training_data, tmp_path,
+                                                           monkeypatch):
+    path = saved_knn(training_data, tmp_path)
+    head, payload_text = split_saved(path)
+    payload = json.loads(payload_text)
+    path.write_text(head + json.dumps(dict(reversed(payload.items()))) + "}\n")
+    calls = count_redumps(monkeypatch)
+    assert load_model(str(path)).dataset_fingerprint == payload["dataset_fingerprint"]
+    assert calls
+
+
+@pytest.mark.parametrize("keyword", ["free, now", "key: value", 'quo"te', "café"])
+def test_payload_strings_that_defeat_the_text_check_load_through_the_redump(
+    keyword, training_data, tmp_path, monkeypatch
+):
+    keywords = ("login", "secure", "account", "verify", "bank", keyword)
+    path = saved_knn(training_data, tmp_path, keywords)
+    calls = count_redumps(monkeypatch)
+    assert load_model(str(path)).feature_spec.keywords == keywords
+    assert calls
+
+
+def edit_number(payload_text: str) -> str:
+    i = payload_text.index('"features": [[') + len('"features": [[')
+    digit = payload_text[i]
+    assert digit.isdigit()
+    return payload_text[:i] + ("7" if digit != "7" else "8") + payload_text[i + 1:]
+
+
+def edit_string(payload_text: str) -> str:
+    i = payload_text.index('"keywords": ["login"') + len('"keywords": ["')
+    return payload_text[:i] + "x" + payload_text[i + 1:]
+
+
+def second_payload(payload_text: str) -> str:
+    return payload_text + ', "payload": ' + edit_number(payload_text)
+
+
+@pytest.mark.parametrize("edit", [edit_number, edit_string, second_payload])
+def test_edited_payload_text_rejected(edit, training_data, tmp_path):
+    path = saved_knn(training_data, tmp_path)
+    head, payload_text = split_saved(path)
+    path.write_text(head + edit(payload_text) + "}\n")
+    with pytest.raises(CorruptArtifact):
+        load_model(str(path))
+
+
+def test_second_payload_rejected_with_a_checksum_of_the_text(training_data, tmp_path):
+    """Only a payload text that is one JSON value is hashed as stored: a checksum
+    over the compacted text of two payload values proves nothing."""
+    path = saved_knn(training_data, tmp_path)
+    head, payload_text = split_saved(path)
+    edited = second_payload(payload_text)
+    compact = edited.replace(", ", ",").replace(": ", ":")
+    stored = json.loads(head + "null}")["checksum"]
+    head = head.replace(stored, hashlib.sha256(compact.encode("utf-8")).hexdigest())
+    path.write_text(head + edited + "}\n")
+    with pytest.raises(CorruptArtifact, match="checksum mismatch"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("keyword", ["free, now", "key: value", 'a", "b'])
+def test_checksum_of_the_compacted_text_does_not_cover_a_spaced_string(
+    keyword, training_data, tmp_path
+):
+    """Compacting would also take the space out of this keyword, so a checksum over
+    the compacted text covers a different keyword and the file is rejected."""
+    keywords = ("login", "secure", "account", "verify", "bank", keyword)
+    path = saved_knn(training_data, tmp_path, keywords)
+    head, payload_text = split_saved(path)
+    compact = payload_text.replace(", ", ",").replace(": ", ":")
+    stored = json.loads(head + "null}")["checksum"]
+    path.write_text(head.replace(stored, hashlib.sha256(compact.encode("utf-8")).hexdigest())
+                    + payload_text + "}\n")
+    with pytest.raises(CorruptArtifact, match="checksum mismatch"):
+        load_model(str(path))

@@ -247,6 +247,29 @@ class TestCmdPredict:
         assert "CorruptArtifact: MLP layer 0 weights holds nan" in capsys.readouterr().err
         assert not (tmp_path / "o" / "safe_urls.txt").exists()
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"'])
+    def test_non_object_artifact_exits_one(self, text, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(text + "\n")
+        code = main(["predict", "--model", str(model), "--out", str(tmp_path / "o"),
+                     "https://example.org/docs"])
+        assert code == 1
+        assert "CorruptArtifact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", [0, -3, True])
+    def test_format_version_outside_one_to_current_exits_one(
+        self, version, tiny_csv, tmp_path, capsys
+    ):
+        model = tmp_path / "knn.json"
+        self.make_knn_artifact(tiny_csv, tmp_path)
+        document = json.loads(model.read_text())
+        document["format_version"] = version
+        model.write_text(json.dumps(document, sort_keys=True) + "\n")
+        code = main(["predict", "--model", str(model), "--out", str(tmp_path / "o"),
+                     "https://example.org/docs"])
+        assert code == 1
+        assert "CorruptArtifact: format_version" in capsys.readouterr().err
+
 
 class TestCmdEvaluate:
     def test_self_evaluation_k1_perfect(self, tiny_csv, tmp_path, capsys):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from urlsentry import neural
 from urlsentry.errors import (
@@ -276,3 +279,47 @@ class TestAutoencoder:
         ae = train_autoencoder(X, TrainConfig(epochs=0, hidden_sizes=(2,), seed=0))
         with pytest.raises(DimensionMismatch):
             encode(ae, np.ones(4))
+
+
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The earlier neural.sigmoid: each sign's formula on a boolean-mask gather."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, -1e-320, 745.2, -745.2,
+                 709.8, -709.8, 1e308, -1e308, 36.8, -36.8]
+
+
+class TestSigmoid:
+    def assert_same_bits(self, z):
+        got, want = neural.sigmoid(z), masked_sigmoid(z)
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_edge_values(self):
+        self.assert_same_bits(np.array(SIGMOID_EDGES))
+        self.assert_same_bits(np.array(SIGMOID_EDGES).reshape(3, 5))
+
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
+        elements=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(-60.0, 60.0),
+            st.sampled_from(SIGMOID_EDGES),
+        ),
+    ))
+    def test_matches_masked_formula(self, z):
+        self.assert_same_bits(z)
+
+    def test_no_overflow_warning(self):
+        with np.errstate(over="raise", invalid="raise"):
+            out = neural.sigmoid(np.array([-1e308, -800.0, 0.0, 800.0, 1e308]))
+        assert out.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]

@@ -1,9 +1,10 @@
 """Versioned on-disk model bundles and the classifier registry.
 
 An artifact is a single JSON document carrying the feature spec, fitted
-preprocessing (outlier bounds, the scaler they imply, optional autoencoder),
-and one classifier. All floats serialize at full round-trip precision and the
-payload is covered by a SHA-256 checksum; the creation timestamp lives
+preprocessing (outlier bounds, optional autoencoder), and one classifier.
+All floats serialize at full round-trip precision. The payload is stored as
+canonical JSON text and its checksum is the SHA-256 of that text as stored,
+so loading hashes the bytes it then parses; the creation timestamp lives
 outside the checksum so re-running the same training reproduces the payload
 byte for byte.
 
@@ -39,7 +40,7 @@ if TYPE_CHECKING:
     from .neural import AutoencoderModel, LayerParams, MlpModel
     from .trees import BoostedModel, ForestModel, TreeNode
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # Batch predictors of the tree and network code, bound here on first access
 # (PEP 562) and called as attributes of this module, so that rebinding one
@@ -399,12 +400,9 @@ def predict_urls(artifact: ModelArtifact, urls: list[str]) -> np.ndarray:
 
 def _payload(artifact: ModelArtifact) -> dict:
     pre = artifact.preprocessor
-    lower, upper = pre.bounds.lower.tolist(), pre.bounds.upper.tolist()
     return {
         "feature_spec": {"keywords": list(artifact.feature_spec.keywords)},
-        "bounds": {"lower": lower, "upper": upper},
-        "scaler": {"min": lower, "max": upper},  # the bounds again, as format 1 stores
-        "feature_mode": artifact.feature_mode,
+        "bounds": {"lower": pre.bounds.lower.tolist(), "upper": pre.bounds.upper.tolist()},
         "autoencoder": _autoencoder_to_dict(pre.autoencoder),
         "classifier_kind": artifact.classifier_kind,
         "classifier": CLASSIFIERS[artifact.classifier_kind].to_dict(artifact.classifier),
@@ -413,137 +411,101 @@ def _payload(artifact: ModelArtifact) -> dict:
     }
 
 
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _canonical(value: dict) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+# save_model's layout: the canonical header without its closing brace, then
+# _PAYLOAD_KEY, the canonical payload text, "}" and a newline. The checksum
+# is the SHA-256 of the payload text exactly as stored. A later format keeps
+# this header, so that this reader reports it as UnsupportedVersion.
+_HEADER_KEYS = ["checksum", "created_at", "format_version"]
+_PAYLOAD_KEY = ',"payload":'
+
+
 def save_model(artifact: ModelArtifact, path: str) -> None:
     """Write the artifact as checksummed JSON; numeric values lose no precision."""
-    payload = _payload(artifact)
-    document = {
-        "format_version": FORMAT_VERSION,
+    payload_text = _canonical(_payload(artifact))
+    header = {
+        "checksum": _sha256(payload_text),
         "created_at": artifact.created_at or datetime.now(timezone.utc).isoformat(),
-        "checksum": _sha256(_canonical(payload)),
-        "payload": payload,
+        "format_version": FORMAT_VERSION,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(document, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(_canonical(header)[:-1] + _PAYLOAD_KEY + payload_text + "}\n")
 
 
-# save_model's layout: HEADER + ', "payload": ' + payload text + '}\n', where
-# HEADER is json.dumps of the three header keys without its closing brace.
-_HEADER_KEYS = ["checksum", "created_at", "format_version"]
-_PAYLOAD_KEY = ', "payload": '
-
-
-def _read_document(path: str) -> tuple[object, str | None]:
-    """The parsed document and, if the file has save_model's layout, its payload text.
-
-    A file in that layout is parsed in two parts, the header and the payload
-    text; as each part must be one whole JSON value, the two give exactly
-    what parsing the whole file gives. Any other file is parsed whole.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
+def _read(path: str) -> tuple[dict, str]:
+    """The header and the payload text of a file in save_model's layout."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:  # no newline translation
         text = fh.read()
     head, key, rest = text.partition(_PAYLOAD_KEY)
-    if key and rest.endswith("}\n"):
-        try:
-            header = json.loads(head + "}")
-            if list(header) == _HEADER_KEYS and json.dumps(header, sort_keys=True) == head + "}":
-                payload_text = rest[:-2]
-                return {**header, "payload": json.loads(payload_text)}, payload_text
-        except json.JSONDecodeError:
-            pass  # not the layout after all: parse the whole file
     try:
-        return json.loads(text), None
-    except json.JSONDecodeError as exc:
-        raise CorruptArtifact(f"artifact is not valid JSON: {exc}") from exc
-
-
-def _checksum_matches(payload: object, payload_text: str | None, stored: str) -> bool:
-    """Whether the stored checksum is the SHA-256 of the payload's canonical text.
-
-    When the stored payload text holds no backslash and no string containing
-    ", " or ": ", every ", " and ": " in it is a separator. Taking the space
-    out of those separators does not change what the text parses to, so if
-    the text so compacted hashes to the checksum, the parsed payload is the
-    one whose canonical text was checksummed. Otherwise, or if it does not
-    match (keys out of order, other number forms or whitespace), the parsed
-    payload is re-dumped in canonical form and hashed.
-    """
-    if payload_text is not None and "\\" not in payload_text:
-        strings = '"'.join(payload_text.split('"')[1::2])
-        if ", " not in strings and ": " not in strings:
-            compact = payload_text.replace(", ", ",").replace(": ", ":")
-            if _sha256(compact) == stored:
-                return True
-    return _sha256(_canonical(payload)) == stored
+        header = json.loads(head + "}")  # an object, if it parses: it ends in "}"
+    except (ValueError, RecursionError):
+        header = {}
+    if not (key and rest.endswith("}\n")
+            and list(header) == _HEADER_KEYS and _canonical(header) == head + "}"):
+        raise CorruptArtifact(
+            f"artifact is not in the format {FORMAT_VERSION} layout that save_model writes "
+            "(a format 1 or reformatted file): retrain the model"
+        )
+    return header, rest[:-2]
 
 
 def load_model(path: str) -> ModelArtifact:
     """Load and verify an artifact; predictions match the saved model exactly."""
-    document, payload_text = _read_document(path)
-    if not isinstance(document, dict):
-        raise CorruptArtifact(f"artifact is a JSON {type(document).__name__}, not an object")
-
-    version = document.get("format_version")
-    if not isinstance(version, int) or isinstance(version, bool) or version < 1:
-        raise CorruptArtifact(f"format_version is {version!r}, not a positive integer")
+    header, payload_text = _read(path)
+    version = header["format_version"]
+    if type(version) is not int or version < FORMAT_VERSION:  # a bool is not an int here
+        raise CorruptArtifact(f"format_version is {version!r}, not {FORMAT_VERSION}: "
+                              "retrain the model")
     if version > FORMAT_VERSION:
         raise UnsupportedVersion(found=version, supported=FORMAT_VERSION)
-
-    payload = document.get("payload")
-    stored = document.get("checksum")
-    if payload is None or stored is None:
-        raise CorruptArtifact("artifact lacks payload or checksum")
-    if not _checksum_matches(payload, payload_text, stored):
+    if _sha256(payload_text) != header["checksum"]:
         raise CorruptArtifact("checksum mismatch: artifact bytes were altered")
 
     try:
+        payload = json.loads(payload_text)  # exactly the text that was hashed
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
+        raise CorruptArtifact(f"artifact payload is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CorruptArtifact(f"artifact payload is a JSON {type(payload).__name__}, "
+                              "not an object")
+    try:
         kind = payload["classifier_kind"]  # an unknown kind is a KeyError too
-        arrays = {
-            f"{section}.{name}": np.asarray(payload[section][name], dtype=np.float64)
-            for section, names in (("bounds", ("lower", "upper")), ("scaler", ("min", "max")))
-            for name in names
-        }
+        bounds = OutlierBounds(
+            lower=np.asarray(payload["bounds"]["lower"], dtype=np.float64),
+            upper=np.asarray(payload["bounds"]["upper"], dtype=np.float64),
+        )
         artifact = ModelArtifact(
             feature_spec=FeatureSpec(keywords=tuple(payload["feature_spec"]["keywords"])),
             preprocessor=Preprocessor(
-                bounds=OutlierBounds(lower=arrays["bounds.lower"], upper=arrays["bounds.upper"]),
-                autoencoder=_autoencoder_from_dict(payload["autoencoder"]),
+                bounds=bounds, autoencoder=_autoencoder_from_dict(payload["autoencoder"])
             ),
             classifier_kind=kind,
             classifier=CLASSIFIERS[kind].from_dict(payload["classifier"]),
             seed=int(payload["seed"]),
             dataset_fingerprint=payload["dataset_fingerprint"],
             format_version=version,
-            created_at=document.get("created_at", ""),
+            created_at=header["created_at"],
         )
-        feature_mode = payload["feature_mode"]
-    except (KeyError, TypeError, ValueError, KOutOfRange) as exc:
+    # RecursionError: a tree nested past the recursion limit, where the JSON
+    # decoder's own limit is higher (Python 3.12 and later)
+    except (KeyError, TypeError, ValueError, RecursionError, KOutOfRange) as exc:
         raise CorruptArtifact(f"artifact payload is structurally invalid: {exc}") from exc
-    if feature_mode != artifact.feature_mode:
-        raise CorruptArtifact(
-            f"feature_mode {feature_mode!r} disagrees with the autoencoder, "
-            f"which implies {artifact.feature_mode!r}"
-        )
     dim = artifact.feature_spec.dim
-    for name, array in arrays.items():
+    for name in ("lower", "upper"):
+        array = getattr(bounds, name)
         if array.shape != (dim,):
             raise CorruptArtifact(
-                f"{name} has shape {array.shape}, the feature spec needs ({dim},)"
+                f"bounds.{name} has shape {array.shape}, the feature spec needs ({dim},)"
             )
-        _check_finite(name, array)
-    if not (
-        np.array_equal(arrays["scaler.min"], arrays["bounds.lower"])
-        and np.array_equal(arrays["scaler.max"], arrays["bounds.upper"])
-    ):
-        raise CorruptArtifact("the scaler differs from the bounds that determine it")
+        _check_finite(f"bounds.{name}", array)
     autoencoder = artifact.preprocessor.autoencoder
     width = dim
     if autoencoder is not None:

@@ -45,7 +45,6 @@ import numpy as np
 
 from .config import BoostParams, ForestParams, XgbParams
 from .errors import DimensionMismatch, EmptyNode, SingleClassTrainingSet, TooFewRows
-from .neural import sigmoid
 from .pipeline import Dataset, distinct_rows
 
 LEAF_DENOM_FLOOR = 1e-12  # guards Newton leaf values when hessians vanish
@@ -663,6 +662,8 @@ def _boost(
     least-squares fit to the residuals). No sampling: training is a pure
     function of (data, params).
     """
+    from .neural import sigmoid
+
     X = np.asarray(train.features, dtype=np.float64)
     y = np.asarray(train.labels, dtype=np.float64)
     init_score = _base_rate_log_odds(y)
@@ -717,6 +718,8 @@ def predict_boosted(model: BoostedModel, x: np.ndarray) -> tuple[int, float]:
 
 
 def predict_boosted_batch(model: BoostedModel, X: np.ndarray) -> np.ndarray:
+    from .neural import sigmoid
+
     X = np.atleast_2d(X)
     scores = np.full(X.shape[0], model.init_score, dtype=np.float64)
     for tree in model.trees:

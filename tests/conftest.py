@@ -6,6 +6,7 @@ import pytest
 from hypothesis import Phase, settings
 
 import urlsentry
+from urlsentry.artifact import FORMAT_VERSION
 from urlsentry.pipeline import Dataset
 
 # CI skips shrinking: a failing example is reported as found, since shrinking one
@@ -54,13 +55,39 @@ def separable_dataset(seed: int = 123, n_per_class: int = 10) -> Dataset:
     return Dataset(X, y, [f"toy-{i}" for i in range(len(y))])
 
 
+def canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def write_artifact(path, payload_text: str, **header) -> None:
+    """Write payload_text in save_model's layout (format 2): the canonical header
+    without its closing brace, ',"payload":', the payload text, "}" and a newline.
+
+    The checksum is the SHA-256 of payload_text and format_version the current
+    one, unless header gives them.
+    """
+    header = {
+        "checksum": hashlib.sha256(payload_text.encode("utf-8")).hexdigest(),
+        "created_at": "2026-01-01T00:00:00+00:00",
+        "format_version": FORMAT_VERSION,
+        **header,
+    }
+    path.write_text(canonical(header)[:-1] + ',"payload":' + payload_text + "}\n")
+
+
+def read_artifact(path) -> tuple[dict, str]:
+    """(header, payload text) of a file in save_model's layout."""
+    head, key, rest = path.read_text().partition(',"payload":')
+    assert key and rest.endswith("}\n")
+    return json.loads(head + "}"), rest[:-2]
+
+
 def rewrite_payload(path, mutate) -> None:
     """Apply mutate to a saved artifact's payload and store a matching checksum."""
-    document = json.loads(path.read_text())
-    mutate(document["payload"])
-    canon = json.dumps(document["payload"], sort_keys=True, separators=(",", ":"))
-    document["checksum"] = hashlib.sha256(canon.encode("utf-8")).hexdigest()
-    path.write_text(json.dumps(document))
+    header, payload_text = read_artifact(path)
+    payload = json.loads(payload_text)
+    mutate(payload)
+    write_artifact(path, canonical(payload), created_at=header["created_at"])
 
 
 @pytest.fixture(scope="session")

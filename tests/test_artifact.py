@@ -1,9 +1,11 @@
-import hashlib
 import json
+import string
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urlsentry import artifact as artifact_module
 from urlsentry.artifact import (
@@ -26,7 +28,7 @@ from urlsentry.trees import (
     predict_forest,
 )
 
-from conftest import random_urls, rewrite_payload
+from conftest import canonical, random_urls, read_artifact, rewrite_payload, write_artifact
 
 
 def small_config(kind: str, feature_mode: str = "latent") -> PipelineConfig:
@@ -69,10 +71,11 @@ def test_tampered_payload_detected(training_data, tmp_path):
     path = tmp_path / "model.json"
     save_model(artifact, str(path))
 
-    document = json.loads(path.read_text())
-    document["payload"]["seed"] = document["payload"]["seed"] + 1
-    path.write_text(json.dumps(document))
-    with pytest.raises(CorruptArtifact):
+    header, payload_text = read_artifact(path)
+    payload = json.loads(payload_text)
+    payload["seed"] = payload["seed"] + 1
+    write_artifact(path, canonical(payload), checksum=header["checksum"])
+    with pytest.raises(CorruptArtifact, match="checksum mismatch"):
         load_model(str(path))
 
 
@@ -98,9 +101,7 @@ def test_future_version_rejected(training_data, tmp_path):
     path = tmp_path / "model.json"
     save_model(artifact, str(path))
 
-    document = json.loads(path.read_text())
-    document["format_version"] = 99
-    path.write_text(json.dumps(document))
+    write_artifact(path, read_artifact(path)[1], format_version=99)
     with pytest.raises(UnsupportedVersion):
         load_model(str(path))
 
@@ -144,12 +145,7 @@ def test_predictions_via_feature_matrix_match_urls_path(training_data):
 
 @pytest.mark.parametrize(
     "trained_mode, key, value",
-    [
-        ("latent", "feature_mode", "raw"),
-        ("raw", "feature_mode", "autoencoder_latent"),
-        ("raw", "feature_mode", "latent"),
-        ("raw", "classifier_kind", "svm"),
-    ],
+    [("raw", "classifier_kind", "svm")],
 )
 def test_inconsistent_payload_rejected(trained_mode, key, value, training_data, tmp_path):
     artifact = train_artifact(training_data, small_config("xgb", trained_mode))
@@ -160,32 +156,13 @@ def test_inconsistent_payload_rejected(trained_mode, key, value, training_data, 
         load_model(str(path))
 
 
-@pytest.mark.parametrize("section, name", [
-    ("bounds", "lower"), ("bounds", "upper"), ("scaler", "min"), ("scaler", "max"),
-])
+@pytest.mark.parametrize("section, name", [("bounds", "lower"), ("bounds", "upper")])
 def test_short_preprocessing_array_rejected(section, name, training_data, tmp_path):
     artifact = train_artifact(training_data, small_config("xgb", "raw"))
     path = tmp_path / "model.json"
     save_model(artifact, str(path))
     rewrite_payload(path, lambda payload: payload[section][name].pop())
     with pytest.raises(CorruptArtifact, match=f"{section}.{name} has shape \\(17,\\)"):
-        load_model(str(path))
-
-
-@pytest.mark.parametrize("name", ["min", "max"])
-def test_scaler_differing_from_bounds_rejected(name, training_data, tmp_path):
-    artifact = train_artifact(training_data, small_config("knn", "raw"))
-    path = tmp_path / "model.json"
-    save_model(artifact, str(path))
-    payload = json.loads(path.read_text())["payload"]
-    assert payload["scaler"] == {"min": payload["bounds"]["lower"],
-                                 "max": payload["bounds"]["upper"]}
-
-    def bump(payload):
-        payload["scaler"][name][0] += 1
-
-    rewrite_payload(path, bump)
-    with pytest.raises(CorruptArtifact, match="scaler differs from the bounds"):
         load_model(str(path))
 
 
@@ -246,20 +223,16 @@ def test_knn_width_checked_against_transformed_width(feature_mode, change, train
         load_model(str(path))
 
 
-@pytest.mark.parametrize("bound, scaler, value", [
-    ("lower", "min", float("-inf")),
-    ("upper", "max", float("inf")),
-    ("lower", "min", float("nan")),
+@pytest.mark.parametrize("bound, value", [
+    ("lower", float("-inf")),
+    ("upper", float("inf")),
+    ("lower", float("nan")),
 ])
-def test_non_finite_preprocessing_entry_rejected(bound, scaler, value, training_data, tmp_path):
+def test_non_finite_preprocessing_entry_rejected(bound, value, training_data, tmp_path):
     artifact = train_artifact(training_data, small_config("knn", "raw"))
     path = tmp_path / "model.json"
     save_model(artifact, str(path))
-
-    def corrupt(payload):  # the scaler still equals the bounds
-        payload["bounds"][bound][0] = payload["scaler"][scaler][0] = value
-
-    rewrite_payload(path, corrupt)
+    rewrite_payload(path, lambda payload: payload["bounds"][bound].__setitem__(0, value))
     with pytest.raises(CorruptArtifact, match=f"bounds.{bound} holds {value}, not finite"):
         load_model(str(path))
 
@@ -406,44 +379,46 @@ def test_scalar_and_batch_confidences_identical(kind, predict_one, training_data
 
 
 # ---------------------------------------------------------------------------
-# Reading the document: its top level, format_version, and the checksum paths
+# Reading the file: its layout, format_version, and the checksum of the stored text
 # ---------------------------------------------------------------------------
+
+LAYOUT = "not in the format 2 layout"
+
 
 def test_payload_key_after_an_empty_header_is_not_json(training_data, tmp_path):
     path = saved_knn(training_data, tmp_path)
-    head, payload_text = split_saved(path)
-    path.write_text("{" + head[head.index(', "payload": '):] + payload_text + "}\n")
-    with pytest.raises(CorruptArtifact, match="not valid JSON"):
+    path.write_text('{,"payload":' + read_artifact(path)[1] + "}\n")
+    with pytest.raises(CorruptArtifact, match=LAYOUT):
         load_model(str(path))
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3", "null"])
 def test_non_object_document_is_corrupt(text, tmp_path):
     path = tmp_path / "model.json"
-    path.write_text(text + "\n")
+    write_artifact(path, text)
     with pytest.raises(CorruptArtifact, match="not an object"):
         load_model(str(path))
 
 
-@pytest.mark.parametrize("version", [0, -3, True, False, 1.0, "1", None])
+@pytest.mark.parametrize("version", [
+    0, -3, True, False, 1.0, "1", None, pytest.param(1, id="format-1"),
+])
 def test_format_version_outside_one_to_current_is_corrupt(version, training_data, tmp_path):
-    artifact = train_artifact(training_data, small_config("knn", "raw"))
-    path = tmp_path / "model.json"
-    save_model(artifact, str(path))
-    document = json.loads(path.read_text())
-    document["format_version"] = version  # outside the checksum
-    path.write_text(json.dumps(document, sort_keys=True) + "\n")
+    path = saved_knn(training_data, tmp_path)
+    write_artifact(path, read_artifact(path)[1], format_version=version)  # outside the checksum
     with pytest.raises(CorruptArtifact, match="format_version"):
         load_model(str(path))
 
 
-def count_redumps(monkeypatch) -> list:
-    """Record each call of artifact._canonical while keeping what it returns."""
-    calls = []
+def forbid_payload_redump(monkeypatch) -> None:
+    """Fail if load_model serializes the payload again (it dumps only the header)."""
     original = artifact_module._canonical
-    monkeypatch.setattr(artifact_module, "_canonical",
-                        lambda payload: calls.append(1) or original(payload))
-    return calls
+
+    def canonical_header(value):
+        assert "classifier" not in value, "the payload was re-serialized to check its checksum"
+        return original(value)
+
+    monkeypatch.setattr(artifact_module, "_canonical", canonical_header)
 
 
 @pytest.mark.parametrize("kind", ["mlp", "knn", "xgb", "gb", "rf"])
@@ -453,11 +428,7 @@ def test_saved_file_is_checked_on_its_text(kind, feature_mode, training_data, tm
     artifact = train_artifact(training_data, small_config(kind, feature_mode))
     path = tmp_path / "model.json"
     save_model(artifact, str(path))
-
-    def no_redump(payload):
-        raise AssertionError("a save_model file was re-serialized to check its checksum")
-
-    monkeypatch.setattr(artifact_module, "_canonical", no_redump)
+    forbid_payload_redump(monkeypatch)
     loaded = load_model(str(path))
     urls = random_urls(40, seed=5)
     assert np.array_equal(predict_urls(loaded, urls), predict_urls(artifact, urls))
@@ -472,107 +443,107 @@ def saved_knn(training_data, tmp_path, keywords=None):
     return path
 
 
-def split_saved(path) -> tuple[str, str]:
-    """(header with the payload key, payload text) of a save_model file."""
-    text = path.read_text()
-    head, key, rest = text.partition(', "payload": ')
-    assert rest.endswith("}\n")
-    return head + key, rest[:-2]
+def payload_keys_reversed(text: str, doc: dict) -> str:
+    head, key, _ = text.partition(',"payload":')
+    payload = dict(reversed(doc["payload"].items()))
+    return head + key + json.dumps(payload, separators=(",", ":")) + "}\n"
 
 
-@pytest.mark.parametrize("rewrite", [
-    pytest.param(lambda text, doc: json.dumps(doc, sort_keys=True, indent=2) + "\n", id="indent-2"),
-    pytest.param(lambda text, doc: json.dumps(dict(reversed(doc.items()))) + "\n",
+@pytest.mark.parametrize("rewrite, message", [
+    pytest.param(lambda text, doc: json.dumps(doc, sort_keys=True, indent=2) + "\n", LAYOUT,
+                 id="indent-2"),
+    pytest.param(lambda text, doc: json.dumps(doc, sort_keys=True) + "\n", LAYOUT, id="spaced"),
+    pytest.param(lambda text, doc: json.dumps(dict(reversed(doc.items()))) + "\n", LAYOUT,
                  id="top-level-keys-out-of-order"),
-    pytest.param(lambda text, doc: text[:-1], id="no-trailing-newline"),
-    pytest.param(lambda text, doc: text.replace('"checksum": ', '"checksum":  ', 1),
+    pytest.param(lambda text, doc: text[:-1], LAYOUT, id="no-trailing-newline"),
+    pytest.param(lambda text, doc: text[:-1] + "\r\n", LAYOUT, id="crlf"),
+    pytest.param(lambda text, doc: text[:-1] + "\r", LAYOUT, id="cr-newline"),
+    pytest.param(lambda text, doc: text.replace('"checksum":', '"checksum": ', 1), LAYOUT,
                  id="header-spacing"),
-    pytest.param(lambda text, doc: json.dumps(doc, sort_keys=True, separators=(",", ":")),
-                 id="compact"),
+    pytest.param(lambda text, doc: canonical(doc), LAYOUT, id="compact"),
+    # the header is intact, so the reordered payload text is hashed as stored
+    pytest.param(payload_keys_reversed, "checksum mismatch", id="payload-keys-out-of-order"),
 ])
-def test_other_layouts_load_through_the_redump(rewrite, training_data, tmp_path, monkeypatch):
+def test_reformatted_file_is_rejected(rewrite, message, training_data, tmp_path):
+    """The same document in any other text must be saved again by save_model."""
     path = saved_knn(training_data, tmp_path)
-    expected = load_model(str(path))
-    path.write_text(rewrite(path.read_text(), json.loads(path.read_text())))
-    calls = count_redumps(monkeypatch)
-    loaded = load_model(str(path))
-    assert calls
-    assert np.array_equal(loaded.classifier.stored_features, expected.classifier.stored_features)
-
-
-def test_payload_keys_out_of_order_load_through_the_redump(training_data, tmp_path,
-                                                           monkeypatch):
-    path = saved_knn(training_data, tmp_path)
-    head, payload_text = split_saved(path)
-    payload = json.loads(payload_text)
-    path.write_text(head + json.dumps(dict(reversed(payload.items()))) + "}\n")
-    calls = count_redumps(monkeypatch)
-    assert load_model(str(path)).dataset_fingerprint == payload["dataset_fingerprint"]
-    assert calls
+    text = path.read_text()
+    path.write_bytes(rewrite(text, json.loads(text)).encode("utf-8"))  # no newline translation
+    with pytest.raises(CorruptArtifact, match=message):
+        load_model(str(path))
 
 
 @pytest.mark.parametrize("keyword", ["free, now", "key: value", 'quo"te', "café"])
-def test_payload_strings_that_defeat_the_text_check_load_through_the_redump(
-    keyword, training_data, tmp_path, monkeypatch
-):
+def test_payload_strings_load_from_the_stored_text(keyword, training_data, tmp_path,
+                                                   monkeypatch):
     keywords = ("login", "secure", "account", "verify", "bank", keyword)
     path = saved_knn(training_data, tmp_path, keywords)
-    calls = count_redumps(monkeypatch)
+    forbid_payload_redump(monkeypatch)
     assert load_model(str(path)).feature_spec.keywords == keywords
-    assert calls
 
 
 def edit_number(payload_text: str) -> str:
-    i = payload_text.index('"features": [[') + len('"features": [[')
+    i = payload_text.index('"features":[[') + len('"features":[[')
     digit = payload_text[i]
     assert digit.isdigit()
     return payload_text[:i] + ("7" if digit != "7" else "8") + payload_text[i + 1:]
 
 
 def edit_string(payload_text: str) -> str:
-    i = payload_text.index('"keywords": ["login"') + len('"keywords": ["')
+    i = payload_text.index('"keywords":["login"') + len('"keywords":["')
     return payload_text[:i] + "x" + payload_text[i + 1:]
 
 
 def second_payload(payload_text: str) -> str:
-    return payload_text + ', "payload": ' + edit_number(payload_text)
+    return payload_text + ',"payload":' + edit_number(payload_text)
 
 
 @pytest.mark.parametrize("edit", [edit_number, edit_string, second_payload])
 def test_edited_payload_text_rejected(edit, training_data, tmp_path):
     path = saved_knn(training_data, tmp_path)
-    head, payload_text = split_saved(path)
-    path.write_text(head + edit(payload_text) + "}\n")
+    header, payload_text = read_artifact(path)
+    write_artifact(path, edit(payload_text), checksum=header["checksum"])
     with pytest.raises(CorruptArtifact):
         load_model(str(path))
 
 
-def test_second_payload_rejected_with_a_checksum_of_the_text(training_data, tmp_path):
-    """Only a payload text that is one JSON value is hashed as stored: a checksum
-    over the compacted text of two payload values proves nothing."""
-    path = saved_knn(training_data, tmp_path)
-    head, payload_text = split_saved(path)
-    edited = second_payload(payload_text)
-    compact = edited.replace(", ", ",").replace(": ", ":")
-    stored = json.loads(head + "null}")["checksum"]
-    head = head.replace(stored, hashlib.sha256(compact.encode("utf-8")).hexdigest())
-    path.write_text(head + edited + "}\n")
-    with pytest.raises(CorruptArtifact, match="checksum mismatch"):
-        load_model(str(path))
+@pytest.fixture(scope="module")
+def saved_raw_knn(training_data, tmp_path_factory):
+    """A small raw k-NN artifact, the bytes save_model wrote for it, and a path to rewrite."""
+    artifact = train_artifact(training_data, small_config("knn", "raw"))
+    path = tmp_path_factory.mktemp("artifact") / "model.json"
+    save_model(artifact, str(path))
+    return artifact, path.read_bytes(), path
 
 
-@pytest.mark.parametrize("keyword", ["free, now", "key: value", 'a", "b'])
-def test_checksum_of_the_compacted_text_does_not_cover_a_spaced_string(
-    keyword, training_data, tmp_path
-):
-    """Compacting would also take the space out of this keyword, so a checksum over
-    the compacted text covers a different keyword and the file is rejected."""
-    keywords = ("login", "secure", "account", "verify", "bank", keyword)
-    path = saved_knn(training_data, tmp_path, keywords)
-    head, payload_text = split_saved(path)
-    compact = payload_text.replace(", ", ",").replace(": ", ":")
-    stored = json.loads(head + "null}")["checksum"]
-    path.write_text(head.replace(stored, hashlib.sha256(compact.encode("utf-8")).hexdigest())
-                    + payload_text + "}\n")
-    with pytest.raises(CorruptArtifact, match="checksum mismatch"):
-        load_model(str(path))
+PROPERTY_URLS = random_urls(40, seed=31)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_byte_outside_created_at_is_covered(saved_raw_knn, data):
+    """Changing any one byte of a saved file makes it fail to load, except inside
+    the created_at value, which no prediction depends on.
+
+    Offsets are drawn over the whole file and, as often, among the bytes that
+    are not letters or digits (JSON syntax and whitespace); one replacement in
+    two is whitespace, which is what a reformatting changes.
+    """
+    artifact, saved, path = saved_raw_knn
+    text = saved.decode("ascii")
+    syntax = [i for i, c in enumerate(text) if not c.isalnum()]
+    offset = data.draw(st.integers(0, len(saved) - 1) | st.sampled_from(syntax), label="offset")
+    char = data.draw((st.sampled_from(string.whitespace) | st.sampled_from(string.printable))
+                     .filter(lambda c: c != text[offset]), label="char")
+    key = text.index('"created_at":') + len('"created_at":')
+    start = text.index('"', key) + 1
+    end = text.index('"', start)
+
+    path.write_bytes(saved[:offset] + char.encode("ascii") + saved[offset + 1:])
+    try:
+        loaded = load_model(str(path))
+    except (CorruptArtifact, UnsupportedVersion):
+        return
+    assert start <= offset < end, f"the file loads with byte {offset} changed to {char!r}"
+    assert np.array_equal(predict_urls(loaded, PROPERTY_URLS),
+                          predict_urls(artifact, PROPERTY_URLS))

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from urlsentry.runner import (
     train_artifact,
 )
 
-from conftest import rewrite_payload
+from conftest import canonical, read_artifact, rewrite_payload, write_artifact
 
 
 def write_rows(path, rows):
@@ -98,8 +100,18 @@ class TestCmdTrain:
         assert "UnicodeDecodeError" in capsys.readouterr().err
 
 
-def minus_inf_lower_bound(payload):  # the scaler still equals the bounds
-    payload["bounds"]["lower"][0] = payload["scaler"]["min"][0] = float("-inf")
+def minus_inf_lower_bound(payload):
+    payload["bounds"]["lower"][0] = float("-inf")
+
+
+def nest_first_tree(payload_text: str) -> str:
+    """Replace the first tree by one nested as many levels deep as the recursion limit."""
+    depth = sys.getrecursionlimit()
+    payload = json.loads(payload_text)
+    payload["classifier"]["trees"][0] = "deep"
+    deep = ('{"feature":0,"left":' * depth + '{"value":0.0}'
+            + ',"right":{"value":0.0},"threshold":0.5}' * depth)
+    return canonical(payload).replace('"deep"', deep, 1)
 
 
 class TestCmdPredict:
@@ -162,7 +174,7 @@ class TestCmdPredict:
         assert "warning" in captured.err
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
-    @pytest.mark.parametrize("section, name", [("bounds", "upper"), ("scaler", "min")])
+    @pytest.mark.parametrize("section, name", [("bounds", "upper")])
     def test_short_preprocessing_array_exits_one(
         self, command, section, name, tiny_csv, tmp_path, capsys
     ):
@@ -250,25 +262,57 @@ class TestCmdPredict:
     @pytest.mark.parametrize("text", ["[1, 2]", '"x"'])
     def test_non_object_artifact_exits_one(self, text, tmp_path, capsys):
         model = tmp_path / "model.json"
-        model.write_text(text + "\n")
+        write_artifact(model, text)
         code = main(["predict", "--model", str(model), "--out", str(tmp_path / "o"),
                      "https://example.org/docs"])
         assert code == 1
         assert "CorruptArtifact" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("version", [0, -3, True])
+    @pytest.mark.parametrize("version", [0, -3, True, pytest.param(1, id="format-1")])
     def test_format_version_outside_one_to_current_exits_one(
         self, version, tiny_csv, tmp_path, capsys
     ):
         model = tmp_path / "knn.json"
         self.make_knn_artifact(tiny_csv, tmp_path)
-        document = json.loads(model.read_text())
-        document["format_version"] = version
-        model.write_text(json.dumps(document, sort_keys=True) + "\n")
+        write_artifact(model, read_artifact(model)[1], format_version=version)
         code = main(["predict", "--model", str(model), "--out", str(tmp_path / "o"),
                      "https://example.org/docs"])
         assert code == 1
         assert "CorruptArtifact: format_version" in capsys.readouterr().err
+
+    def test_format_1_artifact_exits_one_asking_to_retrain(self, tiny_csv, tmp_path, capsys):
+        """A file as format 1 wrote it: one json.dump of the whole document with
+        the bounds stored again as the scaler and the feature mode spelled out."""
+        model = tmp_path / "knn.json"
+        self.make_knn_artifact(tiny_csv, tmp_path)
+        header, payload_text = read_artifact(model)
+        payload = json.loads(payload_text)
+        payload["scaler"] = {"min": payload["bounds"]["lower"], "max": payload["bounds"]["upper"]}
+        payload["feature_mode"] = "autoencoder_latent"
+        checksum = hashlib.sha256(canonical(payload).encode("utf-8")).hexdigest()
+        document = {**header, "checksum": checksum, "format_version": 1, "payload": payload}
+        model.write_text(json.dumps(document, sort_keys=True) + "\n")
+        code = main(["predict", "--model", str(model), "--out", str(tmp_path / "o"),
+                     "https://example.org/docs"])
+        assert code == 1
+        assert "retrain the model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rewrite", [
+        pytest.param(lambda text: re.sub(r'"seed":\d+', '"seed":' + "9" * 5000, text, count=1),
+                     id="5000-digit-seed"),
+        pytest.param(lambda text: "[" * 200_000, id="200000-brackets"),
+        pytest.param(nest_first_tree, id="tree-nested-to-the-recursion-limit"),
+    ])
+    def test_json_python_cannot_read_exits_one(self, rewrite, tiny_csv, tmp_path, capsys):
+        cfg = PipelineConfig(classifier="xgb", feature_mode="raw", seed=1)
+        dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+        model = tmp_path / "xgb.json"
+        save_model(train_artifact(dataset, cfg), str(model))
+        write_artifact(model, rewrite(read_artifact(model)[1]))
+        code = main(["predict", "--model", str(model), "--out", str(tmp_path / "o"),
+                     "https://example.org/docs"])
+        assert code == 1
+        assert "CorruptArtifact" in capsys.readouterr().err
 
 
 class TestCmdEvaluate:

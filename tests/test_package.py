@@ -50,6 +50,7 @@ print(code, *sorted(m for m in sys.modules if m.startswith("urlsentry.")))
     ("raw", "knn", {"urlsentry.trees", "urlsentry.neural"}),
     ("raw", "mlp", {"urlsentry.trees"}),
     ("latent", "knn", {"urlsentry.trees"}),
+    ("raw", "rf", {"urlsentry.neural"}),
 ])
 def test_predict_imports_only_the_model_code_it_runs(
     feature_mode, classifier, unused, sample_csv, tmp_path

@@ -1,8 +1,9 @@
 """Versioned on-disk model bundles and the classifier registry.
 
 An artifact is a single JSON document carrying the feature spec, fitted
-preprocessing (outlier bounds, optional autoencoder), and one classifier.
-All floats serialize at full round-trip precision. The payload is stored as
+preprocessing (outlier bounds, optional autoencoder), and one classifier; a
+tree ensemble is stored as the flat node lists of its TreeArrays. All
+floats serialize at full round-trip precision. The payload is stored as
 canonical JSON text and its checksum is the SHA-256 of that text as stored,
 so loading hashes the bytes it then parses; the creation timestamp lives
 outside the checksum so re-running the same training reproduces the payload
@@ -38,9 +39,9 @@ from .pipeline import Dataset, OutlierBounds, Scaler, apply_bounds, apply_scaler
 if TYPE_CHECKING:
     from .config import PipelineConfig
     from .neural import AutoencoderModel, LayerParams, MlpModel
-    from .trees import BoostedModel, ForestModel, TreeNode
+    from .trees import BoostedModel, ForestModel, TreeArrays
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # Batch predictors of the tree and network code, bound here on first access
 # (PEP 562) and called as attributes of this module, so that rebinding one
@@ -97,7 +98,6 @@ class ModelArtifact:
     classifier: object
     seed: int
     dataset_fingerprint: str
-    format_version: int = FORMAT_VERSION
     created_at: str = ""
 
     @property
@@ -129,31 +129,20 @@ def _layer_from_dict(d: dict) -> LayerParams:
     )
 
 
-def _tree_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value}
-    return {
-        "feature": node.feature_index,
-        "threshold": node.threshold,
-        "left": _tree_to_dict(node.left),
-        "right": _tree_to_dict(node.right),
-    }
+def _indices(values) -> np.ndarray:
+    """A list of node or feature indices as an intp array."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind != "i":  # an empty list reads as float
+        raise CorruptArtifact(f"a tree index list holds {array.dtype} values, not integers")
+    return array.astype(np.intp)
 
 
-def _trees_from_dicts(dicts: list[dict]) -> list[TreeNode]:
-    from .trees import TreeNode
+def _tree_arrays_from_dict(d: dict) -> TreeArrays:
+    from .trees import TreeArrays
 
-    def build(d: dict) -> TreeNode:
-        if "value" in d:
-            return TreeNode(value=float(d["value"]))
-        return TreeNode(
-            feature_index=int(d["feature"]),
-            threshold=float(d["threshold"]),
-            left=build(d["left"]),
-            right=build(d["right"]),
-        )
-
-    return [build(d) for d in dicts]
+    arrays = {name: _indices(d[name]) for name in ("feature", "left", "right", "roots")}
+    arrays.update((name, np.asarray(d[name], dtype=np.float64)) for name in ("threshold", "value"))
+    return TreeArrays(**arrays)
 
 
 def _autoencoder_to_dict(model: AutoencoderModel | None) -> dict | None:
@@ -220,21 +209,38 @@ def _check_knn(model: KnnModel, width: int) -> None:
 
 
 def _check_trees(model: BoostedModel | ForestModel, width: int) -> None:
-    """Reject trees training cannot produce: a split outside the input, a non-finite number."""
-    stack = list(model.trees)
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            if not math.isfinite(node.value):
-                raise CorruptArtifact(f"a leaf value is {node.value}, not finite")
-            continue
-        if not 0 <= node.feature_index < width:
-            raise CorruptArtifact(
-                f"a tree splits on feature {node.feature_index}, outside [0, {width})"
-            )
-        if not math.isfinite(node.threshold):
-            raise CorruptArtifact(f"a split threshold is {node.threshold}, not finite")
-        stack += (node.left, node.right)
+    """Reject node arrays training cannot produce, and any that routing could loop on.
+
+    Besides the shapes, ranges and finite numbers, the walk from the roots,
+    through both children of every node that is not its own left and right
+    child, must reach every node exactly once: so no node has two parents
+    or none, and no cycle is reachable.
+    """
+    a = model.arrays
+    shapes = {name: array.shape for name, array in vars(a).items()}
+    node_shapes = {shape for name, shape in shapes.items() if name != "roots"}
+    if any(len(shape) != 1 for shape in shapes.values()) or len(node_shapes) != 1:
+        raise CorruptArtifact(f"the tree lists have shapes {shapes}, not one length")
+    _check_finite("the tree thresholds", a.threshold)
+    _check_finite("the tree values", a.value)
+    n = len(a.value)
+    for name, index, bound in (("feature", a.feature, width), ("left", a.left, n),
+                               ("right", a.right, n), ("roots", a.roots, n)):
+        outside = index[(index < 0) | (index >= bound)]
+        if outside.size:
+            raise CorruptArtifact(f"a tree {name} index is {outside[0]}, outside [0, {bound})")
+    nodes = np.arange(n)
+    split = (a.left != nodes) | (a.right != nodes)
+    seen = np.zeros(n, dtype=np.intp)
+    level = a.roots
+    while level.size:  # each step reaches new nodes or raises
+        np.add.at(seen, level, 1)
+        if (seen[level] > 1).any():
+            raise CorruptArtifact(f"tree node {level[seen[level] > 1][0]} is reached twice")
+        level = level[split[level]]
+        level = np.concatenate([a.left[level], a.right[level]])
+    if not seen.all():
+        raise CorruptArtifact(f"{n - np.count_nonzero(seen)} tree nodes are not reachable")
 
 
 def _check_boosted(model: BoostedModel, width: int) -> None:
@@ -288,8 +294,10 @@ def _mlp_from_dict(d: dict) -> MlpModel:
 
 
 def _ensemble_to_dict(model: BoostedModel | ForestModel) -> dict:
-    """Every dataclass field under its own name, with the trees as nested dicts."""
-    return {**vars(model), "trees": [_tree_to_dict(t) for t in model.trees]}
+    """Every dataclass field under its own name, the arrays as "trees": one list each."""
+    fields = dict(vars(model))
+    arrays = fields.pop("arrays")
+    return {**fields, "trees": {name: array.tolist() for name, array in vars(arrays).items()}}
 
 
 def _boosted_from_dict(d: dict) -> BoostedModel:
@@ -298,7 +306,7 @@ def _boosted_from_dict(d: dict) -> BoostedModel:
     return BoostedModel(
         variant=d["variant"],
         init_score=float(d["init_score"]),
-        trees=_trees_from_dicts(d["trees"]),
+        arrays=_tree_arrays_from_dict(d["trees"]),
         learning_rate=float(d["learning_rate"]),
         lam=float(d["lam"]),
         gamma=float(d["gamma"]),
@@ -309,7 +317,7 @@ def _forest_from_dict(d: dict) -> ForestModel:
     from .trees import ForestModel
 
     return ForestModel(
-        trees=_trees_from_dicts(d["trees"]),
+        arrays=_tree_arrays_from_dict(d["trees"]),
         n_trees=int(d["n_trees"]),
         m_features=int(d["m_features"]),
         bootstrap=bool(d["bootstrap"]),
@@ -491,12 +499,10 @@ def load_model(path: str) -> ModelArtifact:
             classifier=CLASSIFIERS[kind].from_dict(payload["classifier"]),
             seed=int(payload["seed"]),
             dataset_fingerprint=payload["dataset_fingerprint"],
-            format_version=version,
             created_at=header["created_at"],
         )
-    # RecursionError: a tree nested past the recursion limit, where the JSON
-    # decoder's own limit is higher (Python 3.12 and later)
-    except (KeyError, TypeError, ValueError, RecursionError, KOutOfRange) as exc:
+    # OverflowError: an integer too large for a float where a float list is read
+    except (KeyError, TypeError, ValueError, OverflowError, KOutOfRange) as exc:
         raise CorruptArtifact(f"artifact payload is structurally invalid: {exc}") from exc
     dim = artifact.feature_spec.dim
     for name in ("lower", "upper"):

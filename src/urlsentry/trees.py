@@ -34,12 +34,18 @@ time in lockstep: each step takes from every tree the next node of its own
 preorder stack, so each generator draws in the order a recursive build
 draws, and scores all those nodes in one batched numpy search. Boosting
 uses no sampling at all.
+
+An ensemble stores its trees once, as the node arrays of TreeArrays
+(scikit-learn's Tree layout), grown in preorder from explicit stacks.
+Prediction routes every row through every tree one depth level per numpy
+step, as QuickScorer (Lucchese et al. 2015) routes over flat arrays.
+TreeNode and model.trees are read-only views over the arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,17 +59,76 @@ _LOCKSTEP_TREES = 25  # forest trees grown together, one node of each per batche
 _GINI_BLOCK = 1 << 14  # (node, feature, distinct row) elements per batched gini search
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class TreeArrays:
+    """Trees as parallel node arrays; tree t starts at node roots[t].
+
+    Node i either splits, sending x to left[i] if x[feature[i]] <
+    threshold[i] and to right[i] otherwise, or is a leaf with output
+    value[i] whose children are i itself, so a row routed on from a leaf
+    stays there. A leaf stores feature 0 and threshold 0.0, a split value
+    0.0. Each tree's nodes are numbered in preorder.
+    """
+
+    feature: np.ndarray  # intp
+    threshold: np.ndarray  # float64
+    left: np.ndarray  # intp
+    right: np.ndarray  # intp
+    value: np.ndarray  # float64
+    roots: np.ndarray  # intp
+
+
+@dataclass(frozen=True, eq=False)
 class TreeNode:
-    value: float | None = None
-    feature_index: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    """Read-only view of node index of arrays; None where a leaf or a split has no such value."""
+
+    arrays: TreeArrays
+    index: int
 
     @property
     def is_leaf(self) -> bool:
-        return self.left is None
+        return bool(self.arrays.left[self.index] == self.index)
+
+    def _get(self, name: str, of_leaf: bool = False):
+        return None if self.is_leaf != of_leaf else getattr(self.arrays, name)[self.index].item()
+
+    def _child(self, name: str) -> TreeNode | None:
+        if self.is_leaf:
+            return None
+        return TreeNode(self.arrays, int(getattr(self.arrays, name)[self.index]))
+
+    value = property(lambda self: self._get("value", of_leaf=True))
+    feature_index = property(lambda self: self._get("feature"))
+    threshold = property(lambda self: self._get("threshold"))
+    left = property(lambda self: self._child("left"))
+    right = property(lambda self: self._child("right"))
+
+
+def _add(tree: list[list], parent: int | None, value: float = 0.0) -> int:
+    """Append a leaf to tree, a list of [feature, threshold, left, right, value]
+    rows in preorder, as parent's first free child: the left subtree is added
+    first. A node that splits sets its feature and threshold, and value 0.0,
+    before its children are added."""
+    node = len(tree)
+    if parent is not None:
+        tree[parent][2 if tree[parent][2] == parent else 3] = node
+    tree.append([0, 0.0, node, node, value])
+    return node
+
+
+def _stack(trees: list[list[list]]) -> TreeArrays:
+    """The trees, each a list of _add's rows, as one TreeArrays (indices are exact as floats)."""
+    sizes = np.array([len(tree) for tree in trees], dtype=np.intp)
+    roots = np.cumsum(sizes) - sizes
+    rows = np.array([row for tree in trees for row in tree], dtype=np.float64).reshape(-1, 5)
+    links = rows[:, 2:4].astype(np.intp) + np.repeat(roots, sizes)[:, None]
+    return TreeArrays(rows[:, 0].astype(np.intp), rows[:, 1].copy(), links[:, 0].copy(),
+                      links[:, 1].copy(), rows[:, 4].copy(), roots)
+
+
+def _root_views(model) -> list[TreeNode]:
+    """model.trees: a view of each tree's root."""
+    return [TreeNode(model.arrays, root) for root in model.arrays.roots.tolist()]
 
 
 @dataclass(frozen=True)
@@ -334,7 +399,7 @@ def _grow_gini(
     positives: np.ndarray,
     params: TreeParams,
     samplers: list,
-) -> list[TreeNode]:
+) -> list[list[list]]:
     """Grow one gini tree per row of counts, all in lockstep.
 
     cols and orders are _distinct_presort's; counts and positives are as in
@@ -349,24 +414,25 @@ def _grow_gini(
     d, U = cols.shape
     every_feature = np.arange(d)
     goes_left = np.zeros(counts.size, dtype=bool)  # per (tree, distinct row)
-    roots, stacks = [], []
+    trees = [[] for _ in range(len(counts))]
+    stacks = []
     for t in range(len(counts)):
         n, pos = int(counts[t].sum()), int(positives[t].sum())
-        roots.append(TreeNode(value=pos / n))
-        stacks.append([(roots[-1], orders[(counts[t] > 0)[orders]] + t * U, n, pos, 0)])
+        stacks.append([(None, orders[(counts[t] > 0)[orders]] + t * U, n, pos, 0)])
 
     while True:
         todo = []
         for t, stack in enumerate(stacks):
             while stack:
-                node, block, n, pos, depth = stack.pop()
+                parent, block, n, pos, depth = stack.pop()
+                node = _add(trees[t], parent, pos / n)
                 if depth < params.max_depth and 0 < pos < n:
                     sampler = samplers[t]
                     cands = every_feature if sampler is None else sampler()
                     todo.append((t, block, cands, n, pos, node, depth))
                     break
         if not todo:
-            return roots
+            return trees
         costs = [len(item[2]) * len(item[1]) // d for item in todo]
         for batch in _batches(todo, costs, _GINI_BLOCK):
             decisions = _gini_splits(
@@ -397,12 +463,11 @@ def _grow_gini(
                 split, [0] + left_ends, left_ends, [0] + right_ends, right_ends,
                 n_left.tolist(), pos_left.tolist(),
             ):
-                node.value, node.feature_index, node.threshold = None, s.feature_index, s.threshold
-                node.left = TreeNode(value=pl / nl)
-                node.right = TreeNode(value=(pos - pl) / (n - nl))
+                trees[t][node][:2] = s.feature_index, s.threshold
+                trees[t][node][4] = 0.0
                 stacks[t] += [
-                    (node.right, rights[r0:r1], n - nl, pos - pl, depth + 1),
-                    (node.left, lefts[l0:l1], nl, pl, depth + 1),
+                    (node, rights[r0:r1], n - nl, pos - pl, depth + 1),
+                    (node, lefts[l0:l1], nl, pl, depth + 1),
                 ]
 
 
@@ -459,7 +524,7 @@ def grow_tree(
     params: TreeParams,
     feature_sampler=None,
 ) -> TreeNode:
-    """Grow a tree until pure, depth-limited, or gain-starved.
+    """Grow a tree until pure, depth-limited, or gain-starved; returns a view of its root.
 
     targets: binary labels (criterion "gini") or GradientTargets
     ("second_order"). feature_sampler, when given, returns the candidate
@@ -470,10 +535,11 @@ def grow_tree(
     if feature_sampler is not None:
         sampler = lambda: _candidates(feature_sampler(), d)
     if isinstance(targets, GradientTargets):
-        return _grow(*_presort(features), targets, params, sampler)[0]
+        return TreeNode(_stack([_grow(*_presort(features), targets, params, sampler)[0]]), 0)
     cols, orders, group = _distinct_presort(features)
     counts, positives = _tally(group, targets, cols.shape[1])
-    return _grow_gini(cols, orders, counts[None], positives[None], params, [sampler])[0]
+    return TreeNode(_stack(_grow_gini(cols, orders, counts[None], positives[None], params,
+                                      [sampler])), 0)
 
 
 def _grow(
@@ -482,89 +548,110 @@ def _grow(
     targets: GradientTargets,
     params: TreeParams,
     feature_sampler=None,
-) -> tuple[TreeNode, np.ndarray]:
+) -> tuple[list[list], np.ndarray]:
     """A second-order grow_tree on the presorted columns and orders of features (see _presort).
 
     feature_sampler, when given, returns ascending candidate features in [0, d).
     Also returns each training row's leaf value, which is the tree's
     prediction for that row: rows are routed by the same < test on the same
-    values that predict_tree_batch applies.
+    values that prediction applies.
     """
     d, n = cols.shape
     every_feature = np.arange(d)
     flat_cols = cols.ravel()
     in_left = np.zeros(n, dtype=bool)
     out = np.empty(n, dtype=np.float64)
-
-    def node_split(orders: np.ndarray) -> SplitDecision | None:
-        if feature_sampler is None:
-            cands = every_feature
-        else:
-            cands = feature_sampler()
-            orders = orders[cands]
-        return _split_sorted(
-            cands, orders, flat_cols[orders + (cands * n)[:, None]], targets.grad, targets.hess,
-            targets.lam, targets.gamma, params.min_samples_leaf,
-        )
-
-    def build(idx: np.ndarray, orders: np.ndarray, depth: int) -> TreeNode:
+    tree = []
+    # (parent, rows, orders, depth). The right child is pushed first, so the left
+    # subtree grows first and a pending right sibling per level is the only
+    # extra order held.
+    stack = [(None, np.arange(n), orders, 0)]
+    while stack:
+        parent, idx, orders, depth = stack.pop()
         split = None
         if depth < params.max_depth and len(idx) >= 2:
-            split = node_split(orders)
+            cands, node_orders = every_feature, orders
+            if feature_sampler is not None:
+                cands = feature_sampler()
+                node_orders = orders[cands]
+            split = _split_sorted(
+                cands, node_orders, flat_cols[node_orders + (cands * n)[:, None]], targets.grad,
+                targets.hess, targets.lam, targets.gamma, params.min_samples_leaf,
+            )
         if split is None:
-            value = _leaf_value(targets, idx)
-            out[idx] = value
-            return TreeNode(value=value)
-
+            out[idx] = value = _leaf_value(targets, idx)
+            _add(tree, parent, value)
+            continue
+        node = _add(tree, parent)
+        tree[node][:2] = split.feature_index, split.threshold
         go_left = cols[split.feature_index, idx] < split.threshold
         in_left[idx] = go_left
         left_rows = in_left[orders].ravel()
-        # Popped one at a time, so a pending sibling is the only extra order held.
-        children = [
-            np.compress(~left_rows, orders).reshape(d, -1),
-            np.compress(left_rows, orders).reshape(d, -1),
+        stack += [
+            (node, idx[~go_left], np.compress(~left_rows, orders).reshape(d, -1), depth + 1),
+            (node, idx[go_left], np.compress(left_rows, orders).reshape(d, -1), depth + 1),
         ]
-        del orders, left_rows
-        return TreeNode(
-            feature_index=split.feature_index,
-            threshold=split.threshold,
-            left=build(idx[go_left], children.pop(), depth + 1),
-            right=build(idx[~go_left], children.pop(), depth + 1),
-        )
+    return tree, out
 
-    return build(np.arange(n), orders, 0), out
+
+def _check_width(arrays: TreeArrays, d: int) -> None:
+    """Raise unless every node of arrays that is not its own left and right
+    child names one of d features; leaves are not checked."""
+    nodes = np.arange(arrays.left.size)
+    feature = arrays.feature[(arrays.left != nodes) | (arrays.right != nodes)]
+    outside = feature[(feature < 0) | (feature >= d)]
+    if outside.size:
+        raise DimensionMismatch(f"tree expects feature {outside[0]}, input has {d}")
+
+
+def _tree_outputs(arrays: TreeArrays, X: np.ndarray) -> np.ndarray:
+    """Each tree's output for each row of X, shape (trees, rows).
+
+    The caller has run _check_width on X's width. Every row descends in
+    every tree one depth level per step; boundary values (x == threshold)
+    go right. A row at a leaf stays there, so routing ends at the first step
+    in which no row moves.
+    """
+    X = np.atleast_2d(X)
+    n, d = X.shape
+    if d == 0:  # only leaves remain; they read column 0 and ignore it
+        X = np.zeros((n, 1))
+        d = 1
+    flat = X.ravel()
+    row_start = np.arange(n) * d
+    kids = np.stack([arrays.right, arrays.left], axis=1).ravel()  # node i goes to kids[2i + go_left]
+    node = np.repeat(arrays.roots[:, None], n, axis=1)
+    while True:
+        go_left = flat.take(row_start + arrays.feature.take(node)) < arrays.threshold.take(node)
+        child = kids.take(2 * node + go_left)
+        if np.array_equal(child, node):
+            return arrays.value.take(node)
+        node = child
+
+
+def _tree_sum(arrays: TreeArrays, X: np.ndarray, start: float, scale: float) -> np.ndarray:
+    """start + scale * (output of tree 0) + scale * (output of tree 1) + ... for
+    each row of X, added tree by tree in order. Rows are routed in blocks of
+    about _SCORE_BLOCK (tree, row) pairs, so memory grows with rows alone."""
+    X = np.atleast_2d(X)
+    _check_width(arrays, X.shape[1])
+    total = np.full(X.shape[0], start, dtype=np.float64)
+    step = max(1, _SCORE_BLOCK // max(1, len(arrays.roots)))
+    for lo in range(0, X.shape[0], step):
+        acc = total[lo:lo + step]
+        for out in _tree_outputs(arrays, X[lo:lo + step]):
+            acc += scale * out
+    return total
 
 
 def predict_tree(tree: TreeNode, x: np.ndarray) -> float:
-    """Route one input to its leaf; boundary values (x == threshold) go right."""
-    node = tree
-    while not node.is_leaf:
-        if not 0 <= node.feature_index < len(x):
-            raise DimensionMismatch(
-                f"tree expects feature {node.feature_index}, input has {len(x)}"
-            )
-        node = node.left if x[node.feature_index] < node.threshold else node.right
-    return node.value
+    """Route one input through the tree rooted at the view tree; boundary values go right.
 
-
-def predict_tree_batch(tree: TreeNode, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(X)
-    out = np.empty(X.shape[0], dtype=np.float64)
-
-    def route(node: TreeNode, idx: np.ndarray) -> None:
-        if node.is_leaf:
-            out[idx] = node.value
-            return
-        if not 0 <= node.feature_index < X.shape[1]:
-            raise DimensionMismatch(
-                f"tree expects feature {node.feature_index}, input has {X.shape[1]}"
-            )
-        go_left = X[idx, node.feature_index] < node.threshold
-        route(node.left, idx[go_left])
-        route(node.right, idx[~go_left])
-
-    route(tree, np.arange(X.shape[0]))
-    return out
+    Every split node of tree.arrays, in this tree or any other tree of the
+    model, must name a feature of x, or DimensionMismatch is raised.
+    """
+    _check_width(tree.arrays, len(x))
+    return float(_tree_outputs(replace(tree.arrays, roots=np.array([tree.index])), x)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +660,13 @@ def predict_tree_batch(tree: TreeNode, X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    arrays: TreeArrays
     n_trees: int
     m_features: int
     bootstrap: bool
     seed: int
+
+    trees = property(_root_views)
 
 
 def train_random_forest(train: Dataset, params: ForestParams | None = None) -> ForestModel:
@@ -609,7 +698,7 @@ def train_random_forest(train: Dataset, params: ForestParams | None = None) -> F
             samplers.append(sampler)
         trees += _grow_gini(cols, orders, counts, positives, tree_params, samplers)
     return ForestModel(
-        trees=trees, n_trees=params.n_trees, m_features=m,
+        arrays=_stack(trees), n_trees=params.n_trees, m_features=m,
         bootstrap=params.bootstrap, seed=params.seed,
     )
 
@@ -621,11 +710,7 @@ def predict_forest(model: ForestModel, x: np.ndarray) -> tuple[int, float]:
 
 
 def predict_forest_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(X)
-    acc = np.zeros(X.shape[0], dtype=np.float64)
-    for tree in model.trees:
-        acc += predict_tree_batch(tree, X)
-    return acc / len(model.trees)
+    return _tree_sum(model.arrays, X, 0.0, 1.0) / len(model.arrays.roots)
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +721,12 @@ def predict_forest_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
 class BoostedModel:
     variant: str  # gradient_boosting | xgboost_style
     init_score: float
-    trees: list[TreeNode]
+    arrays: TreeArrays
     learning_rate: float
     lam: float = 0.0
     gamma: float = 0.0
+
+    trees = property(_root_views)
 
 
 def _base_rate_log_odds(y: np.ndarray) -> float:
@@ -683,7 +770,7 @@ def _boost(
         trees.append(tree)
         scores += learning_rate * out
     return BoostedModel(
-        variant=variant, init_score=init_score, trees=trees,
+        variant=variant, init_score=init_score, arrays=_stack(trees),
         learning_rate=learning_rate, lam=lam, gamma=gamma,
     )
 
@@ -720,8 +807,4 @@ def predict_boosted(model: BoostedModel, x: np.ndarray) -> tuple[int, float]:
 def predict_boosted_batch(model: BoostedModel, X: np.ndarray) -> np.ndarray:
     from .neural import sigmoid
 
-    X = np.atleast_2d(X)
-    scores = np.full(X.shape[0], model.init_score, dtype=np.float64)
-    for tree in model.trees:
-        scores += model.learning_rate * predict_tree_batch(tree, X)
-    return sigmoid(scores)
+    return sigmoid(_tree_sum(model.arrays, X, model.init_score, model.learning_rate))

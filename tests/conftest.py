@@ -60,7 +60,7 @@ def canonical(value) -> str:
 
 
 def write_artifact(path, payload_text: str, **header) -> None:
-    """Write payload_text in save_model's layout (format 2): the canonical header
+    """Write payload_text in save_model's layout: the canonical header
     without its closing brace, ',"payload":', the payload text, "}" and a newline.
 
     The checksum is the SHA-256 of payload_text and format_version the current

@@ -313,26 +313,31 @@ def test_non_finite_network_parameter_rejected(kind, feature_mode, mutate, messa
         load_model(str(path))
 
 
-def first_split(tree: dict) -> dict:
-    assert "feature" in tree, "root of the first tree is a leaf"
-    return tree
+def root_split(trees: dict, tree: int = 0) -> int:
+    """The root of one tree in the saved node lists, which must be a split."""
+    root = trees["roots"][tree]
+    assert trees["left"][root] != root, "the root of the tree is a leaf"
+    return root
 
 
-def first_leaf(tree: dict) -> dict:
-    while "value" not in tree:
-        tree = tree["left"]
-    return tree
+def first_leaf(trees: dict) -> int:
+    return next(i for i, child in enumerate(trees["left"]) if child == i)
+
+
+def set_entry(trees: dict, name: str, index: int, value) -> None:
+    trees[name][index] = value
 
 
 @pytest.mark.parametrize("mutate, message", [
-    pytest.param(lambda c: first_split(c["trees"][0]).update(feature=-13),
-                 "feature -13, outside \\[0, 18\\)", id="negative-feature"),
-    pytest.param(lambda c: first_split(c["trees"][0]).update(feature=18),
-                 "feature 18, outside \\[0, 18\\)", id="feature-past-width"),
-    pytest.param(lambda c: first_split(c["trees"][-1]).update(threshold=float("nan")),
-                 "threshold is nan", id="nan-threshold"),
-    pytest.param(lambda c: first_leaf(c["trees"][0]).update(value=float("inf")),
-                 "leaf value is inf", id="inf-leaf"),
+    pytest.param(lambda c: set_entry(c["trees"], "feature", root_split(c["trees"]), -13),
+                 "feature index is -13, outside \\[0, 18\\)", id="negative-feature"),
+    pytest.param(lambda c: set_entry(c["trees"], "feature", root_split(c["trees"]), 18),
+                 "feature index is 18, outside \\[0, 18\\)", id="feature-past-width"),
+    pytest.param(lambda c: set_entry(c["trees"], "threshold", root_split(c["trees"], -1),
+                                     float("nan")),
+                 "thresholds holds nan", id="nan-threshold"),
+    pytest.param(lambda c: set_entry(c["trees"], "value", first_leaf(c["trees"]), float("inf")),
+                 "values holds inf", id="inf-leaf"),
     pytest.param(lambda c: c.update(init_score=float("nan")),
                  "init_score is nan", id="nan-init-score"),
     pytest.param(lambda c: c.update(learning_rate=float("-inf")),
@@ -352,10 +357,13 @@ def test_latent_tree_feature_checked_against_latent_width(training_data, tmp_pat
     width = artifact.preprocessor.autoencoder.latent_dim
     path = tmp_path / "model.json"
     save_model(artifact, str(path))
-    root = lambda payload: first_split(payload["classifier"]["trees"][0])
-    rewrite_payload(path, lambda payload: root(payload).update(feature=width - 1))
+    def set_root_feature(payload, feature):
+        trees = payload["classifier"]["trees"]
+        set_entry(trees, "feature", root_split(trees), feature)
+
+    rewrite_payload(path, lambda payload: set_root_feature(payload, width - 1))
     load_model(str(path))
-    rewrite_payload(path, lambda payload: root(payload).update(feature=width))
+    rewrite_payload(path, lambda payload: set_root_feature(payload, width))
     with pytest.raises(CorruptArtifact, match=f"outside \\[0, {width}\\)"):
         load_model(str(path))
 
@@ -382,7 +390,7 @@ def test_scalar_and_batch_confidences_identical(kind, predict_one, training_data
 # Reading the file: its layout, format_version, and the checksum of the stored text
 # ---------------------------------------------------------------------------
 
-LAYOUT = "not in the format 2 layout"
+LAYOUT = "not in the format 3 layout"
 
 
 def test_payload_key_after_an_empty_header_is_not_json(training_data, tmp_path):
@@ -402,6 +410,7 @@ def test_non_object_document_is_corrupt(text, tmp_path):
 
 @pytest.mark.parametrize("version", [
     0, -3, True, False, 1.0, "1", None, pytest.param(1, id="format-1"),
+    pytest.param(2, id="format-2"),
 ])
 def test_format_version_outside_one_to_current_is_corrupt(version, training_data, tmp_path):
     path = saved_knn(training_data, tmp_path)

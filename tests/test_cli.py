@@ -2,14 +2,22 @@ import csv
 import hashlib
 import json
 import re
+import signal
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from urlsentry.artifact import save_model
 from urlsentry.cli import main
-from urlsentry.config import PipelineConfig, build_config, parse_config_file
+from urlsentry.config import (
+    ForestParams,
+    PipelineConfig,
+    XgbParams,
+    build_config,
+    parse_config_file,
+)
 from urlsentry.errors import ConfigError, FeatureSpecMismatch, ThresholdOutOfRange
 from urlsentry.features import FeatureSpec, featurize_many
 from urlsentry.neural import TrainConfig
@@ -104,14 +112,97 @@ def minus_inf_lower_bound(payload):
     payload["bounds"]["lower"][0] = float("-inf")
 
 
-def nest_first_tree(payload_text: str) -> str:
-    """Replace the first tree by one nested as many levels deep as the recursion limit."""
+def nest_tree_lists(payload_text: str) -> str:
+    """Replace every node list of the trees by a list nested as deep as the recursion limit."""
     depth = sys.getrecursionlimit()
     payload = json.loads(payload_text)
-    payload["classifier"]["trees"][0] = "deep"
-    deep = ('{"feature":0,"left":' * depth + '{"value":0.0}'
-            + ',"right":{"value":0.0},"threshold":0.5}' * depth)
-    return canonical(payload).replace('"deep"', deep, 1)
+    trees = payload["classifier"]["trees"]
+    for name in trees:
+        trees[name] = "deep"
+    return canonical(payload).replace('"deep"', "[" * depth + "0" + "]" * depth)
+
+
+def nested(trees: dict, node: int) -> dict:
+    """A node of the saved node lists and its subtree as nested objects, as format 2 stored them."""
+    if trees["left"][node] == node:
+        return {"value": trees["value"][node]}
+    return {
+        "feature": trees["feature"][node],
+        "left": nested(trees, trees["left"][node]),
+        "right": nested(trees, trees["right"][node]),
+        "threshold": trees["threshold"][node],
+    }
+
+
+def corrupt(trees: dict, case: str) -> None:
+    """Rewrite one entry of a saved ensemble's node lists, or append nodes, as case says."""
+    n = len(trees["value"])
+    root = next(r for r in trees["roots"] if trees["left"][r] != r)  # the first split root
+    left = trees["left"][root]
+    leaf = next(i for i, child in enumerate(trees["left"]) if child == i)
+    edits = {
+        "child-past-the-end": ("left", root, n),
+        "negative-child": ("right", root, -1),
+        "root-past-the-end": ("roots", 0, n),
+        "negative-root": ("roots", -1, -1),
+        "two-parents": ("right", root, left),
+        "cycle": ("left", left, root),
+        "split-is-its-own-left-child": ("left", root, root),
+        "feature-equal-to-width": ("feature", root, 18),
+        "feature-minus-one": ("feature", root, -1),
+        "nan-threshold": ("threshold", root, float("nan")),
+        "inf-threshold": ("threshold", root, float("inf")),
+        "401-digit-threshold": ("threshold", root, 10**400),
+        "nan-leaf-value": ("value", leaf, float("nan")),
+        "inf-leaf-value": ("value", leaf, float("-inf")),
+        "fractional-child": ("left", root, left + 0.5),
+        "float-root": ("roots", 0, float(trees["roots"][0])),
+        "string-feature": ("feature", root, "0"),
+        "null-child": ("right", root, None),
+    }
+    # appended rows: (feature, threshold, left, right, value)
+    appended = {
+        "unreachable-leaf": [(0, 0.0, n, n, 0.5)],
+        # two splits that are each other's left child, each with a leaf: one parent apiece
+        "detached-cycle": [(0, 0.5, n + 1, n + 2, 0.0), (0, 0.5, n, n + 3, 0.0),
+                           (0, 0.0, n + 2, n + 2, 0.5), (0, 0.0, n + 3, n + 3, 0.5)],
+    }
+    if case == "unequal-lengths":
+        trees["threshold"].pop()
+    elif case == "two-dimensional-children":
+        trees["left"] = [trees["left"]]
+    elif case in appended:
+        for row in appended[case]:
+            for name, entry in zip(("feature", "threshold", "left", "right", "value"), row):
+                trees[name].append(entry)
+    else:
+        name, index, value = edits[case]
+        trees[name][index] = value
+
+
+TREE_LIST_CASES = [
+    "child-past-the-end", "negative-child", "root-past-the-end", "negative-root", "two-parents",
+    "cycle", "split-is-its-own-left-child", "detached-cycle", "unreachable-leaf",
+    "feature-equal-to-width", "feature-minus-one",
+    "nan-threshold", "inf-threshold", "401-digit-threshold", "nan-leaf-value", "inf-leaf-value",
+    "unequal-lengths", "two-dimensional-children", "fractional-child", "float-root",
+    "string-feature", "null-child",
+]
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Raise in the body once it has run for seconds, so that a loop fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestCmdPredict:
@@ -201,6 +292,10 @@ class TestCmdPredict:
         pytest.param(minus_inf_lower_bound, id="lower-bound-minus-inf"),
         pytest.param(lambda payload: payload["classifier"]["features"][0].__setitem__(0, float("nan")),
                      id="knn-row-nan"),
+        pytest.param(
+            lambda payload: payload["classifier"]["features"][0].__setitem__(0, 10**400),
+            id="knn-row-401-digit-integer",
+        ),
     ])
     def test_non_finite_number_exits_one(self, mutate, tiny_csv, tmp_path, capsys):
         model = tmp_path / "knn.json"
@@ -218,11 +313,29 @@ class TestCmdPredict:
         dataset, _ = load_labeled_dataset(tiny_csv, cfg)
         model = tmp_path / "xgb.json"
         save_model(train_artifact(dataset, cfg), str(model))
-        rewrite_payload(
-            model, lambda payload: payload["classifier"]["trees"][0].update({field: value})
-        )
+
+        def edit_first_root(payload):
+            trees = payload["classifier"]["trees"]
+            trees[field][trees["roots"][0]] = value
+
+        rewrite_payload(model, edit_first_root)
         code = main(["predict", "--model", str(model), "--out", str(tmp_path / "o"),
                      "https://example.org/docs"])
+        assert code == 1
+        assert "CorruptArtifact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", TREE_LIST_CASES)
+    @pytest.mark.parametrize("kind", ["rf", "xgb"])
+    def test_corrupt_tree_lists_exit_one(self, kind, case, tiny_csv, tmp_path, capsys):
+        cfg = PipelineConfig(classifier=kind, feature_mode="raw", seed=1,
+                             forest=ForestParams(n_trees=3), xgb=XgbParams(n_rounds=3))
+        dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+        model = tmp_path / f"{kind}.json"
+        save_model(train_artifact(dataset, cfg), str(model))
+        rewrite_payload(model, lambda payload: corrupt(payload["classifier"]["trees"], case))
+        with deadline(60):
+            code = main(["predict", "--model", str(model), "--out", str(tmp_path / "o"),
+                         "https://example.org/docs"])
         assert code == 1
         assert "CorruptArtifact" in capsys.readouterr().err
 
@@ -268,7 +381,8 @@ class TestCmdPredict:
         assert code == 1
         assert "CorruptArtifact" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("version", [0, -3, True, pytest.param(1, id="format-1")])
+    @pytest.mark.parametrize("version", [0, -3, True, pytest.param(1, id="format-1"),
+                                         pytest.param(2, id="format-2")])
     def test_format_version_outside_one_to_current_exits_one(
         self, version, tiny_csv, tmp_path, capsys
     ):
@@ -280,18 +394,36 @@ class TestCmdPredict:
         assert code == 1
         assert "CorruptArtifact: format_version" in capsys.readouterr().err
 
-    def test_format_1_artifact_exits_one_asking_to_retrain(self, tiny_csv, tmp_path, capsys):
-        """A file as format 1 wrote it: one json.dump of the whole document with
-        the bounds stored again as the scaler and the feature mode spelled out."""
-        model = tmp_path / "knn.json"
-        self.make_knn_artifact(tiny_csv, tmp_path)
+    @pytest.mark.parametrize("version", [pytest.param(1, id="format-1-knn"),
+                                         pytest.param(2, id="format-2-rf")])
+    def test_format_1_artifact_exits_one_asking_to_retrain(self, version, tiny_csv, tmp_path,
+                                                           capsys):
+        """A file as an earlier format wrote it. Format 1: one json.dump of the
+        whole document with the bounds stored again as the scaler and the
+        feature mode spelled out. Format 2: the current layout with each tree
+        stored as nested objects."""
+        if version == 1:
+            model = tmp_path / "knn.json"
+            self.make_knn_artifact(tiny_csv, tmp_path)
+        else:
+            cfg = PipelineConfig(classifier="rf", feature_mode="raw", seed=1)
+            dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+            model = tmp_path / "rf.json"
+            save_model(train_artifact(dataset, cfg), str(model))
         header, payload_text = read_artifact(model)
         payload = json.loads(payload_text)
-        payload["scaler"] = {"min": payload["bounds"]["lower"], "max": payload["bounds"]["upper"]}
-        payload["feature_mode"] = "autoencoder_latent"
-        checksum = hashlib.sha256(canonical(payload).encode("utf-8")).hexdigest()
-        document = {**header, "checksum": checksum, "format_version": 1, "payload": payload}
-        model.write_text(json.dumps(document, sort_keys=True) + "\n")
+        if version == 1:
+            payload["scaler"] = {"min": payload["bounds"]["lower"],
+                                 "max": payload["bounds"]["upper"]}
+            payload["feature_mode"] = "autoencoder_latent"
+            checksum = hashlib.sha256(canonical(payload).encode("utf-8")).hexdigest()
+            document = {**header, "checksum": checksum, "format_version": 1, "payload": payload}
+            model.write_text(json.dumps(document, sort_keys=True) + "\n")
+        else:
+            trees = payload["classifier"]["trees"]
+            payload["classifier"]["trees"] = [nested(trees, root) for root in trees["roots"]]
+            write_artifact(model, canonical(payload), created_at=header["created_at"],
+                           format_version=2)
         code = main(["predict", "--model", str(model), "--out", str(tmp_path / "o"),
                      "https://example.org/docs"])
         assert code == 1
@@ -301,7 +433,7 @@ class TestCmdPredict:
         pytest.param(lambda text: re.sub(r'"seed":\d+', '"seed":' + "9" * 5000, text, count=1),
                      id="5000-digit-seed"),
         pytest.param(lambda text: "[" * 200_000, id="200000-brackets"),
-        pytest.param(nest_first_tree, id="tree-nested-to-the-recursion-limit"),
+        pytest.param(nest_tree_lists, id="tree-nested-to-the-recursion-limit"),
     ])
     def test_json_python_cannot_read_exits_one(self, rewrite, tiny_csv, tmp_path, capsys):
         cfg = PipelineConfig(classifier="xgb", feature_mode="raw", seed=1)

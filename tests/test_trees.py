@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from urlsentry.trees import (
     predict_boosted,
     predict_forest,
     predict_tree,
-    predict_tree_batch,
     second_order_gain,
     train_gradient_boosting,
     train_random_forest,
@@ -76,6 +76,70 @@ def exhaustive_best_split(features, targets, criterion="gini",
             if best is None or gain > best[0]:
                 best = (gain, f, (vals[pos] + vals[pos + 1]) / 2.0)
     return best
+
+
+@dataclass
+class Node:
+    """A tree node as nested objects: the reference form of a tree."""
+
+    value: float | None = None
+    feature_index: int | None = None
+    threshold: float | None = None
+    left: "Node | None" = None
+    right: "Node | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+
+def reference_predict_tree_batch(tree, X):
+    """Route the rows of X recursively, node by node: the reference router."""
+    X = np.atleast_2d(X)
+    out = np.empty(X.shape[0], dtype=np.float64)
+
+    def route(node, idx):
+        if node.is_leaf:
+            out[idx] = node.value
+            return
+        if not 0 <= node.feature_index < X.shape[1]:
+            raise DimensionMismatch(
+                f"tree expects feature {node.feature_index}, input has {X.shape[1]}"
+            )
+        go_left = X[idx, node.feature_index] < node.threshold
+        route(node.left, idx[go_left])
+        route(node.right, idx[~go_left])
+
+    route(tree, np.arange(X.shape[0]))
+    return out
+
+
+def flat(*roots) -> trees.TreeArrays:
+    """TreeArrays holding the given trees (Nodes or views), each numbered in preorder."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def add(node) -> int:
+        i = len(value)
+        feature.append(0 if node.is_leaf else node.feature_index)
+        threshold.append(0.0 if node.is_leaf else node.threshold)
+        value.append(node.value if node.is_leaf else 0.0)
+        left.append(i)
+        right.append(i)
+        if not node.is_leaf:
+            left[i] = add(node.left)
+            right[i] = add(node.right)
+        return i
+
+    starts = [add(root) for root in roots]
+    index = lambda values: np.array(values, dtype=np.intp)
+    return trees.TreeArrays(index(feature), np.array(threshold, dtype=np.float64), index(left),
+                            index(right), np.array(value, dtype=np.float64), index(starts))
+
+
+def stump(feature_index):
+    """A split at 0.5 on feature_index into leaves 0.0 and 1.0, as a view."""
+    return TreeNode(flat(Node(feature_index=feature_index, threshold=0.5,
+                              left=Node(value=0.0), right=Node(value=1.0))), 0)
 
 
 def dyadic_second_order_dataset(rng, n, d):
@@ -220,7 +284,7 @@ class TestGrowTree:
 
 class TestPredictTree:
     def test_single_leaf_constant(self):
-        leaf = TreeNode(value=0.25)
+        leaf = TreeNode(flat(Node(value=0.25)), 0)
         assert predict_tree(leaf, np.array([9.0, -3.0])) == 0.25
 
     def test_routes_like_grow_example(self):
@@ -229,23 +293,22 @@ class TestPredictTree:
         assert predict_tree(tree, np.array([1.0])) == 1.0
 
     def test_boundary_routes_right(self):
-        tree = TreeNode(feature_index=0, threshold=0.5,
-                        left=TreeNode(value=0.0), right=TreeNode(value=1.0))
-        assert predict_tree(tree, np.array([0.5])) == 1.0
+        assert predict_tree(stump(0), np.array([0.5])) == 1.0
 
     def test_dimension_mismatch(self):
-        tree = TreeNode(feature_index=3, threshold=0.5,
-                        left=TreeNode(value=0.0), right=TreeNode(value=1.0))
         with pytest.raises(DimensionMismatch):
-            predict_tree(tree, np.array([1.0]))
+            predict_tree(stump(3), np.array([1.0]))
 
     def test_negative_feature_rejected(self):
-        tree = TreeNode(feature_index=-1, threshold=0.5,
-                        left=TreeNode(value=0.0), right=TreeNode(value=1.0))
+        tree = stump(-1)
         with pytest.raises(DimensionMismatch):
             predict_tree(tree, np.array([1.0, 0.0]))
         with pytest.raises(DimensionMismatch):
-            predict_tree_batch(tree, np.array([[1.0, 0.0]]))
+            trees._tree_sum(tree.arrays, np.array([[1.0, 0.0]]), 0.0, 1.0)
+
+    def test_a_leaf_reads_no_feature(self):
+        leaf = TreeNode(flat(Node(value=0.25)), 0)
+        assert predict_tree(leaf, np.array([])) == 0.25
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(6)
@@ -253,7 +316,7 @@ class TestPredictTree:
         labels = rng.integers(0, 2, size=50)
         tree = grow_tree(features, labels, TreeParams(max_depth=4))
         queries = rng.normal(size=(20, 3))
-        batch = predict_tree_batch(tree, queries)
+        batch = trees._tree_outputs(tree.arrays, queries)[0]
         for i in range(20):
             assert batch[i] == predict_tree(tree, queries[i])
 
@@ -288,14 +351,14 @@ class TestRandomForest:
 
     def test_all_unanimous_trees(self):
         model = trees.ForestModel(
-            trees=[TreeNode(value=1.0), TreeNode(value=1.0)],
+            arrays=flat(Node(value=1.0), Node(value=1.0)),
             n_trees=2, m_features=1, bootstrap=False, seed=0,
         )
         assert predict_forest(model, np.array([0.0])) == (1, 1.0)
 
     def test_mean_tie_is_malicious(self):
         model = trees.ForestModel(
-            trees=[TreeNode(value=0.2), TreeNode(value=0.8)],
+            arrays=flat(Node(value=0.2), Node(value=0.8)),
             n_trees=2, m_features=1, bootstrap=False, seed=0,
         )
         assert predict_forest(model, np.array([0.0])) == (1, 0.5)
@@ -394,7 +457,7 @@ class TestXgb:
 class TestPredictBoosted:
     def test_zero_trees_zero_init_is_malicious_half(self):
         model = BoostedModel(variant="gradient_boosting", init_score=0.0,
-                             trees=[], learning_rate=0.1)
+                             arrays=flat(), learning_rate=0.1)
         assert predict_boosted(model, np.array([1.0])) == (1, 0.5)
 
     def test_matches_hand_summed_trees(self, toy_dataset):
@@ -411,7 +474,7 @@ class TestPredictBoosted:
         before = predict_boosted(model, x)[1]
         extended = BoostedModel(
             variant=model.variant, init_score=model.init_score,
-            trees=model.trees + [TreeNode(value=0.7)],
+            arrays=flat(*model.trees, Node(value=0.7)),
             learning_rate=model.learning_rate, lam=model.lam, gamma=model.gamma,
         )
         assert predict_boosted(extended, x)[1] >= before
@@ -481,7 +544,7 @@ def reference_grow_tree(features, targets, params, feature_sampler=None):
     d = features.shape[1]
 
     def build(idx, depth):
-        leaf = TreeNode(value=trees._leaf_value(targets, idx))
+        leaf = Node(value=trees._leaf_value(targets, idx))
         if depth >= params.max_depth or len(idx) < 2:
             return leaf
         if not isinstance(targets, GradientTargets):
@@ -503,7 +566,7 @@ def reference_grow_tree(features, targets, params, feature_sampler=None):
         if split is None:
             return leaf
         go_left = features[idx, split.feature_index] < split.threshold
-        return TreeNode(
+        return Node(
             feature_index=split.feature_index,
             threshold=split.threshold,
             left=build(idx[go_left], depth + 1),
@@ -526,7 +589,7 @@ def reference_boost(X, y, n_rounds, learning_rate, max_depth, min_samples_leaf,
                                   leaf_hess=h, lam=lam, gamma=gamma)
         tree = reference_grow_tree(X, targets, params)
         grown.append(tree)
-        scores += learning_rate * predict_tree_batch(tree, X)
+        scores += learning_rate * reference_predict_tree_batch(tree, X)
     return grown
 
 
@@ -646,6 +709,81 @@ class TestPresortedMatchesReference:
         assert [nodes(t) for t in forest.trees] == [nodes(t) for t in want]
 
 
+class TestFlatTrees:
+    """The node arrays and their level-wise router against nested trees routed recursively."""
+
+    @MODEL_SETTINGS
+    @given(tie_heavy_data(min_rows=4), st.integers(1, 4), st.booleans(), st.integers(0, 1000))
+    def test_router_matches_the_reference_router(self, data, m_features, bootstrap, seed):
+        X, y = data
+        params = ForestParams(n_trees=3, max_depth=6, m_features=m_features,
+                              bootstrap=bootstrap, seed=seed)
+        want = reference_forest(X, y, params)
+        queries = np.vstack([X, X + 0.5, -X])  # grid thresholds are midpoints: ties go right
+        got = trees._tree_outputs(flat(*want), queries)
+        routed = [reference_predict_tree_batch(tree, queries) for tree in want]
+        assert got.tobytes() == np.stack(routed).tobytes()
+
+    @MODEL_SETTINGS
+    @given(tie_heavy_data(min_rows=4))
+    def test_ensembles_add_the_reference_outputs_in_tree_order(self, data):
+        X, y = data
+        assume(0 < y.sum() < len(y))
+        ds = Dataset(X, y, [f"u{i}" for i in range(len(y))])
+        queries = np.vstack([X, X + 0.5])
+        forest = train_random_forest(ds, ForestParams(n_trees=6, max_depth=4, seed=2))
+        acc = np.zeros(len(queries))
+        for tree in forest.trees:
+            acc += reference_predict_tree_batch(tree, queries)
+        assert trees.predict_forest_batch(forest, queries).tobytes() == (acc / 6).tobytes()
+        xgb = train_xgb(ds, XgbParams(n_rounds=5, max_depth=3))
+        scores = np.full(len(queries), xgb.init_score)
+        for tree in xgb.trees:
+            scores += xgb.learning_rate * reference_predict_tree_batch(tree, queries)
+        assert trees.predict_boosted_batch(xgb, queries).tobytes() == sigmoid(scores).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 20, trees._SCORE_BLOCK])
+    def test_rows_are_routed_in_blocks_with_the_same_bits(self, block):
+        rng = np.random.default_rng(13)
+        ds = Dataset(rng.normal(size=(120, 4)), rng.integers(0, 2, size=120),
+                     [f"u{i}" for i in range(120)])
+        queries = rng.normal(size=(50, 4))
+        forest = train_random_forest(ds, ForestParams(n_trees=6, max_depth=5, seed=3))
+        xgb = train_xgb(ds, XgbParams(n_rounds=5, max_depth=3))
+        acc = np.zeros(len(queries))
+        for tree in forest.trees:
+            acc += reference_predict_tree_batch(tree, queries)
+        scores = np.full(len(queries), xgb.init_score)
+        for tree in xgb.trees:
+            scores += xgb.learning_rate * reference_predict_tree_batch(tree, queries)
+        routed = []
+
+        def recording_outputs(arrays, X):
+            routed.append(len(arrays.roots) * len(X))
+            return outputs(arrays, X)
+
+        outputs = trees._tree_outputs
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trees, "_SCORE_BLOCK", block)
+            patch.setattr(trees, "_tree_outputs", recording_outputs)
+            assert trees.predict_forest_batch(forest, queries).tobytes() == (acc / 6).tobytes()
+            assert trees.predict_boosted_batch(xgb, queries).tobytes() == sigmoid(scores).tobytes()
+        assert max(routed) <= max(block, 6)
+
+    def test_models_number_their_nodes_in_preorder(self):
+        rng = np.random.default_rng(12)
+        ds = Dataset(rng.normal(size=(200, 4)), rng.integers(0, 2, size=200),
+                     [f"u{i}" for i in range(200)])
+        for model in (train_random_forest(ds, ForestParams(n_trees=5, max_depth=5, seed=1)),
+                      train_xgb(ds, XgbParams(n_rounds=4)),
+                      train_gradient_boosting(ds, BoostParams(n_rounds=4))):
+            want = flat(*model.trees)
+            for name in ("feature", "threshold", "left", "right", "value", "roots"):
+                got = getattr(model.arrays, name)
+                assert got.dtype == getattr(want, name).dtype
+                assert np.array_equal(got, getattr(want, name))
+
+
 @st.composite
 def distinct_float_data(draw, min_rows=2):
     """Continuous features with no repeated value: every sorted position is a boundary."""
@@ -761,7 +899,7 @@ class TestBoundaryOnlySecondOrderSearch:
                                                     min_samples_leaf=min_samples_leaf))
         assert len(grown) == 8
         for tree, out in grown:
-            assert out.tobytes() == predict_tree_batch(tree, X).tobytes()
+            assert out.tobytes() == trees._tree_outputs(trees._stack([tree]), X)[0].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
 """Versioned on-disk model bundles and the classifier registry.
 
 An artifact is a single JSON document carrying the feature spec, fitted
-preprocessing (outlier bounds, optional autoencoder), and one classifier; a
-tree ensemble is stored as the flat node lists of its TreeArrays. All
-floats serialize at full round-trip precision. The payload is stored as
-canonical JSON text and its checksum is the SHA-256 of that text as stored,
-so loading hashes the bytes it then parses; the creation timestamp lives
-outside the checksum so re-running the same training reproduces the payload
-byte for byte.
+preprocessing (outlier bounds, optional autoencoder), and one classifier.
+Every part is stored as its dataclass fields by name, an array as nested
+lists (a tree ensemble as the flat node lists of its TreeArrays), and
+_STORED_AS keeps the older payload keys of five fields. Loading rebuilds
+each field as its declared type, so a model's stored form is its class
+declaration. All floats serialize at full round-trip precision. The payload
+is stored as canonical JSON text and its checksum is the SHA-256 of that
+text as stored, so loading hashes the bytes it then parses; the creation
+timestamp lives outside the checksum so re-running the same training
+reproduces the payload byte for byte.
 
 CLASSIFIERS is the one place a classifier kind is defined: its display
-name, how it trains, predicts, (de)serializes and is checked after loading.
-Every kind list and dispatch in the package derives from it.
+name, how it trains and predicts, its model class and how that is checked
+after loading. Every kind list and dispatch in the package derives from it.
 
 The tree and network modules are imported on first use, so loading and
 running a raw k-NN artifact never imports them.
@@ -23,11 +26,13 @@ import hashlib
 import inspect
 import json
 import math
+import reprlib
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
+from functools import cache
 from importlib import import_module
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -38,8 +43,8 @@ from .pipeline import Dataset, OutlierBounds, Scaler, apply_bounds, apply_scaler
 
 if TYPE_CHECKING:
     from .config import PipelineConfig
-    from .neural import AutoencoderModel, LayerParams, MlpModel
-    from .trees import BoostedModel, ForestModel, TreeArrays
+    from .neural import AutoencoderModel, LayerParams
+    from .trees import BoostedModel, ForestModel
 
 FORMAT_VERSION = 3
 
@@ -100,71 +105,66 @@ class ModelArtifact:
     dataset_fingerprint: str
     created_at: str = ""
 
-    @property
-    def feature_mode(self) -> str:
-        return "raw" if self.preprocessor.autoencoder is None else "autoencoder_latent"
-
 
 # ---------------------------------------------------------------------------
-# Serialization helpers
+# The payload codec: a model is stored as its dataclass fields
 # ---------------------------------------------------------------------------
 
-def _layer_to_dict(layer: LayerParams) -> dict:
-    return {
-        "weights": layer.weights.tolist(),
-        "biases": layer.biases.tolist(),
-        "activation": layer.activation,
-    }
+# Payload keys of the fields stored under a name of their own.
+_STORED_AS = {
+    "stored_features": "features",
+    "stored_labels": "labels",
+    "encoder_layers": "encoder",
+    "decoder_layers": "decoder",
+    "arrays": "trees",
+}
 
 
-def _layer_from_dict(d: dict) -> LayerParams:
-    from .neural import ACTIVATIONS, LayerParams
-
-    if d["activation"] not in ACTIVATIONS:
-        raise CorruptArtifact(f"unknown activation {d['activation']!r}")
-    return LayerParams(
-        weights=np.asarray(d["weights"], dtype=np.float64),
-        biases=np.asarray(d["biases"], dtype=np.float64),
-        activation=d["activation"],
-    )
-
-
-def _indices(values) -> np.ndarray:
-    """A list of node or feature indices as an intp array."""
-    array = np.asarray(values)
-    if array.size and array.dtype.kind != "i":  # an empty list reads as float
-        raise CorruptArtifact(f"a tree index list holds {array.dtype} values, not integers")
-    return array.astype(np.intp)
+def _encode(value):
+    """value as JSON data: a dataclass as its fields by key, an array as nested lists."""
+    if is_dataclass(value):
+        return {_STORED_AS.get(f.name, f.name): _encode(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_encode(item) for item in value]
+    return value
 
 
-def _tree_arrays_from_dict(d: dict) -> TreeArrays:
-    from .trees import TreeArrays
-
-    arrays = {name: _indices(d[name]) for name in ("feature", "left", "right", "roots")}
-    arrays.update((name, np.asarray(d[name], dtype=np.float64)) for name in ("threshold", "value"))
-    return TreeArrays(**arrays)
-
-
-def _autoencoder_to_dict(model: AutoencoderModel | None) -> dict | None:
-    if model is None:
-        return None
-    return {
-        "latent_dim": model.latent_dim,
-        "encoder": [_layer_to_dict(l) for l in model.encoder_layers],
-        "decoder": [_layer_to_dict(l) for l in model.decoder_layers],
-    }
+@cache
+def _declared(cls: type) -> tuple[tuple[str, str, object], ...]:
+    """(field name, payload key, declared type) of each field of a dataclass."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, _STORED_AS.get(f.name, f.name), hints[f.name]) for f in fields(cls))
 
 
-def _autoencoder_from_dict(d: dict | None) -> AutoencoderModel | None:
-    if d is None:
-        return None
-    from .neural import AutoencoderModel
+def _decode(kind, value, where: str = "the payload"):
+    """value, as json.loads read it, rebuilt as the declared type kind.
 
-    return AutoencoderModel(
-        encoder_layers=[_layer_from_dict(l) for l in d["encoder"]],
-        decoder_layers=[_layer_from_dict(l) for l in d["decoder"]],
-        latent_dim=int(d["latent_dim"]),
-    )
+    A scalar is read only as its declared type, except that an int may stand
+    for a float. An array is read only if numpy gives it a numeric dtype, and
+    an integer one where its annotation declares an integer dtype. Anything
+    else raises CorruptArtifact naming where in the payload it is.
+    """
+    origin, args = get_origin(kind) or kind, get_args(kind)
+    if origin is np.ndarray:
+        dtype = np.dtype(get_args(args[1])[0]) if args else None
+        array = np.asarray(value)
+        integers = dtype is not None and dtype.kind == "i"
+        allowed, what = ("i", "integers") if integers else ("iuf", "numbers")
+        if array.size and array.dtype.kind not in allowed:  # an empty list reads as float
+            raise CorruptArtifact(f"{where} holds {array.dtype} values, not {what}")
+        return array if dtype is None else array.astype(dtype, copy=False)
+    if is_dataclass(kind) and type(value) is dict:
+        return kind(**{name: _decode(hint, value[key], f"{where}.{key}")
+                       for name, key, hint in _declared(kind)})
+    if origin in (list, tuple) and type(value) is list:
+        items = [_decode(args[0], item, f"{where}[{i}]") for i, item in enumerate(value)]
+        return origin(items)
+    if type(value) is kind or (kind is float and type(value) is int):
+        return kind(value)
+    raise CorruptArtifact(f"{where} is {reprlib.repr(value)}, not {origin.__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +179,14 @@ def _check_finite(name: str, array: np.ndarray) -> None:
 
 def _check_layers(name: str, layers: list[LayerParams], width_in: int, width_out: int) -> None:
     """Reject a layer stack whose widths do not chain from width_in to width_out,
-    or that holds a non-finite weight or bias."""
+    or that holds an unknown activation or a non-finite weight or bias."""
     if not layers:
         raise CorruptArtifact(f"the {name} has no layers")
+    activations = _import("neural").ACTIVATIONS
     width = width_in
     for i, layer in enumerate(layers):
+        if layer.activation not in activations:
+            raise CorruptArtifact(f"unknown activation {layer.activation!r}")
         if layer.weights.ndim != 2 or layer.weights.shape[1] != width:
             raise CorruptArtifact(
                 f"{name} layer {i} has weights of shape {layer.weights.shape}, "
@@ -266,63 +269,8 @@ class ClassifierKind:
     display_name: str
     train: Callable[[Dataset, PipelineConfig], object]
     predict: Callable[[object, np.ndarray], np.ndarray]  # malicious probability per row
-    to_dict: Callable[[object], dict]
-    from_dict: Callable[[dict], object]
+    model: Callable[[], type]  # the model class, imported when called
     check: Callable[[object, int], None]  # raises CorruptArtifact; int: input width
-
-
-def _knn_to_dict(model: KnnModel) -> dict:
-    return {
-        "features": model.stored_features.tolist(),
-        "labels": model.stored_labels.tolist(),
-        "default_k": model.default_k,
-    }
-
-
-def _knn_from_dict(d: dict) -> KnnModel:
-    return KnnModel(
-        stored_features=np.asarray(d["features"], dtype=np.float64),
-        stored_labels=np.asarray(d["labels"]),
-        default_k=int(d["default_k"]),
-    )
-
-
-def _mlp_from_dict(d: dict) -> MlpModel:
-    from .neural import MlpModel
-
-    return MlpModel(layers=[_layer_from_dict(l) for l in d["layers"]])
-
-
-def _ensemble_to_dict(model: BoostedModel | ForestModel) -> dict:
-    """Every dataclass field under its own name, the arrays as "trees": one list each."""
-    fields = dict(vars(model))
-    arrays = fields.pop("arrays")
-    return {**fields, "trees": {name: array.tolist() for name, array in vars(arrays).items()}}
-
-
-def _boosted_from_dict(d: dict) -> BoostedModel:
-    from .trees import BoostedModel
-
-    return BoostedModel(
-        variant=d["variant"],
-        init_score=float(d["init_score"]),
-        arrays=_tree_arrays_from_dict(d["trees"]),
-        learning_rate=float(d["learning_rate"]),
-        lam=float(d["lam"]),
-        gamma=float(d["gamma"]),
-    )
-
-
-def _forest_from_dict(d: dict) -> ForestModel:
-    from .trees import ForestModel
-
-    return ForestModel(
-        arrays=_tree_arrays_from_dict(d["trees"]),
-        n_trees=int(d["n_trees"]),
-        m_features=int(d["m_features"]),
-        bootstrap=bool(d["bootstrap"]),
-        seed=int(d["seed"]),
-    )
 
 
 # Insertion order is the comparison row order (serials 1-5).
@@ -333,32 +281,28 @@ CLASSIFIERS: dict[str, ClassifierKind] = {
             ds, replace(config.mlp, seed=config.seed)
         ),
         predict=lambda model, X: _module.predict_proba_mlp_batch(model, X),
-        to_dict=lambda model: {"layers": [_layer_to_dict(l) for l in model.layers]},
-        from_dict=_mlp_from_dict,
+        model=lambda: _import("neural").MlpModel,
         check=lambda model, width: _check_layers("MLP", model.layers, width, 1),
     ),
     "knn": ClassifierKind(
         "K-NN",
         train=lambda ds, config: KnnModel(ds.features, ds.labels, min(config.knn_k, ds.n_rows)),
         predict=lambda model, X: predict_knn_batch(model, X),
-        to_dict=_knn_to_dict,
-        from_dict=_knn_from_dict,
+        model=lambda: KnnModel,
         check=_check_knn,
     ),
     "xgb": ClassifierKind(
         "XGB",
         train=lambda ds, config: _import("trees").train_xgb(ds, config.xgb),
         predict=lambda model, X: _module.predict_boosted_batch(model, X),
-        to_dict=_ensemble_to_dict,
-        from_dict=_boosted_from_dict,
+        model=lambda: _import("trees").BoostedModel,
         check=_check_boosted,
     ),
     "gb": ClassifierKind(
         "Gradient Boosting",
         train=lambda ds, config: _import("trees").train_gradient_boosting(ds, config.gb),
         predict=lambda model, X: _module.predict_boosted_batch(model, X),
-        to_dict=_ensemble_to_dict,
-        from_dict=_boosted_from_dict,
+        model=lambda: _import("trees").BoostedModel,
         check=_check_boosted,
     ),
     "rf": ClassifierKind(
@@ -367,8 +311,7 @@ CLASSIFIERS: dict[str, ClassifierKind] = {
             ds, replace(config.forest, seed=config.seed)
         ),
         predict=lambda model, X: _module.predict_forest_batch(model, X),
-        to_dict=_ensemble_to_dict,
-        from_dict=_forest_from_dict,
+        model=lambda: _import("trees").ForestModel,
         check=_check_trees,
     ),
 }
@@ -407,16 +350,10 @@ def predict_urls(artifact: ModelArtifact, urls: list[str]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _payload(artifact: ModelArtifact) -> dict:
-    pre = artifact.preprocessor
-    return {
-        "feature_spec": {"keywords": list(artifact.feature_spec.keywords)},
-        "bounds": {"lower": pre.bounds.lower.tolist(), "upper": pre.bounds.upper.tolist()},
-        "autoencoder": _autoencoder_to_dict(pre.autoencoder),
-        "classifier_kind": artifact.classifier_kind,
-        "classifier": CLASSIFIERS[artifact.classifier_kind].to_dict(artifact.classifier),
-        "seed": artifact.seed,
-        "dataset_fingerprint": artifact.dataset_fingerprint,
-    }
+    """The artifact's fields but created_at, with the preprocessor's in its place."""
+    payload = _encode(artifact)
+    del payload["created_at"]
+    return {**payload.pop("preprocessor"), **payload}
 
 
 def _canonical(value: dict) -> str:
@@ -486,22 +423,22 @@ def load_model(path: str) -> ModelArtifact:
                               "not an object")
     try:
         kind = payload["classifier_kind"]  # an unknown kind is a KeyError too
-        bounds = OutlierBounds(
-            lower=np.asarray(payload["bounds"]["lower"], dtype=np.float64),
-            upper=np.asarray(payload["bounds"]["upper"], dtype=np.float64),
+        encoded = payload["autoencoder"]
+        autoencoder = None if encoded is None else _decode(
+            _import("neural").AutoencoderModel, encoded, "autoencoder"
         )
+        bounds = _decode(OutlierBounds, payload["bounds"], "bounds")
         artifact = ModelArtifact(
-            feature_spec=FeatureSpec(keywords=tuple(payload["feature_spec"]["keywords"])),
-            preprocessor=Preprocessor(
-                bounds=bounds, autoencoder=_autoencoder_from_dict(payload["autoencoder"])
-            ),
+            feature_spec=_decode(FeatureSpec, payload["feature_spec"], "feature_spec"),
+            preprocessor=Preprocessor(bounds, autoencoder),
             classifier_kind=kind,
-            classifier=CLASSIFIERS[kind].from_dict(payload["classifier"]),
-            seed=int(payload["seed"]),
-            dataset_fingerprint=payload["dataset_fingerprint"],
-            created_at=header["created_at"],
+            classifier=_decode(CLASSIFIERS[kind].model(), payload["classifier"], "classifier"),
+            seed=_decode(int, payload["seed"], "seed"),
+            dataset_fingerprint=_decode(str, payload["dataset_fingerprint"],
+                                        "dataset_fingerprint"),
+            created_at=_decode(str, header["created_at"], "created_at"),
         )
-    # OverflowError: an integer too large for a float where a float list is read
+    # OverflowError: an integer too large for a float where a float field is read
     except (KeyError, TypeError, ValueError, OverflowError, KOutOfRange) as exc:
         raise CorruptArtifact(f"artifact payload is structurally invalid: {exc}") from exc
     dim = artifact.feature_spec.dim
@@ -512,10 +449,10 @@ def load_model(path: str) -> ModelArtifact:
                 f"bounds.{name} has shape {array.shape}, the feature spec needs ({dim},)"
             )
         _check_finite(f"bounds.{name}", array)
-    autoencoder = artifact.preprocessor.autoencoder
     width = dim
     if autoencoder is not None:
         width = autoencoder.latent_dim
         _check_layers("encoder", autoencoder.encoder_layers, dim, width)
+        _check_layers("decoder", autoencoder.decoder_layers, width, dim)
     CLASSIFIERS[artifact.classifier_kind].check(artifact.classifier, width)
     return artifact

@@ -15,6 +15,7 @@ lower stored index; an exact vote tie classifies as malicious.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .pipeline import distinct_rows
 
 @dataclass
 class KnnModel:
-    stored_features: np.ndarray  # n x d
-    stored_labels: np.ndarray  # n ints in {0, 1}
+    stored_features: np.ndarray[Any, np.dtype[np.float64]]  # n x d
+    stored_labels: np.ndarray  # n ints in {0, 1}; no dtype, so a stored 0.5 fails the check below
     default_k: int = 5
 
     def __post_init__(self):

@@ -9,6 +9,7 @@ and fully determined by (data, config, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -26,8 +27,8 @@ PROB_EPS = 1e-12  # keeps probabilities strictly inside (0, 1) and logs finite
 
 @dataclass
 class LayerParams:
-    weights: np.ndarray  # d_out x d_in
-    biases: np.ndarray  # d_out
+    weights: np.ndarray[Any, np.dtype[np.float64]]  # d_out x d_in
+    biases: np.ndarray[Any, np.dtype[np.float64]]  # d_out
     activation: str  # a key of ACTIVATIONS
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -60,8 +61,8 @@ class Scaler:
 
 @dataclass(frozen=True)
 class OutlierBounds:
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: np.ndarray[Any, np.dtype[np.float64]]
+    upper: np.ndarray[Any, np.dtype[np.float64]]
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
@@ -70,12 +71,12 @@ class TreeArrays:
     0.0. Each tree's nodes are numbered in preorder.
     """
 
-    feature: np.ndarray  # intp
-    threshold: np.ndarray  # float64
-    left: np.ndarray  # intp
-    right: np.ndarray  # intp
-    value: np.ndarray  # float64
-    roots: np.ndarray  # intp
+    feature: np.ndarray[Any, np.dtype[np.intp]]
+    threshold: np.ndarray[Any, np.dtype[np.float64]]
+    left: np.ndarray[Any, np.dtype[np.intp]]
+    right: np.ndarray[Any, np.dtype[np.intp]]
+    value: np.ndarray[Any, np.dtype[np.float64]]
+    roots: np.ndarray[Any, np.dtype[np.intp]]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,12 @@
 import json
 import string
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from urlsentry import artifact as artifact_module
 from urlsentry.artifact import (
@@ -18,11 +19,14 @@ from urlsentry.artifact import (
 from urlsentry.config import PipelineConfig
 from urlsentry.errors import CorruptArtifact, FeatureSpecMismatch, UnsupportedVersion
 from urlsentry.features import FeatureSpec, featurize_many
-from urlsentry.neural import TrainConfig
+from urlsentry.knn import KnnModel
+from urlsentry.neural import ACTIVATIONS, LayerParams, TrainConfig
+from urlsentry.pipeline import OutlierBounds
 from urlsentry.runner import load_labeled_dataset, train_artifact
 from urlsentry.trees import (
     BoostParams,
     ForestParams,
+    TreeArrays,
     XgbParams,
     predict_boosted,
     predict_forest,
@@ -169,7 +173,8 @@ def test_short_preprocessing_array_rejected(section, name, training_data, tmp_pa
 @pytest.mark.parametrize("kind, layers", [
     ("mlp", lambda payload: payload["classifier"]["layers"]),
     ("knn", lambda payload: payload["autoencoder"]["encoder"]),
-], ids=["mlp", "autoencoder"])
+    ("knn", lambda payload: payload["autoencoder"]["decoder"]),
+], ids=["mlp", "autoencoder", "decoder"])
 def test_unknown_activation_rejected(kind, layers, training_data, tmp_path):
     artifact = train_artifact(training_data, small_config(kind, "latent"))
     path = tmp_path / "model.json"
@@ -342,6 +347,10 @@ def set_entry(trees: dict, name: str, index: int, value) -> None:
                  "init_score is nan", id="nan-init-score"),
     pytest.param(lambda c: c.update(learning_rate=float("-inf")),
                  "learning_rate is -inf", id="inf-learning-rate"),
+    pytest.param(lambda c: set_entry(c["trees"], "threshold", root_split(c["trees"]),
+                                     str(c["trees"]["threshold"][root_split(c["trees"])])),
+                 "classifier.trees.threshold holds <U\\d+ values, not numbers",
+                 id="threshold-as-string"),
 ])
 def test_invalid_tree_rejected(mutate, message, training_data, tmp_path):
     artifact = train_artifact(training_data, small_config("xgb", "raw"))
@@ -350,6 +359,104 @@ def test_invalid_tree_rejected(mutate, message, training_data, tmp_path):
     rewrite_payload(path, lambda payload: mutate(payload["classifier"]))
     with pytest.raises(CorruptArtifact, match=message):
         load_model(str(path))
+
+
+@pytest.mark.parametrize("kind, mutate, message", [
+    pytest.param("knn", lambda p: p["feature_spec"]["keywords"].__setitem__(0, 1),
+                 "feature_spec.keywords\\[0\\] is 1, not str", id="keyword-not-a-string"),
+    pytest.param("knn", lambda p: p["classifier"]["features"][2].__setitem__(
+                     1, str(p["classifier"]["features"][2][1])),
+                 "classifier.features holds <U\\d+ values, not numbers", id="knn-row-as-string"),
+    pytest.param("knn", lambda p: p.update(seed="42"), "seed is '42', not int",
+                 id="seed-as-string"),
+    pytest.param("knn", lambda p: p["classifier"].update(default_k=5.7),
+                 "classifier.default_k is 5.7, not int", id="fractional-default-k"),
+    pytest.param("rf", lambda p: p["classifier"].update(bootstrap="false"),
+                 "classifier.bootstrap is 'false', not bool", id="bootstrap-as-string"),
+    pytest.param("knn", lambda p: p.update(dataset_fingerprint=7),
+                 "dataset_fingerprint is 7, not str", id="fingerprint-not-a-string"),
+    pytest.param("rf", lambda p: p["classifier"].update(n_trees=True),
+                 "classifier.n_trees is True, not int", id="tree-count-as-bool"),
+    pytest.param("rf", lambda p: p["classifier"]["trees"].update(roots=[True]),
+                 "classifier.trees.roots holds bool values, not integers", id="roots-as-bools"),
+    pytest.param("knn", lambda p: p["bounds"]["lower"].__setitem__(0, None),
+                 "bounds.lower holds object values, not numbers", id="null-bound"),
+    pytest.param("knn", lambda p: p["classifier"].update(labels={"0": 1}),
+                 "classifier.labels holds object values, not numbers", id="labels-as-object"),
+    pytest.param("knn", lambda p: p.update(bounds=[]), "bounds is \\[\\], not OutlierBounds",
+                 id="bounds-as-list"),
+    pytest.param("knn", lambda p: p["feature_spec"].update(keywords="login"),
+                 "feature_spec.keywords is 'login', not tuple", id="keywords-as-string"),
+])
+def test_value_not_of_its_declared_type_rejected(kind, mutate, message, training_data,
+                                                 tmp_path):
+    """Each payload value is read only as its field's declared type."""
+    artifact = train_artifact(training_data, small_config(kind, "raw"))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+    rewrite_payload(path, mutate)
+    with pytest.raises(CorruptArtifact, match=message):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("kind", ["mlp", "knn", "xgb", "gb", "rf"])
+@pytest.mark.parametrize("feature_mode", ["raw", "latent"])
+def test_saving_a_loaded_artifact_writes_the_same_bytes(kind, feature_mode, training_data,
+                                                        tmp_path):
+    """The codec reads back exactly what it wrote, created_at included."""
+    path, copy = tmp_path / "model.json", tmp_path / "copy.json"
+    save_model(train_artifact(training_data, small_config(kind, feature_mode)), str(path))
+    save_model(load_model(str(path)), str(copy))
+    assert copy.read_bytes() == path.read_bytes()
+
+
+# Every finite float, with the extremes of the format always in reach.
+FINITE = (st.sampled_from([-0.0, 5e-324, -2.2e-308, 1.7e308, -1.7e308])
+          | st.floats(allow_nan=False, allow_infinity=False))
+INDICES = st.integers(np.iinfo(np.intp).min, np.iinfo(np.intp).max)
+
+
+def float_array(shape):
+    return hnp.arrays(np.float64, shape, elements=FINITE)
+
+
+def index_array(shape):
+    return hnp.arrays(np.intp, shape, elements=INDICES)
+
+
+@st.composite
+def stored_models(draw):
+    """A TreeArrays, KnnModel, LayerParams or OutlierBounds of arbitrary finite contents."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["trees", "knn", "layer", "bounds"]))
+    if kind == "trees":
+        return TreeArrays(
+            feature=draw(index_array(n)), threshold=draw(float_array(n)),
+            left=draw(index_array(n)), right=draw(index_array(n)),
+            value=draw(float_array(n)), roots=draw(index_array(d)),
+        )
+    if kind == "knn":
+        return KnnModel(draw(float_array((n, d))),
+                        draw(hnp.arrays(np.intp, n, elements=st.integers(0, 1))),
+                        draw(st.integers(1, n)))
+    if kind == "layer":
+        return LayerParams(draw(float_array((n, d))), draw(float_array(n)),
+                           draw(st.sampled_from(sorted(ACTIVATIONS))))
+    return OutlierBounds(draw(float_array(d)), draw(float_array(d)))
+
+
+@settings(deadline=None)
+@given(model=stored_models())
+def test_stored_fields_survive_the_codec_bit_for_bit(model):
+    text = artifact_module._canonical(artifact_module._encode(model))
+    decoded = artifact_module._decode(type(model), json.loads(text))
+    for field in fields(model):
+        want, got = getattr(model, field.name), getattr(decoded, field.name)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), field.name
+            assert got.tobytes() == want.tobytes(), field.name
+        else:
+            assert got == want, field.name
 
 
 def test_latent_tree_feature_checked_against_latent_width(training_data, tmp_path):
@@ -416,6 +523,14 @@ def test_format_version_outside_one_to_current_is_corrupt(version, training_data
     path = saved_knn(training_data, tmp_path)
     write_artifact(path, read_artifact(path)[1], format_version=version)  # outside the checksum
     with pytest.raises(CorruptArtifact, match="format_version"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("created_at", [5, None, ["2026-01-01"]])
+def test_created_at_not_a_string_is_corrupt(created_at, training_data, tmp_path):
+    path = saved_knn(training_data, tmp_path)
+    write_artifact(path, read_artifact(path)[1], created_at=created_at)  # outside the checksum
+    with pytest.raises(CorruptArtifact, match="created_at is"):
         load_model(str(path))
 
 

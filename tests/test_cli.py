@@ -158,6 +158,7 @@ def corrupt(trees: dict, case: str) -> None:
         "fractional-child": ("left", root, left + 0.5),
         "float-root": ("roots", 0, float(trees["roots"][0])),
         "string-feature": ("feature", root, "0"),
+        "string-threshold": ("threshold", root, str(trees["threshold"][root])),
         "null-child": ("right", root, None),
     }
     # appended rows: (feature, threshold, left, right, value)
@@ -187,6 +188,7 @@ TREE_LIST_CASES = [
     "nan-threshold", "inf-threshold", "401-digit-threshold", "nan-leaf-value", "inf-leaf-value",
     "unequal-lengths", "two-dimensional-children", "fractional-child", "float-root",
     "string-feature", "null-child",
+    "string-threshold",
 ]
 
 
@@ -296,6 +298,16 @@ class TestCmdPredict:
             lambda payload: payload["classifier"]["features"][0].__setitem__(0, 10**400),
             id="knn-row-401-digit-integer",
         ),
+        pytest.param(lambda payload: payload["feature_spec"]["keywords"].__setitem__(0, 1),
+                     id="keyword-not-a-string"),
+        pytest.param(lambda payload: payload["classifier"]["features"][0].__setitem__(
+                         0, str(payload["classifier"]["features"][0][0])),
+                     id="knn-row-as-string"),
+        pytest.param(lambda payload: payload.update(seed="42"), id="seed-as-string"),
+        pytest.param(lambda payload: payload["classifier"].update(default_k=5.7),
+                     id="fractional-default-k"),
+        pytest.param(lambda payload: payload.update(dataset_fingerprint=7),
+                     id="fingerprint-not-a-string"),
     ])
     def test_non_finite_number_exits_one(self, mutate, tiny_csv, tmp_path, capsys):
         model = tmp_path / "knn.json"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -121,16 +122,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if config.model_path is None:
         raise UrlSentryError("predict requires --model <artifact>")
-    raw_inputs = list(args.urls)
+    sources = [("argument", args.urls)]
     if config.data_path:
-        raw_inputs.extend(_read_url_lines(config.data_path))
+        sources.append((f"{config.data_path} line", _read_url_lines(config.data_path)))
 
     urls = []
-    for line_no, candidate in enumerate(raw_inputs, start=1):
-        if candidate.strip():
-            urls.append(candidate.strip())
-        else:
-            print(f"warning: line {line_no}: empty URL skipped", file=sys.stderr)
+    for where, inputs in sources:
+        for i, candidate in enumerate(inputs, start=1):
+            if candidate.strip():
+                urls.append(candidate.strip())
+            else:
+                print(f"warning: {where} {i}: empty URL skipped", file=sys.stderr)
     if not urls:
         raise UrlSentryError("no URLs to classify")
 
@@ -167,9 +169,12 @@ def cmd_report(args: argparse.Namespace) -> int:
             if not row:
                 continue
             try:
-                rows.append((row[0], float(row[1])))
+                acc = float(row[1])
             except (IndexError, ValueError):
-                raise MalformedRow(reader.line_num, "expected classifier,accuracy") from None
+                acc = math.nan
+            if not 0.0 <= acc <= 1.0:  # false for NaN too
+                raise MalformedRow(reader.line_num, "expected classifier,accuracy in [0, 1]")
+            rows.append((row[0], acc))
     if not rows:
         raise UrlSentryError("comparison CSV has no rows")
     table = ComparisonTable(

@@ -1,15 +1,17 @@
 """Exact k-nearest-neighbor classification with majority voting.
 
 Search is exact, over distinct rows: identical stored rows (equal bytes)
-form one group with a row count, a positive-label count and its ascending
-stored indices, identical query rows are scored once, and each distinct
-query is compared with each distinct stored row. Distinct queries are taken
-in blocks: their distance rows form one matrix, and the k nearest rows of
-every query in the block are selected together with a constant number of
-numpy calls (partition, a stable sort, segmented row counts). At the scale
-this pipeline runs (tens of thousands of rows), exactness is worth more
-than an approximate index. Tie rules are fixed: equal distances order by
-lower stored index; an exact vote tie classifies as malicious.
+form one group with a row count and its ascending stored indices, identical
+query rows are scored once, and each distinct query is compared with each
+distinct stored row. Distinct queries are taken in blocks: their distance
+rows form one matrix, and the k nearest rows of every query in the block are
+selected together by one sort. A partition finds the groups no farther than
+each query's k-th nearest group, each such group gives its k lowest-indexed
+rows, and one sort by (query, distance, stored index) puts each query's k
+nearest rows first. At the scale this pipeline runs (tens of thousands of
+rows), exactness is worth more than an approximate index. Tie rules are
+fixed: equal distances order by lower stored index; an exact vote tie
+classifies as malicious.
 """
 
 from __future__ import annotations
@@ -114,7 +116,6 @@ class _StoredGroups:
 
     features: np.ndarray  # one row per group, C-contiguous
     counts: np.ndarray  # rows per group
-    positives: np.ndarray  # positive labels per group
     rows: np.ndarray  # stored row indices by group, ascending within each group
     starts: np.ndarray  # each group's first position in rows
     labels: np.ndarray  # each stored row's label
@@ -122,15 +123,13 @@ class _StoredGroups:
     @classmethod
     def of(cls, model: KnnModel) -> _StoredGroups:
         first, group = distinct_rows(model.stored_features)
-        labels = model.stored_labels
         counts = np.bincount(group, minlength=len(first))
         return cls(
             features=model.stored_features[first],
             counts=counts,
-            positives=np.bincount(group[labels == 1], minlength=len(first)),
             rows=np.argsort(group, kind="stable"),
             starts=np.cumsum(counts) - counts,
-            labels=labels,
+            labels=model.stored_labels,
         )
 
     def squared_distances(self, Q: np.ndarray) -> np.ndarray:
@@ -150,59 +149,28 @@ class _StoredGroups:
     def positive_votes(self, D: np.ndarray, k: int) -> np.ndarray:
         """Positive labels among the k stored rows nearest to each query, ties by lower index.
 
-        D holds one query's squared group distances per row. A query whose k-th
-        nearest distance is NaN gets 0 votes: no row is within it.
+        D holds one query's squared group distances per row. A query with fewer
+        than k rows at a non-NaN distance gets 0 votes, as in _nearest.
         """
         b, u = D.shape
         # Each group holds at least one row, so the k nearest rows lie in groups
-        # no farther than the k-th nearest group.
+        # no farther than the k-th nearest group; with a NaN k-th group, in any
+        # group at a non-NaN distance.
+        bound = np.inf
         if k < u:
-            qi, gi = np.nonzero(D <= np.partition(D, k - 1, axis=1)[:, k - 1 : k])
-        else:
-            qi, gi = np.divmod(np.arange(b * u), u)
-        dist = D[qi, gi]
-        # (qi, gi) come in (query, group) order and lexsort is stable, so this
-        # is (query, distance, group) order.
-        order = np.lexsort((dist, qi))
-        qi, gi, dist = qi[order], gi[order], dist[order]
-        counts = self.counts[gi]
-
-        # The k-th nearest row lies in the first group at which a query's
-        # running row count reaches k.
+            bound = np.partition(D, k - 1, axis=1)[:, k - 1 : k]
+            bound[np.isnan(bound)] = np.inf
+        qi, gi = np.nonzero(D <= bound)
+        # A group's rows share one distance, so only its k lowest-indexed rows can vote.
+        take = np.minimum(self.counts[gi], k)
+        pos = np.arange(take.sum()) + np.repeat(self.starts[gi] - np.cumsum(take) + take, take)
+        qi, dist, row = np.repeat(qi, take), np.repeat(D[qi, gi], take), self.rows[pos]
+        order = np.lexsort((row, dist, qi))
+        qi, row = qi[order], row[order]
         span = np.bincount(qi, minlength=b)
-        start = np.cumsum(span) - span
-        running = np.cumsum(counts)
-        running -= (running - counts)[start[qi]]
-        reach = np.bincount(qi[running < k], minlength=b)
-        found = reach < span
-        kth = np.full(b, np.nan)
-        kth[found] = dist[(start + reach)[found]]
-        kth = kth[qi]
-
-        below = dist < kth
-        tied = dist == kth
-        votes = _sums(qi, below, self.positives[gi], b)
-        need = k - _sums(qi, below, counts, b)
-        # At the k-th distance the need lowest stored indices among the tied
-        # groups' rows vote; a NaN k-th distance ties no group.
-        return votes + self._lowest_index_votes(qi[tied], gi[tied], need, b)
-
-    def _lowest_index_votes(self, qi, gi, need, b) -> np.ndarray:
-        """Positive labels among the need[q] lowest-indexed rows of query q's (q, g) groups."""
-        # The need[q] lowest indices overall lie among each group's need[q] lowest.
-        take = np.minimum(self.counts[gi], need[qi])
-        pair = np.repeat(np.arange(len(qi)), take)
-        offset = np.arange(len(pair)) - np.repeat(np.cumsum(take) - take, take)
-        n = len(self.labels)
-        key = np.sort(qi[pair] * n + self.rows[self.starts[gi][pair] + offset])
-        q, row = np.divmod(key, n)
-        rank = np.arange(len(key)) - np.searchsorted(key, q * n)
-        return _sums(q, rank < need[q], self.labels[row], b)
-
-
-def _sums(qi: np.ndarray, mask: np.ndarray, values: np.ndarray, b: int) -> np.ndarray:
-    """Per query, the sum of values where mask holds, as integers."""
-    return np.bincount(qi[mask], weights=values[mask], minlength=b).astype(np.int64)
+        rank = np.arange(len(qi)) - (np.cumsum(span) - span)[qi]
+        vote = (rank < k) & (span[qi] >= k) & (self.labels[row] == 1)
+        return np.bincount(qi[vote], minlength=b)
 
 
 def predict_knn_batch(model: KnnModel, X: np.ndarray, k: int | None = None) -> np.ndarray:

@@ -511,12 +511,10 @@ def best_split(
     )
 
 
-def _leaf_value(targets, idx: np.ndarray) -> float:
-    if isinstance(targets, GradientTargets):
-        g = float(np.sum(targets.grad[idx]))
-        denom = float(np.sum(targets.leaf_hess[idx])) + targets.lam
-        return -g / max(denom, LEAF_DENOM_FLOOR)
-    return float(np.sum(targets[idx])) / len(idx)
+def _leaf_value(targets: GradientTargets, idx: np.ndarray) -> float:
+    g = float(np.sum(targets.grad[idx]))
+    denom = float(np.sum(targets.leaf_hess[idx])) + targets.lam
+    return -g / max(denom, LEAF_DENOM_FLOOR)
 
 
 def grow_tree(

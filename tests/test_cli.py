@@ -266,6 +266,19 @@ class TestCmdPredict:
         assert len(safe) + len(flagged) == 3
         assert "warning" in captured.err
 
+    def test_empty_url_warnings_name_argument_and_file_line(self, tiny_csv, tmp_path, capsys):
+        model = self.make_knn_artifact(tiny_csv, tmp_path)
+        urls_file = tmp_path / "urls.txt"
+        urls_file.write_text("https://www.meadow.org/articles/history.html\n\n")
+        code = main(["predict", "--model", model, "--data", str(urls_file),
+                     "--out", str(tmp_path / "o"), "https://unseen-site.org/reading", " "])
+        assert code == 0
+        warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning")]
+        assert warnings == [
+            "warning: argument 2: empty URL skipped",
+            f"warning: {urls_file} line 2: empty URL skipped",
+        ]
+
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     @pytest.mark.parametrize("section, name", [("bounds", "upper")])
     def test_short_preprocessing_array_exits_one(
@@ -536,7 +549,8 @@ class TestCmdCompareAndReport:
         assert (out2 / "accuracy_chart.svg").exists()
 
     @pytest.mark.parametrize(
-        "row", ["MLP,not-a-number", "MLP"], ids=["non_numeric", "one_column"]
+        "row", ["MLP,not-a-number", "MLP", "MLP,nan", "MLP,inf", "MLP,1.5", "MLP,-0.1"],
+        ids=["non_numeric", "one_column", "nan", "inf", "above_one", "below_zero"],
     )
     def test_report_malformed_row_exits_one(self, tmp_path, capsys, row):
         path = tmp_path / "comparison.csv"

@@ -30,10 +30,12 @@ def per_query_reference(model, X, k):
 
 @st.composite
 def duplicated_grid_cases(draw):
-    """A model whose stored rows repeat a few grid rows, queries that repeat too, and a k."""
+    """A model whose stored rows repeat a few grid rows, some with NaN entries,
+    queries that repeat too, and a k."""
     d = draw(st.integers(1, 3))
     grid = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
-    pool = draw(st.lists(hnp.arrays(np.float64, d, elements=grid), min_size=1, max_size=10))
+    pool = draw(st.lists(hnp.arrays(np.float64, d, elements=grid | st.just(np.nan)),
+                         min_size=1, max_size=10))
     n = draw(st.integers(1, 40))
     picks = draw(hnp.arrays(np.intp, n, elements=st.integers(0, len(pool) - 1)))
     labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
@@ -67,6 +69,17 @@ def split_tie_case():
     features = np.array([[1.0], [-1.0], [-1.0], [1.0], [-1.0], [1.0], [5.0]])
     model = KnnModel(features, np.array([1, 0, 1, 1, 0, 0, 1]), default_k=4)
     return model, np.array([[0.0], [0.0], [4.0], [1.0], [np.nan], [-3.0]]), 4
+
+
+def nan_cases():
+    """Stored rows with NaN entries, and queries, for the labels [1, 1, 0, 1, 1].
+
+    In the second, the 2nd nearest distinct row is at a NaN distance, yet rows
+    2 and 3 are nearer: for k = 2 they vote, 0.5.
+    """
+    yield np.array([[0.0], [np.nan], [1.0], [0.0], [np.nan]]), np.array([[0.0], [np.nan], [0.5]])
+    yield (np.array([[np.nan, 0.0], [0.0, np.nan], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+           np.array([[0.0, 0.0]]))
 
 
 def small_model():
@@ -195,12 +208,11 @@ class TestPredictKnn:
         assert got.tobytes() == per_query_reference(model, queries, k).tobytes()
 
     def test_nan_distances_match_per_query_reference(self):
-        features = np.array([[0.0], [np.nan], [1.0], [0.0], [np.nan]])
-        model = KnnModel(features, np.array([1, 1, 0, 1, 1]), default_k=1)
-        queries = np.array([[0.0], [np.nan], [0.5]])
-        for k in range(1, 6):
-            got = predict_knn_batch(model, queries, k)
-            assert got.tobytes() == per_query_reference(model, queries, k).tobytes()
+        for features, queries in nan_cases():
+            model = KnnModel(features, np.array([1, 1, 0, 1, 1]), default_k=1)
+            for k in range(1, 6):
+                got = predict_knn_batch(model, queries, k)
+                assert got.tobytes() == per_query_reference(model, queries, k).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(heavy_group_cases())

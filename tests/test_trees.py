@@ -544,7 +544,10 @@ def reference_grow_tree(features, targets, params, feature_sampler=None):
     d = features.shape[1]
 
     def build(idx, depth):
-        leaf = Node(value=trees._leaf_value(targets, idx))
+        if isinstance(targets, GradientTargets):
+            leaf = Node(value=trees._leaf_value(targets, idx))
+        else:
+            leaf = Node(value=float(np.sum(targets[idx])) / len(idx))
         if depth >= params.max_depth or len(idx) < 2:
             return leaf
         if not isinstance(targets, GradientTargets):

@@ -2,7 +2,9 @@
 
 Subcommands: train, compare, evaluate, predict, report. _COMMANDS declares
 the flags each one reads, and a subcommand rejects any other flag; the
-config file (--config) still takes every key. Exit codes: 0 success (and
+config file (--config) still takes every key. _COMMANDS also declares the
+settings each one needs, and a setting that neither a flag nor the config
+file gives is an error naming its flag. Exit codes: 0 success (and
 --help), 1 usage, config, data or file error (including unreadable or
 non-UTF-8 input), 2 internal error.
 """
@@ -10,13 +12,12 @@ non-UTF-8 input), 2 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
 
 from .artifact import load_model, save_model
-from .config import CONFIG_KEYS, build_config, parse_config_file
+from .config import CONFIG_KEYS, PipelineConfig, build_config, parse_config_file
 from .errors import MalformedRow, UrlSentryError, UsageError
 from .evaluation import (
     ComparisonTable,
@@ -26,6 +27,7 @@ from .evaluation import (
     render_confusion,
     render_metrics,
 )
+from .pipeline import read_columns
 from .runner import (
     dataset_fingerprint,
     evaluate_artifact,
@@ -36,35 +38,22 @@ from .runner import (
 )
 
 
-def _config_from_args(args: argparse.Namespace):
-    file_values = parse_config_file(args.config) if args.config else {}
-    flags = {key: value for key, value in vars(args).items() if key in CONFIG_KEYS}
-    return build_config(file_values, flags)
-
-
 def _ensure_out(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    if config.data_path is None:
-        raise UrlSentryError("train requires --data <csv>")
+def _print_rows(rows: list[tuple[str, float]]) -> None:
+    for i, (name, acc) in enumerate(rows, start=1):
+        print(f"{i}  {name:<20} {acc:.6f}")
 
-    stage = "load"
-    try:
-        dataset, report = load_labeled_dataset(config.data_path, config)
-        stage = "train"
-        artifact = train_artifact(
-            dataset, config, fingerprint=dataset_fingerprint(config.data_path)
-        )
-        stage = "save"
-        out_dir = _ensure_out(config.out_dir)
-        model_path = config.model_path or os.path.join(out_dir, "model.json")
-        save_model(artifact, model_path)
-    except UrlSentryError as exc:
-        raise UrlSentryError(f"stage {stage}: {type(exc).__name__}: {exc}") from exc
+
+def cmd_train(config: PipelineConfig) -> int:
+    dataset, report = load_labeled_dataset(config.data_path, config)
+    artifact = train_artifact(dataset, config, fingerprint=dataset_fingerprint(config.data_path))
+    out_dir = _ensure_out(config.out_dir)
+    model_path = config.model_path or os.path.join(out_dir, "model.json")
+    save_model(artifact, model_path)
 
     n = dataset.n_rows
     n_mal = int(dataset.labels.sum())
@@ -78,10 +67,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    if config.data_path is None:
-        raise UrlSentryError("compare requires --data <csv>")
+def cmd_compare(config: PipelineConfig) -> int:
     dataset, _ = load_labeled_dataset(config.data_path, config)
     table, matrices = run_compare(dataset, config)
 
@@ -95,16 +81,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(render_comparison_report(table, matrices))
 
-    for i, (name, acc) in enumerate(table.rows, start=1):
-        print(f"{i}  {name:<20} {acc:.6f}")
+    _print_rows(table.rows)
     print(f"wrote {csv_path}, {svg_path}, {report_path}")
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    if config.model_path is None or config.data_path is None:
-        raise UrlSentryError("evaluate requires --model <artifact> and --data <csv>")
+def cmd_evaluate(config: PipelineConfig) -> int:
     artifact = load_model(config.model_path)
     dataset, _ = load_labeled_dataset(config.data_path, config, spec=artifact.feature_spec)
     cm, metrics = evaluate_artifact(artifact, dataset)
@@ -118,11 +100,8 @@ def _read_url_lines(path: str) -> list[str]:
         return [line.rstrip("\n") for line in fh]
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    if config.model_path is None:
-        raise UrlSentryError("predict requires --model <artifact>")
-    sources = [("argument", args.urls)]
+def cmd_predict(config: PipelineConfig, *arguments: str) -> int:
+    sources = [("argument", arguments)]
     if config.data_path:
         sources.append((f"{config.data_path} line", _read_url_lines(config.data_path)))
 
@@ -155,26 +134,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    if config.data_path is None:
-        raise UrlSentryError("report requires --data <comparison csv>")
-    with open(config.data_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["classifier", "accuracy"]:
-            raise UrlSentryError("expected CSV header classifier,accuracy")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                acc = float(row[1])
-            except (IndexError, ValueError):
-                acc = math.nan
-            if not 0.0 <= acc <= 1.0:  # false for NaN too
-                raise MalformedRow(reader.line_num, "expected classifier,accuracy in [0, 1]")
-            rows.append((row[0], acc))
+def cmd_report(config: PipelineConfig) -> int:
+    rows = []
+    for line, (name, accuracy) in read_columns(config.data_path, ("classifier", "accuracy")):
+        try:
+            acc = float(accuracy)
+        except ValueError:
+            acc = math.nan
+        if not name.strip() or not 0.0 <= acc <= 1.0:  # false for NaN too
+            raise MalformedRow(line, "expected a classifier name and an accuracy in [0, 1]")
+        rows.append((name, acc))
     if not rows:
         raise UrlSentryError("comparison CSV has no rows")
     table = ComparisonTable(
@@ -183,8 +152,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     out_dir = _ensure_out(config.out_dir)
     svg_path = os.path.join(out_dir, "accuracy_chart.svg")
     render_bar_chart(table, svg_path)
-    for i, (name, acc) in enumerate(rows, start=1):
-        print(f"{i}  {name:<20} {acc:.6f}")
+    _print_rows(rows)
     print(f"wrote {svg_path}")
     return 0
 
@@ -194,16 +162,19 @@ _FLAG_HELP = {
     **{key: help_text for key, (_, _, help_text) in CONFIG_KEYS.items()},
 }
 
-# Subcommand -> (handler, help, the flags it reads); predict also takes URLs.
+# Subcommand -> (handler, help, the flags it reads, the settings it needs);
+# predict also takes URLs.
 _COMMANDS = {
     "train": (cmd_train, "train one classifier and write an artifact",
-              "data config model seed out features classifier"),
+              "data config model seed out features classifier", "data"),
     "compare": (cmd_compare, "train all five classifiers head-to-head",
-                "data config seed out features"),
-    "evaluate": (cmd_evaluate, "score an artifact on a labeled CSV", "data config model"),
+                "data config seed out features", "data"),
+    "evaluate": (cmd_evaluate, "score an artifact on a labeled CSV", "data config model",
+                 "model data"),
     "predict": (cmd_predict, "classify URLs and emit a safe list",
-                "data config model threshold out"),
-    "report": (cmd_report, "re-render chart/report from a comparison CSV", "data config out"),
+                "data config model threshold out", "model"),
+    "report": (cmd_report, "re-render chart/report from a comparison CSV", "data config out",
+               "data"),
 }
 
 
@@ -220,9 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Lexical malicious-URL detection: train, compare, and filter.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, flags) in _COMMANDS.items():
+    for name, (_, help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
         for flag in flags.split():
             p.add_argument(f"--{flag}", help=_FLAG_HELP[flag])
         if name == "predict":
@@ -233,7 +203,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args)
+        handler, _, _, needs = _COMMANDS[args.command]
+        config = build_config(
+            parse_config_file(args.config) if args.config else {},
+            {key: value for key, value in vars(args).items() if key in CONFIG_KEYS},
+        )
+        missing = [f"--{key}" for key in needs.split()
+                   if getattr(config, CONFIG_KEYS[key][0]) is None]
+        if missing:
+            raise UrlSentryError(f"{args.command} requires {' and '.join(missing)}")
+        return handler(config, *getattr(args, "urls", ()))
     except (UrlSentryError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ class MalformedRow(UrlSentryError):
 class UnknownLabel(UrlSentryError):
     def __init__(self, text: str):
         self.text = text
-        super().__init__(f"UnknownLabel: {text!r} has no entry in the label mapping")
+        super().__init__(f"{text!r} has no entry in the label mapping")
 
 
 class EmptyMatrix(UrlSentryError):

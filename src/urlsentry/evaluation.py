@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .artifact import CLASSIFIERS
 from .config import PipelineConfig
 from .errors import EmptyInput, EmptyMatrix, LengthMismatch
@@ -49,21 +51,17 @@ class ComparisonTable:
 
 
 def confusion_matrix(predicted, truth) -> ConfusionMatrix:
-    if len(predicted) != len(truth):
-        raise LengthMismatch(f"{len(predicted)} predictions vs {len(truth)} truths")
-    if len(predicted) == 0:
+    """Count (predicted, truth) pairs; a pair that is neither (1, 1), (1, 0)
+    nor (0, 0) counts as a false negative."""
+    p, t = np.asarray(predicted), np.asarray(truth)
+    if len(p) != len(t):
+        raise LengthMismatch(f"{len(p)} predictions vs {len(t)} truths")
+    if len(p) == 0:
         raise EmptyInput("cannot evaluate zero examples")
-    tp = fp = tn = fn = 0
-    for p, t in zip(predicted, truth):
-        if p == 1 and t == 1:
-            tp += 1
-        elif p == 1 and t == 0:
-            fp += 1
-        elif p == 0 and t == 0:
-            tn += 1
-        else:
-            fn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
+    tp = int(np.count_nonzero((p == 1) & (t == 1)))
+    fp = int(np.count_nonzero((p == 1) & (t == 0)))
+    tn = int(np.count_nonzero((p == 0) & (t == 0)))
+    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=len(p) - tp - fp - tn)
 
 
 def _ratio(num: int, denom: int, name: str, degenerate: list[str]) -> float:
@@ -92,7 +90,7 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
 def compare_classifiers(
     train: Dataset,
     test: Dataset,
-    config: PipelineConfig | None = None,
+    config: PipelineConfig,
     split_descriptor: str = "",
 ) -> tuple[ComparisonTable, dict[str, ConfusionMatrix]]:
     """Train every registered classifier on identical data and score the same test set.
@@ -100,18 +98,14 @@ def compare_classifiers(
     Row order is the registry order (MLP, K-NN, XGB, Gradient Boosting,
     Random Forest) and the whole run is deterministic in config.seed.
     """
-    if config is None:
-        config = PipelineConfig()
     if train.n_rows == 0 or test.n_rows == 0:
         raise EmptyInput("both partitions must be non-empty")
 
     rows = []
     matrices = {}
-    truth = [int(t) for t in test.labels]
     for kind in CLASSIFIERS.values():
         model = kind.train(train, config)
-        predicted = [1 if c >= 0.5 else 0 for c in kind.predict(model, test.features)]
-        cm = confusion_matrix(predicted, truth)
+        cm = confusion_matrix(kind.predict(model, test.features) >= 0.5, test.labels)
         matrices[kind.display_name] = cm
         rows.append((kind.display_name, compute_metrics(cm).accuracy))
     table = ComparisonTable(rows=rows, split_descriptor=split_descriptor, seed=config.seed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -77,33 +77,32 @@ class CleanReport:
     dropped_duplicates: int = 0
 
 
-def load_csv(path: str) -> list[RawRecord]:
-    """Read a url/type CSV (RFC-4180 quoting) into RawRecords, in file order.
+def read_columns(path: str, names: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, [named fields]) for each data row of a CSV (RFC-4180 quoting).
 
-    Raises FileNotFoundError, MissingColumn, or MalformedRow(line_no) for a
-    data row whose field count differs from the header's.
+    Header names match case-insensitively, with a byte-order mark stripped;
+    blank lines are skipped. Raises FileNotFoundError, MissingColumn, or
+    MalformedRow(line_no) for a data row whose field count differs from the
+    header's; the file is read as the rows are taken.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn("url")
-        header = [h.strip().lstrip("﻿").lower() for h in header]
-        for required in ("url", "type"):
+        header = [h.strip().lstrip("\ufeff").lower() for h in next(reader, [])]
+        for required in names:
             if required not in header:
                 raise MissingColumn(required)
-        url_idx = header.index("url")
-        type_idx = header.index("type")
-
-        records = []
+        columns = [header.index(name) for name in names]
         for row in reader:
             if not row:  # blank line
                 continue
             if len(row) != len(header):
                 raise MalformedRow(reader.line_num)
-            records.append(RawRecord(url=row[url_idx], label_text=row[type_idx]))
-    return records
+            yield reader.line_num, [row[i] for i in columns]
+
+
+def load_csv(path: str) -> list[RawRecord]:
+    """Read a url/type CSV into RawRecords, in file order, by read_columns' rules."""
+    return [RawRecord(url, label) for _, (url, label) in read_columns(path, ("url", "type"))]
 
 
 def clean(records: list[RawRecord]) -> tuple[list[RawRecord], CleanReport]:
@@ -185,10 +184,8 @@ def _nearest_rank(sorted_col: np.ndarray, pct: float) -> float:
     return float(sorted_col[rank - 1])
 
 
-def bound_outliers(
-    train_features: np.ndarray, low_pct: float = 1.0, high_pct: float = 99.0
-) -> tuple[OutlierBounds, np.ndarray]:
-    """Winsorize each column to its training percentiles (nearest-rank).
+def bound_outliers(train_features: np.ndarray) -> tuple[OutlierBounds, np.ndarray]:
+    """Winsorize each column to its training 1st/99th percentiles (nearest-rank).
 
     Returns the per-column bounds and the clipped training matrix. Rows are
     never deleted, so class balance is untouched.
@@ -200,8 +197,8 @@ def bound_outliers(
     upper = np.empty(d, dtype=np.float64)
     for j in range(d):
         col = np.sort(train_features[:, j])
-        lower[j] = _nearest_rank(col, low_pct)
-        upper[j] = _nearest_rank(col, high_pct)
+        lower[j] = _nearest_rank(col, 1.0)
+        upper[j] = _nearest_rank(col, 99.0)
     bounds = OutlierBounds(lower=lower, upper=upper)
     return bounds, apply_bounds(bounds, train_features)
 

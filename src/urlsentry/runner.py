@@ -164,6 +164,5 @@ def evaluate_artifact(
 ) -> tuple[ConfusionMatrix, MetricsReport]:
     """Score an artifact on labeled data; classification cut is 0.5."""
     confidences = predict_feature_matrix(artifact, dataset.features)
-    predicted = [1 if c >= 0.5 else 0 for c in confidences]
-    cm = confusion_matrix(predicted, [int(t) for t in dataset.labels])
+    cm = confusion_matrix(confidences >= 0.5, dataset.labels)
     return cm, compute_metrics(cm)

@@ -517,28 +517,18 @@ def _leaf_value(targets: GradientTargets, idx: np.ndarray) -> float:
     return -g / max(denom, LEAF_DENOM_FLOOR)
 
 
-def grow_tree(
-    features: np.ndarray,
-    targets,
-    params: TreeParams,
-    feature_sampler=None,
-) -> TreeNode:
+def grow_tree(features: np.ndarray, targets, params: TreeParams) -> TreeNode:
     """Grow a tree until pure, depth-limited, or gain-starved; returns a view of its root.
 
     targets: binary labels (criterion "gini") or GradientTargets
-    ("second_order"). feature_sampler, when given, returns the candidate
-    feature indices for one node; None considers every feature.
+    ("second_order"). Every node considers every feature.
     """
-    d = features.shape[1]
-    sampler = None
-    if feature_sampler is not None:
-        sampler = lambda: _candidates(feature_sampler(), d)
     if isinstance(targets, GradientTargets):
-        return TreeNode(_stack([_grow(*_presort(features), targets, params, sampler)[0]]), 0)
+        return TreeNode(_stack([_grow(*_presort(features), targets, params)[0]]), 0)
     cols, orders, group = _distinct_presort(features)
     counts, positives = _tally(group, targets, cols.shape[1])
     return TreeNode(_stack(_grow_gini(cols, orders, counts[None], positives[None], params,
-                                      [sampler])), 0)
+                                      [None])), 0)
 
 
 def _grow(
@@ -546,17 +536,16 @@ def _grow(
     orders: np.ndarray,
     targets: GradientTargets,
     params: TreeParams,
-    feature_sampler=None,
 ) -> tuple[list[list], np.ndarray]:
     """A second-order grow_tree on the presorted columns and orders of features (see _presort).
 
-    feature_sampler, when given, returns ascending candidate features in [0, d).
-    Also returns each training row's leaf value, which is the tree's
-    prediction for that row: rows are routed by the same < test on the same
-    values that prediction applies.
+    Every node scores every feature. Also returns each training row's leaf
+    value, which is the tree's prediction for that row: rows are routed by the
+    same < test on the same values that prediction applies.
     """
     d, n = cols.shape
     every_feature = np.arange(d)
+    column_start = (every_feature * n)[:, None]
     flat_cols = cols.ravel()
     in_left = np.zeros(n, dtype=bool)
     out = np.empty(n, dtype=np.float64)
@@ -569,12 +558,8 @@ def _grow(
         parent, idx, orders, depth = stack.pop()
         split = None
         if depth < params.max_depth and len(idx) >= 2:
-            cands, node_orders = every_feature, orders
-            if feature_sampler is not None:
-                cands = feature_sampler()
-                node_orders = orders[cands]
             split = _split_sorted(
-                cands, node_orders, flat_cols[node_orders + (cands * n)[:, None]], targets.grad,
+                every_feature, orders, flat_cols[orders + column_start], targets.grad,
                 targets.hess, targets.lam, targets.gamma, params.min_samples_leaf,
             )
         if split is None:

@@ -107,6 +107,12 @@ class TestCmdTrain:
         assert main(["train", "--data", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "UnicodeDecodeError" in capsys.readouterr().err
 
+    def test_missing_column_keeps_its_type(self, tmp_path, capsys):
+        path = tmp_path / "no_type.csv"
+        path.write_text("url,label\nhttp://a.com,benign\n")
+        assert main(["train", "--data", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: MissingColumn: ")
+
 
 def minus_inf_lower_bound(payload):
     payload["bounds"]["lower"][0] = float("-inf")
@@ -549,8 +555,10 @@ class TestCmdCompareAndReport:
         assert (out2 / "accuracy_chart.svg").exists()
 
     @pytest.mark.parametrize(
-        "row", ["MLP,not-a-number", "MLP", "MLP,nan", "MLP,inf", "MLP,1.5", "MLP,-0.1"],
-        ids=["non_numeric", "one_column", "nan", "inf", "above_one", "below_zero"],
+        "row", ["MLP,not-a-number", "MLP", "MLP,nan", "MLP,inf", "MLP,1.5", "MLP,-0.1",
+                "MLP,0.5,junk", ",0.7"],
+        ids=["non_numeric", "one_column", "nan", "inf", "above_one", "below_zero",
+             "extra_field", "empty_name"],
     )
     def test_report_malformed_row_exits_one(self, tmp_path, capsys, row):
         path = tmp_path / "comparison.csv"
@@ -653,6 +661,39 @@ class TestCommandLine:
     def test_unparsable_command_line_exits_one(self, argv, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: UsageError:")
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["train"], "--data"),
+        (["compare"], "--data"),
+        (["report"], "--data"),
+        (["evaluate", "--model", "m.json"], "--data"),
+        (["evaluate", "--data", "d.csv"], "--model"),
+        (["evaluate"], "--model and --data"),
+        (["predict", "https://example.org/docs"], "--model"),
+    ], ids=["train", "compare", "report", "evaluate-no-data", "evaluate-no-model",
+            "evaluate-neither", "predict"])
+    def test_missing_setting_exits_one_naming_its_flag(self, argv, missing, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: UrlSentryError: {argv[0]} requires {missing}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["train", "compare", "evaluate"])
+    def test_unknown_label_named_once(self, command, tiny_csv, tmp_path, capsys):
+        bad = write_rows(tmp_path / "bad.csv", [("http://a.com", "weird")])
+        argv = [command, "--data", bad]
+        if command == "evaluate":
+            model = tmp_path / "model.json"
+            assert main(["train", "--data", tiny_csv, "--model", str(model),
+                         "--out", str(tmp_path / "o"), "--classifier", "knn"]) == 0
+            argv += ["--model", str(model)]
+        else:
+            argv += ["--out", str(tmp_path / "o")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: UnknownLabel: 'weird'")
+        assert err.count("UnknownLabel") == 1
 
     def test_train_defaults_to_random_forest(self, tiny_csv, tmp_path, capsys):
         argv = ["train", "--data", tiny_csv, "--seed", "3"]

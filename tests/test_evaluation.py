@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urlsentry.config import PipelineConfig
 from urlsentry.errors import EmptyInput, EmptyMatrix, LengthMismatch
@@ -47,6 +49,42 @@ class TestConfusionMatrix:
             pred = rng.integers(0, 2, size=n).tolist()
             truth = rng.integers(0, 2, size=n).tolist()
             assert confusion_matrix(pred, truth).total == n
+
+
+def loop_confusion_counts(predicted, truth):
+    """The per-pair loop confusion_matrix counted with before numpy, kept as the oracle."""
+    tp = fp = tn = fn = 0
+    for p, t in zip(predicted, truth):
+        if p == 1 and t == 1:
+            tp += 1
+        elif p == 1 and t == 0:
+            fp += 1
+        elif p == 0 and t == 0:
+            tn += 1
+        else:
+            fn += 1
+    return tp, fp, tn, fn
+
+
+# Each side of a pair goes in as a list, a bool array or an int array.
+AS_INPUT = {
+    "list": list,
+    "bool": lambda values: np.asarray(values, dtype=bool),
+    "int": lambda values: np.asarray(values, dtype=np.int64),
+}
+
+
+class TestConfusionMatrixOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_counts_equal_the_per_pair_loop(self, data):
+        n = data.draw(st.integers(1, 40))
+        values = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+        predicted = AS_INPUT[data.draw(st.sampled_from(sorted(AS_INPUT)))](data.draw(values))
+        truth = AS_INPUT[data.draw(st.sampled_from(sorted(AS_INPUT)))](data.draw(values))
+        cm = confusion_matrix(predicted, truth)
+        assert (cm.tp, cm.fp, cm.tn, cm.fn) == loop_confusion_counts(predicted, truth)
+        assert all(type(count) is int for count in (cm.tp, cm.fp, cm.tn, cm.fn))
 
 
 class TestComputeMetrics:

@@ -96,7 +96,7 @@ def cmd_evaluate(config: PipelineConfig) -> int:
 
 
 def _read_url_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         return [line.rstrip("\n") for line in fh]
 
 

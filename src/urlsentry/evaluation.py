@@ -20,6 +20,9 @@ from .pipeline import Dataset
 # Fixed comparison row order; serials 1-5 in every emitted table.
 CLASSIFIER_ORDER = tuple(kind.display_name for kind in CLASSIFIERS.values())
 
+# Scored runs count a confidence at or above this cut as malicious.
+SCORING_CUT = 0.5
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -105,7 +108,7 @@ def compare_classifiers(
     matrices = {}
     for kind in CLASSIFIERS.values():
         model = kind.train(train, config)
-        cm = confusion_matrix(kind.predict(model, test.features) >= 0.5, test.labels)
+        cm = confusion_matrix(kind.predict(model, test.features) >= SCORING_CUT, test.labels)
         matrices[kind.display_name] = cm
         rows.append((kind.display_name, compute_metrics(cm).accuracy))
     table = ComparisonTable(rows=rows, split_descriptor=split_descriptor, seed=config.seed)

@@ -22,6 +22,7 @@ from .artifact import (
 from .config import PipelineConfig
 from .errors import ConfigError, EmptyInput, ThresholdOutOfRange
 from .evaluation import (
+    SCORING_CUT,
     ComparisonTable,
     ConfusionMatrix,
     MetricsReport,
@@ -59,6 +60,13 @@ class Verdict:
     label: str  # "safe" | "flagged"
 
 
+def _flag_rule(threshold: float):
+    """The rule flagging a confidence: confidence >= threshold, a threshold in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ThresholdOutOfRange(f"threshold must be in [0, 1], got {threshold}")
+    return lambda confidence: confidence >= threshold
+
+
 def filter_predictions(
     verdict_inputs: list[tuple[str, float]], threshold: float
 ) -> tuple[list[tuple[str, float]], list[tuple[str, float]]]:
@@ -66,20 +74,18 @@ def filter_predictions(
 
     flagged holds confidence >= threshold; both lists keep input order.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ThresholdOutOfRange(f"threshold must be in [0, 1], got {threshold}")
+    flags = _flag_rule(threshold)
     safe, flagged = [], []
     for item in verdict_inputs:
-        (flagged if item[1] >= threshold else safe).append(item)
+        (flagged if flags(item[1]) else safe).append(item)
     return safe, flagged
 
 
 def make_verdicts(artifact: ModelArtifact, urls: list[str], threshold: float) -> list[Verdict]:
-    if not 0.0 <= threshold <= 1.0:
-        raise ThresholdOutOfRange(f"threshold must be in [0, 1], got {threshold}")
+    flags = _flag_rule(threshold)
     confidences = predict_urls(artifact, urls)
     return [
-        Verdict(url=u, confidence=float(c), label="flagged" if c >= threshold else "safe")
+        Verdict(url=u, confidence=float(c), label="flagged" if flags(c) else "safe")
         for u, c in zip(urls, confidences)
     ]
 
@@ -162,7 +168,7 @@ def run_compare(
 def evaluate_artifact(
     artifact: ModelArtifact, dataset: Dataset
 ) -> tuple[ConfusionMatrix, MetricsReport]:
-    """Score an artifact on labeled data; classification cut is 0.5."""
+    """Score an artifact on labeled data at the cut compare_classifiers uses."""
     confidences = predict_feature_matrix(artifact, dataset.features)
-    cm = confusion_matrix(confidences >= 0.5, dataset.labels)
+    cm = confusion_matrix(confidences >= SCORING_CUT, dataset.labels)
     return cm, compute_metrics(cm)

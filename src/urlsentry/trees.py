@@ -35,8 +35,15 @@ preorder stack, so each generator draws in the order a recursive build
 draws, and scores all those nodes in one batched numpy search. Boosting
 uses no sampling at all.
 
-An ensemble stores its trees once, as the node arrays of TreeArrays
-(scikit-learn's Tree layout), grown in preorder from explicit stacks.
+Each split search makes one prefix pass. Second-order trees gather and
+cumsum one complex vector grad + 1j * hess, whose real and imaginary parts
+numpy adds separately, so both prefixes are the sums two float passes give;
+the gain formula then reads .real and .imag. Gini trees gather and cumsum
+one packed int64, count << 32 | positives, and unpack the differences.
+
+Each tree grows straight into five typed columns (feature, threshold, left,
+right, value) in preorder, from explicit stacks; an ensemble concatenates
+them once into the node arrays of TreeArrays (scikit-learn's Tree layout).
 Prediction routes every row through every tree one depth level per numpy
 step, as QuickScorer (Lucchese et al. 2015) routes over flat arrays.
 TreeNode and model.trees are read-only views over the arrays.
@@ -45,6 +52,7 @@ TreeNode and model.trees are read-only views over the arrays.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -55,9 +63,16 @@ from .errors import DimensionMismatch, EmptyNode, SingleClassTrainingSet, TooFew
 from .pipeline import Dataset, distinct_rows
 
 LEAF_DENOM_FLOOR = 1e-12  # guards Newton leaf values when hessians vanish
-_SCORE_BLOCK = 1 << 16  # elements scored per pass: temporaries stay within 512 KiB or one column
+# Elements per pass of a second-order split search ((feature, row) pairs, or
+# one whole column when a column is longer) and (tree, row) pairs per routing
+# pass: each temporary stays within 256 KiB, about one core's L2 cache.
+_SCORE_BLOCK = 1 << 14
 _LOCKSTEP_TREES = 25  # forest trees grown together, one node of each per batched split search
-_GINI_BLOCK = 1 << 14  # (node, feature, distinct row) elements per batched gini search
+# (node, feature, distinct row) elements per batched gini search, or one node
+# when a node has more: each per-element int64 or float64 temporary stays
+# within 32 KiB, one core's L1 data cache.
+_GINI_BLOCK = 1 << 12
+_COUNT = 1 << 32  # a packed gini tally is count * _COUNT + positives
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,26 +120,44 @@ class TreeNode:
     right = property(lambda self: self._child("right"))
 
 
-def _add(tree: list[list], parent: int | None, value: float = 0.0) -> int:
-    """Append a leaf to tree, a list of [feature, threshold, left, right, value]
-    rows in preorder, as parent's first free child: the left subtree is added
-    first. A node that splits sets its feature and threshold, and value 0.0,
-    before its children are added."""
-    node = len(tree)
-    if parent is not None:
-        tree[parent][2 if tree[parent][2] == parent else 3] = node
-    tree.append([0, 0.0, node, node, value])
-    return node
+class _Tree:
+    """One growing tree: the fields of TreeArrays as typed columns, nodes in preorder."""
+
+    def __init__(self):
+        self.feature, self.left, self.right = array("q"), array("q"), array("q")
+        self.threshold, self.value = array("d"), array("d")
+
+    def add(self, parent: int | None, value: float = 0.0) -> int:
+        """Append a leaf as parent's first free child: the left subtree is added first."""
+        node = len(self.value)
+        if parent is not None:
+            (self.left if self.left[parent] == parent else self.right)[parent] = node
+        self.feature.append(0)
+        self.threshold.append(0.0)
+        self.left.append(node)
+        self.right.append(node)
+        self.value.append(value)
+        return node
+
+    def split(self, node: int, decision: SplitDecision) -> None:
+        """Turn leaf node into decision's split; its children are added next."""
+        self.feature[node] = decision.feature_index
+        self.threshold[node] = decision.threshold
+        self.value[node] = 0.0
 
 
-def _stack(trees: list[list[list]]) -> TreeArrays:
-    """The trees, each a list of _add's rows, as one TreeArrays (indices are exact as floats)."""
-    sizes = np.array([len(tree) for tree in trees], dtype=np.intp)
+def _stack(trees: list[_Tree]) -> TreeArrays:
+    """The trees as one TreeArrays: one concatenate per field, links offset to each root."""
+    sizes = np.array([len(tree.value) for tree in trees], dtype=np.intp)
     roots = np.cumsum(sizes) - sizes
-    rows = np.array([row for tree in trees for row in tree], dtype=np.float64).reshape(-1, 5)
-    links = rows[:, 2:4].astype(np.intp) + np.repeat(roots, sizes)[:, None]
-    return TreeArrays(rows[:, 0].astype(np.intp), rows[:, 1].copy(), links[:, 0].copy(),
-                      links[:, 1].copy(), rows[:, 4].copy(), roots)
+    offsets = np.repeat(roots, sizes)
+
+    def field(name: str, dtype) -> np.ndarray:
+        return np.frombuffer(bytearray().join(getattr(tree, name) for tree in trees), dtype=dtype)
+
+    return TreeArrays(field("feature", np.intp), field("threshold", np.float64),
+                      field("left", np.intp) + offsets, field("right", np.intp) + offsets,
+                      field("value", np.float64), roots)
 
 
 def _root_views(model) -> list[TreeNode]:
@@ -200,12 +233,18 @@ def _presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, np.argsort(cols, axis=1, kind="stable")
 
 
+def _grad_hess(grad, hess) -> np.ndarray:
+    """grad + 1j * hess, set part by part so -0.0, infinities and NaN keep their bits."""
+    gh = np.empty(len(grad), dtype=np.complex128)
+    gh.real, gh.imag = grad, hess
+    return gh
+
+
 def _split_sorted(
     cands: np.ndarray,
     orders: np.ndarray,
     values: np.ndarray,
-    grad: np.ndarray,
-    hess: np.ndarray,
+    gh: np.ndarray,
     lam: float,
     gamma: float,
     min_samples_leaf: int,
@@ -213,17 +252,19 @@ def _split_sorted(
     """Best second-order split of one node over all candidate features at once.
 
     Row r of orders lists the node's rows sorted stably by feature cands[r],
-    and row r of values holds that feature's values in that order; grad and
-    hess are indexed by row. Only a boundary between two distinct values
-    that leaves min_samples_leaf rows on each side can win, so gains are
-    computed at those boundaries alone, _SCORE_BLOCK elements at a time.
-    cumsum(axis=1) adds sequentially, so each row's prefixes equal a
-    one-feature cumsum, and the gain formula sees the same operands as a
-    dense search, bit for bit. The winner is picked from each feature's
-    maximum in ascending feature order with a strict >, so the earliest of
-    equal gains wins and a NaN gain, once best, is never displaced (a
-    feature's maximum is NaN when any of its gains is, as argmax picks the
-    first NaN); within the winning feature, argmax picks the position.
+    and row r of values holds that feature's values in that order; gh is
+    _grad_hess(grad, hess), indexed by row. Only a boundary between two
+    distinct values that leaves min_samples_leaf rows on each side can win,
+    so gains are computed at those boundaries alone, _SCORE_BLOCK elements at
+    a time. cumsum(axis=1) adds sequentially and complex sums add real and
+    imaginary parts apart, so each row's prefixes equal one-feature cumsums
+    of grad and hess, and the gain formula, evaluated in place in its usual
+    order, sees the same operands as a dense search, bit for bit. The winner
+    is picked from each feature's maximum in ascending feature order with a
+    strict >, so the earliest of equal gains wins and a NaN gain, once best,
+    is never displaced (a feature's maximum is NaN when any of its gains is,
+    as argmax picks the first NaN); within the winning feature, argmax picks
+    the position.
     """
     n = values.shape[1]
     lo, hi = min_samples_leaf - 1, n - min_samples_leaf  # admissible boundaries: [lo, hi)
@@ -245,16 +286,21 @@ def _split_sorted(
         counts[1:] -= ends[:-1]
         starts = ends - counts
 
-        g_prefix = grad[orders[block]]
-        h_prefix = hess[orders[block]]
-        np.cumsum(g_prefix, axis=1, out=g_prefix)
-        np.cumsum(h_prefix, axis=1, out=h_prefix)
-        g_total, h_total = g_prefix[:, -1], h_prefix[:, -1]
-        gl_s, hl_s = np.take(g_prefix, at), np.take(h_prefix, at)
-        gr_s = np.repeat(g_total, counts) - gl_s
-        hr_s = np.repeat(h_total, counts) - hl_s
-        parent = np.repeat(g_total * g_total / (h_total + lam), counts)
-        gains = 0.5 * (gl_s * gl_s / (hl_s + lam) + gr_s * gr_s / (hr_s + lam) - parent) - gamma
+        prefix = gh[orders[block]]
+        np.cumsum(prefix, axis=1, out=prefix)
+        total = prefix[:, -1]
+        left = np.take(prefix, at)
+        right = np.repeat(total, counts)
+        right -= left
+        # 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - gamma
+        gains = left.real * left.real
+        gains /= left.imag + lam
+        right_gain = right.real * right.real
+        right_gain /= right.imag + lam
+        gains += right_gain
+        gains -= np.repeat(total.real * total.real / (total.imag + lam), counts)
+        gains *= 0.5
+        gains -= gamma
 
         scored = np.flatnonzero(counts)
         winner = None
@@ -284,28 +330,30 @@ def _distinct_presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return cols, orders.astype(np.int32), group
 
 
-def _tally(group: np.ndarray, labels: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """How many rows, and how many positive labels, fall on each distinct row."""
+def _tally(group: np.ndarray, labels: np.ndarray, size: int) -> np.ndarray:
+    """Per distinct row, count * _COUNT + positives: how many rows fall there, and
+    how many of those are positive. Sums and differences of tallies stay exact
+    and unpack with divmod while a node holds fewer than 2**31 rows."""
     counts = np.bincount(group, minlength=size)
-    positives = np.bincount(group, weights=labels, minlength=size)
-    return counts.astype(np.int32), positives.astype(np.int32)
+    positives = np.bincount(group, weights=labels, minlength=size).astype(np.int64)
+    return counts * _COUNT + positives
 
 
 def _gini_splits(
     cols: np.ndarray,
-    counts: np.ndarray,
-    positives: np.ndarray,
+    tally: np.ndarray,
     nodes: list[tuple],
     min_samples_leaf: int,
 ) -> list[SplitDecision | None]:
     """Best gini split of each node, or None, in one batched search.
 
-    cols (d, U) holds the distinct rows' columns; counts[t, u] and
-    positives[t, u] say how many of tree t's rows are distinct row u and
-    how many of those are positive. A node is (t, block, cands, n, pos):
-    block holds the keys t * U + u of its distinct rows u sorted by
-    feature 0, then by feature 1, and so on (d runs of equal length), cands
-    its ascending candidate features, n and pos its row and positive counts.
+    cols (d, U) holds the distinct rows' columns; tally[t, u] packs how many
+    of tree t's rows are distinct row u and how many of those are positive
+    (see _tally), so one cumsum gives both prefix counts. A node is
+    (t, block, cands, n, pos): block holds the keys t * U + u of its distinct
+    rows u sorted by feature 0, then by feature 1, and so on (d runs of equal
+    length), cands its ascending candidate features, n and pos its row and
+    positive counts.
 
     Each (node, candidate) pair is one segment of flat arrays. A boundary
     between two distinct values cuts the node where the row-by-row search
@@ -330,10 +378,8 @@ def _gini_splits(
     keys = np.concatenate(blocks)[np.arange(ends[-1]) + shift[seg_of]]
     to_value = (seg_feat - np.array(tree_ids)[seg_node]) * U
     values = cols.ravel()[keys + to_value[seg_of]]
-    row_n = counts.ravel()[keys]
-    row_pos = positives.ravel()[keys]
-    cum_n = np.cumsum(row_n, dtype=np.int64)
-    cum_pos = np.cumsum(row_pos, dtype=np.int64)
+    row = tally.ravel()[keys]
+    cum = np.cumsum(row)
 
     boundary = np.empty(len(values), dtype=bool)
     np.not_equal(values[:-1], values[1:], out=boundary[:-1])
@@ -341,13 +387,14 @@ def _gini_splits(
     at = np.flatnonzero(boundary)
     seg = seg_of[at]
     node = seg_node[seg]
-    left_n = cum_n[at] - (cum_n[starts] - row_n[starts])[seg]
+    left_n, left_pos = np.divmod(cum[at] - (cum[starts] - row[starts])[seg], _COUNT)
     if min_samples_leaf > 1:  # every boundary leaves at least one row on each side
         node_n = np.array(n, dtype=np.int64)[node]
         keep = (left_n >= min_samples_leaf) & (node_n - left_n >= min_samples_leaf)
-        at, seg, node, left_n = at[keep], seg[keep], node[keep], left_n[keep]
+        at, seg, node = at[keep], seg[keep], node[keep]
+        left_n, left_pos = left_n[keep], left_pos[keep]
 
-    left_pos = (cum_pos[at] - (cum_pos[starts] - row_pos[starts])[seg]).astype(np.float64)
+    left_pos = left_pos.astype(np.float64)
     left_n = left_n.astype(np.float64)
     total_n = np.array(n, dtype=np.float64)
     total_pos = np.array(pos, dtype=np.float64)
@@ -396,16 +443,15 @@ def _batches(items: list, costs: list[int], budget: int):
 def _grow_gini(
     cols: np.ndarray,
     orders: np.ndarray,
-    counts: np.ndarray,
-    positives: np.ndarray,
+    tally: np.ndarray,
     params: TreeParams,
     samplers: list,
-) -> list[list[list]]:
-    """Grow one gini tree per row of counts, all in lockstep.
+) -> list[_Tree]:
+    """Grow one gini tree per row of tally, all in lockstep.
 
-    cols and orders are _distinct_presort's; counts and positives are as in
-    _gini_splits. samplers[t] is None (every feature) or returns tree t's
-    ascending candidate features for one node. Each tree keeps its own
+    cols and orders are _distinct_presort's; tally is as in _gini_splits.
+    samplers[t] is None (every feature) or returns tree t's ascending
+    candidate features for one node. Each tree keeps its own
     preorder stack: a step pops, per tree, leaves until the next node that
     needs a split search and draws its candidates, so every sampler is
     called in the order a recursive build calls it. One _gini_splits call
@@ -414,19 +460,19 @@ def _grow_gini(
     """
     d, U = cols.shape
     every_feature = np.arange(d)
-    goes_left = np.zeros(counts.size, dtype=bool)  # per (tree, distinct row)
-    trees = [[] for _ in range(len(counts))]
+    goes_left = np.zeros(tally.size, dtype=bool)  # per (tree, distinct row)
+    trees = [_Tree() for _ in range(len(tally))]
     stacks = []
-    for t in range(len(counts)):
-        n, pos = int(counts[t].sum()), int(positives[t].sum())
-        stacks.append([(None, orders[(counts[t] > 0)[orders]] + t * U, n, pos, 0)])
+    for t in range(len(tally)):
+        n, pos = divmod(int(tally[t].sum()), _COUNT)
+        stacks.append([(None, orders[(tally[t] > 0)[orders]] + t * U, n, pos, 0)])
 
     while True:
         todo = []
         for t, stack in enumerate(stacks):
             while stack:
                 parent, block, n, pos, depth = stack.pop()
-                node = _add(trees[t], parent, pos / n)
+                node = trees[t].add(parent, pos / n)
                 if depth < params.max_depth and 0 < pos < n:
                     sampler = samplers[t]
                     cands = every_feature if sampler is None else sampler()
@@ -437,7 +483,7 @@ def _grow_gini(
         costs = [len(item[2]) * len(item[1]) // d for item in todo]
         for batch in _batches(todo, costs, _GINI_BLOCK):
             decisions = _gini_splits(
-                cols, counts, positives, [item[:5] for item in batch], params.min_samples_leaf
+                cols, tally, [item[:5] for item in batch], params.min_samples_leaf
             )
             split = [(item, s) for item, s in zip(batch, decisions) if s is not None]
             if not split:
@@ -454,8 +500,8 @@ def _grow_gini(
             )
             goes_left[keys] = left
             k_left = np.add.reduceat(left, starts, dtype=np.int64)
-            n_left = np.add.reduceat(counts.ravel()[keys] * left, starts, dtype=np.int64)
-            pos_left = np.add.reduceat(positives.ravel()[keys] * left, starts, dtype=np.int64)
+            n_left, pos_left = np.divmod(np.add.reduceat(tally.ravel()[keys] * left, starts),
+                                         _COUNT)
             to_left = goes_left[blocks]
             lefts, rights = blocks[to_left], blocks[~to_left]
             left_ends = (d * np.cumsum(k_left)).tolist()
@@ -464,8 +510,7 @@ def _grow_gini(
                 split, [0] + left_ends, left_ends, [0] + right_ends, right_ends,
                 n_left.tolist(), pos_left.tolist(),
             ):
-                trees[t][node][:2] = s.feature_index, s.threshold
-                trees[t][node][4] = 0.0
+                trees[t].split(node, s)
                 stacks[t] += [
                     (node, rights[r0:r1], n - nl, pos - pl, depth + 1),
                     (node, lefts[l0:l1], nl, pl, depth + 1),
@@ -500,14 +545,14 @@ def best_split(
 
     if criterion == "gini":
         cols, orders, group = _distinct_presort(features)
-        counts, positives = _tally(group, targets, cols.shape[1])
-        node = (0, orders.ravel(), cands, n, int(positives.sum()))
-        return _gini_splits(cols, counts[None], positives[None], [node], min_samples_leaf)[0]
+        tally = _tally(group, targets, cols.shape[1])
+        node = (0, orders.ravel(), cands, n, int(tally.sum()) % _COUNT)
+        return _gini_splits(cols, tally[None], [node], min_samples_leaf)[0]
     cols = features.T[cands]
     orders = np.argsort(cols, axis=1, kind="stable")
     return _split_sorted(
-        cands, orders, np.take_along_axis(cols, orders, axis=1), targets,
-        hessians, lam, gamma, min_samples_leaf,
+        cands, orders, np.take_along_axis(cols, orders, axis=1), _grad_hess(targets, hessians),
+        lam, gamma, min_samples_leaf,
     )
 
 
@@ -526,9 +571,8 @@ def grow_tree(features: np.ndarray, targets, params: TreeParams) -> TreeNode:
     if isinstance(targets, GradientTargets):
         return TreeNode(_stack([_grow(*_presort(features), targets, params)[0]]), 0)
     cols, orders, group = _distinct_presort(features)
-    counts, positives = _tally(group, targets, cols.shape[1])
-    return TreeNode(_stack(_grow_gini(cols, orders, counts[None], positives[None], params,
-                                      [None])), 0)
+    tally = _tally(group, targets, cols.shape[1])
+    return TreeNode(_stack(_grow_gini(cols, orders, tally[None], params, [None])), 0)
 
 
 def _grow(
@@ -536,12 +580,14 @@ def _grow(
     orders: np.ndarray,
     targets: GradientTargets,
     params: TreeParams,
-) -> tuple[list[list], np.ndarray]:
+) -> tuple[_Tree, np.ndarray]:
     """A second-order grow_tree on the presorted columns and orders of features (see _presort).
 
-    Every node scores every feature. Also returns each training row's leaf
-    value, which is the tree's prediction for that row: rows are routed by the
-    same < test on the same values that prediction applies.
+    Every node scores every feature; children at max_depth become leaves
+    without a search, so their orders are never partitioned. Also returns
+    each training row's leaf value, which is the tree's prediction for that
+    row: rows are routed by the same < test on the same values that
+    prediction applies.
     """
     d, n = cols.shape
     every_feature = np.arange(d)
@@ -549,7 +595,8 @@ def _grow(
     flat_cols = cols.ravel()
     in_left = np.zeros(n, dtype=bool)
     out = np.empty(n, dtype=np.float64)
-    tree = []
+    gh = _grad_hess(targets.grad, targets.hess)
+    tree = _Tree()
     # (parent, rows, orders, depth). The right child is pushed first, so the left
     # subtree grows first and a pending right sibling per level is the only
     # extra order held.
@@ -559,21 +606,25 @@ def _grow(
         split = None
         if depth < params.max_depth and len(idx) >= 2:
             split = _split_sorted(
-                every_feature, orders, flat_cols[orders + column_start], targets.grad,
-                targets.hess, targets.lam, targets.gamma, params.min_samples_leaf,
+                every_feature, orders, flat_cols[orders + column_start], gh,
+                targets.lam, targets.gamma, params.min_samples_leaf,
             )
         if split is None:
             out[idx] = value = _leaf_value(targets, idx)
-            _add(tree, parent, value)
+            tree.add(parent, value)
             continue
-        node = _add(tree, parent)
-        tree[node][:2] = split.feature_index, split.threshold
+        node = tree.add(parent)
+        tree.split(node, split)
         go_left = cols[split.feature_index, idx] < split.threshold
-        in_left[idx] = go_left
-        left_rows = in_left[orders].ravel()
+        right_orders = left_orders = None
+        if depth + 1 < params.max_depth:
+            in_left[idx] = go_left
+            left_rows = in_left[orders].ravel()
+            right_orders = np.compress(~left_rows, orders).reshape(d, -1)
+            left_orders = np.compress(left_rows, orders).reshape(d, -1)
         stack += [
-            (node, idx[~go_left], np.compress(~left_rows, orders).reshape(d, -1), depth + 1),
-            (node, idx[go_left], np.compress(left_rows, orders).reshape(d, -1), depth + 1),
+            (node, idx[~go_left], right_orders, depth + 1),
+            (node, idx[go_left], left_orders, depth + 1),
         ]
     return tree, out
 
@@ -669,18 +720,17 @@ def train_random_forest(train: Dataset, params: ForestParams | None = None) -> F
     trees = []
     for first in range(0, params.n_trees, _LOCKSTEP_TREES):
         members = range(first, min(first + _LOCKSTEP_TREES, params.n_trees))
-        counts = np.empty((len(members), size), dtype=np.int32)
-        positives = np.empty_like(counts)
+        tally = np.empty((len(members), size), dtype=np.int64)
         samplers = []
         for i, t in enumerate(members):
             rng = np.random.default_rng(params.seed + t)
             rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-            counts[i], positives[i] = _tally(group[rows], y[rows], size)
+            tally[i] = _tally(group[rows], y[rows], size)
             sampler = None
             if m < d:
                 sampler = lambda rng=rng: np.sort(rng.choice(d, size=m, replace=False))
             samplers.append(sampler)
-        trees += _grow_gini(cols, orders, counts, positives, tree_params, samplers)
+        trees += _grow_gini(cols, orders, tally, tree_params, samplers)
     return ForestModel(
         arrays=_stack(trees), n_trees=params.n_trees, m_features=m,
         bootstrap=params.bootstrap, seed=params.seed,

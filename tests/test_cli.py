@@ -26,6 +26,7 @@ from urlsentry.runner import (
     evaluate_artifact,
     filter_predictions,
     load_labeled_dataset,
+    make_verdicts,
     train_artifact,
 )
 
@@ -284,6 +285,29 @@ class TestCmdPredict:
             "warning: argument 2: empty URL skipped",
             f"warning: {urls_file} line 2: empty URL skipped",
         ]
+
+    def test_url_list_byte_order_mark_is_dropped(self, tiny_csv, tmp_path, capsys):
+        model = self.make_knn_artifact(tiny_csv, tmp_path)
+        urls_file = tmp_path / "urls.txt"
+        urls_file.write_bytes(b"\xef\xbb\xbfhttp://a.com/x\nhttp://a.com/x\n")
+        out = tmp_path / "o"
+        assert main(["predict", "--model", model, "--data", str(urls_file),
+                     "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()[:2]
+        assert lines[0] == lines[1] and lines[0].startswith("http://a.com/x\t")
+        assert "\ufeff" not in "\n".join(lines)
+        safe = (out / "safe_urls.txt").read_bytes()
+        assert b"\xef\xbb\xbf" not in safe
+        assert safe.decode().splitlines() == [
+            line.split("\t")[0] for line in lines if line.endswith("safe")
+        ]
+
+        urls_file.write_bytes(b"\xef\xbb\xbf\nhttp://a.com/x\n")
+        assert main(["predict", "--model", model, "--data", str(urls_file),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"warning: {urls_file} line 1: empty URL skipped"
+        )
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     @pytest.mark.parametrize("section, name", [("bounds", "upper")])
@@ -740,3 +764,18 @@ class TestFilterPredictions:
     def test_out_of_range_threshold(self):
         with pytest.raises(ThresholdOutOfRange):
             filter_predictions([("a", 0.5)], 1.2)
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.2, float("nan")])
+    def test_verdicts_check_the_threshold_before_predicting(self, threshold):
+        with pytest.raises(ThresholdOutOfRange, match="threshold must be in"):
+            make_verdicts(None, ["http://a.com"], threshold)  # no artifact is read
+
+    def test_verdicts_flag_as_the_filter_does(self, tiny_csv, tmp_path):
+        cfg = PipelineConfig(classifier="knn", feature_mode="raw", seed=1)
+        dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+        artifact = train_artifact(dataset, cfg)
+        urls = list(dataset.urls)
+        for threshold in (0.0, 0.5, 1.0):
+            verdicts = make_verdicts(artifact, urls, threshold)
+            _, flagged = filter_predictions([(v.url, v.confidence) for v in verdicts], threshold)
+            assert [v.url for v in verdicts if v.label == "flagged"] == [u for u, _ in flagged]

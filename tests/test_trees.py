@@ -972,3 +972,67 @@ class TestLockstepGini:
         monkeypatch.setattr(trees, "_LOCKSTEP_TREES", group)
         monkeypatch.setattr(trees, "_GINI_BLOCK", block)
         assert [nodes(t) for t in train_random_forest(ds, params).trees] == want
+
+
+# ---------------------------------------------------------------------------
+# The fused second-order prefix pass and its blocks
+# ---------------------------------------------------------------------------
+
+def split_bits(split):
+    """A SplitDecision as exact bits. A NaN gain is only NaN: IEEE 754 fixes no
+    sign or payload for 0 / 0, and numpy's scalar and array loops differ there."""
+    if split is None:
+        return None
+    gain = "nan" if math.isnan(split.gain) else np.float64(split.gain).tobytes()
+    return split.feature_index, np.float64(split.threshold).tobytes(), gain
+
+
+@st.composite
+def with_special_floats(draw, base):
+    """An array from base with up to three entries set to -0.0, 0.0, +-inf or NaN."""
+    arr = draw(base)
+    for i in draw(st.lists(st.integers(0, len(arr) - 1), max_size=3)):
+        arr[i] = draw(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+    return arr
+
+
+class TestFusedSecondOrderPass:
+    @settings(MODEL_SETTINGS, max_examples=200)
+    @given(tie_heavy_data() | distinct_float_data(), st.sampled_from([1, 3]),
+           st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 0.01]), st.data())
+    def test_best_split_matches_reference_bits(self, data, min_samples_leaf, lam, gamma, draw):
+        X, _ = data
+        n = X.shape[0]
+        grad = draw.draw(with_special_floats(
+            hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0, width=64))))
+        hess = draw.draw(st.just(np.ones(n)) | with_special_floats(
+            hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.0, width=64))))
+        kwargs = dict(hessians=hess, lam=lam, gamma=gamma, min_samples_leaf=min_samples_leaf)
+        with np.errstate(all="ignore"):
+            got = best_split(X, grad, range(X.shape[1]), "second_order", **kwargs)
+            want = reference_best_split(X, grad, range(X.shape[1]), "second_order", **kwargs)
+        assert split_bits(got) == split_bits(want)
+
+    @pytest.mark.parametrize("block", [1, 20, 10**9])
+    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
+    def test_split_search_blocks_do_not_change_the_models(self, monkeypatch, block,
+                                                          min_samples_leaf):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(160, 6))
+        X[:, :3] = np.round(X[:, :3] * 2)  # tied columns next to continuous ones
+        y = rng.integers(0, 2, size=160)
+        ds = Dataset(X, y, [f"u{i}" for i in range(160)])
+
+        def arrays():
+            models = (
+                train_xgb(ds, XgbParams(n_rounds=4, max_depth=4,
+                                        min_samples_leaf=min_samples_leaf)),
+                train_gradient_boosting(ds, BoostParams(n_rounds=4, max_depth=3,
+                                                        min_samples_leaf=min_samples_leaf)),
+            )
+            return [[(field.dtype.str, field.tobytes()) for field in vars(m.arrays).values()]
+                    for m in models]
+
+        want = arrays()
+        monkeypatch.setattr(trees, "_SCORE_BLOCK", block)
+        assert arrays() == want

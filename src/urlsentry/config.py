@@ -8,11 +8,10 @@ strings a file would hold and go through the same parsers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .artifact import CLASSIFIER_KINDS
-from .errors import ConfigError
-from .pipeline import DEFAULT_LABEL_MAP
+from .errors import ConfigError, ThresholdOutOfRange
 
 FEATURE_MODES = ("raw", "latent")
 
@@ -77,8 +76,16 @@ CONFIG_KEYS = {
 }
 
 
-@dataclass
+def check_threshold(threshold: float) -> None:
+    """Raise ThresholdOutOfRange unless threshold is in [0, 1]; NaN is not."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ThresholdOutOfRange(f"threshold must be in [0, 1], got {threshold}")
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
+    """The one run config; it checks its settings when built, so every instance is valid."""
+
     feature_mode: str = "latent"
     classifier: str = "rf"
     threshold: float = 0.5
@@ -86,7 +93,6 @@ class PipelineConfig:
     out_dir: str = "out"
     data_path: str | None = None
     model_path: str | None = None
-    label_map: dict = field(default_factory=lambda: dict(DEFAULT_LABEL_MAP))
     knn_k: int = 5
     mlp: TrainConfig = field(default_factory=TrainConfig)
     autoencoder: TrainConfig = DEFAULT_AUTOENCODER_CONFIG
@@ -94,24 +100,22 @@ class PipelineConfig:
     gb: BoostParams = field(default_factory=BoostParams)
     xgb: XgbParams = field(default_factory=XgbParams)
 
-    def validate(self) -> "PipelineConfig":
+    def __post_init__(self):
         if self.feature_mode not in FEATURE_MODES:
             raise ConfigError(f"features must be one of {FEATURE_MODES}, got {self.feature_mode!r}")
         if self.classifier not in CLASSIFIER_KINDS:
             raise ConfigError(
                 f"classifier must be one of {CLASSIFIER_KINDS}, got {self.classifier!r}"
             )
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
+        check_threshold(self.threshold)
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        return self
 
 
 def parse_config_file(path: str) -> dict[str, str]:
     """Read flat key = value lines; '#' starts a comment; unknown keys reject."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         for line_no, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -127,19 +131,18 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def build_config(file_values: dict[str, str], flag_values: dict) -> PipelineConfig:
     """Merge config-file values with CLI flags (flags win) into a PipelineConfig."""
-    cfg = PipelineConfig()
-
     merged: dict[str, object] = dict(file_values)
     for key, value in flag_values.items():
         if value is not None:
             merged[key] = value
 
+    settings = {}
     for key, value in merged.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         field_name, parse, _ = CONFIG_KEYS[key]
         try:
-            cfg = replace(cfg, **{field_name: parse(value)})
+            settings[field_name] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"invalid value for {key!r}: {value!r}") from exc
-    return cfg.validate()
+    return PipelineConfig(**settings)

@@ -67,10 +67,6 @@ class EmptyInput(UrlSentryError):
     """Raised when an evaluation is requested on zero examples."""
 
 
-class ThresholdOutOfRange(UrlSentryError):
-    """Raised when a confidence threshold is outside [0, 1]."""
-
-
 class UnsupportedVersion(UrlSentryError):
     def __init__(self, found: int, supported: int):
         self.found = found
@@ -90,6 +86,10 @@ class FeatureSpecMismatch(UrlSentryError):
 
 class ConfigError(UrlSentryError):
     """Raised for unknown or invalid configuration keys/values."""
+
+
+class ThresholdOutOfRange(ConfigError):
+    """Raised when a confidence threshold is outside [0, 1]."""
 
 
 class UsageError(UrlSentryError):

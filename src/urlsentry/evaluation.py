@@ -15,13 +15,10 @@ import numpy as np
 from .artifact import CLASSIFIERS
 from .config import PipelineConfig
 from .errors import EmptyInput, EmptyMatrix, LengthMismatch
-from .pipeline import Dataset
+from .pipeline import SCORING_CUT, Dataset
 
 # Fixed comparison row order; serials 1-5 in every emitted table.
 CLASSIFIER_ORDER = tuple(kind.display_name for kind in CLASSIFIERS.values())
-
-# Scored runs count a confidence at or above this cut as malicious.
-SCORING_CUT = 0.5
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DimensionMismatch, KOutOfRange
-from .pipeline import distinct_rows
+from .pipeline import SCORING_CUT, distinct_rows, one_row
 
 
 @dataclass
@@ -59,13 +59,6 @@ def _checked(model: KnnModel, X: np.ndarray, k: int | None) -> tuple[np.ndarray,
     return X, k
 
 
-def _one_row(x: np.ndarray) -> np.ndarray:
-    q = np.asarray(x, dtype=np.float64)
-    if q.ndim != 1:
-        raise DimensionMismatch(f"query must be one vector, got shape {q.shape}")
-    return q[None, :]
-
-
 def _nearest(model: KnnModel, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Squared distances from q to every stored row, and the k nearest indices."""
     diff = model.stored_features - q
@@ -90,7 +83,7 @@ def _k_smallest_indices(sq_dist: np.ndarray, k: int) -> np.ndarray:
 
 def k_nearest(model: KnnModel, x: np.ndarray, k: int) -> list[tuple[int, float]]:
     """The k nearest stored rows as (index, euclidean distance), ascending."""
-    X, k = _checked(model, _one_row(x), k)
+    X, k = _checked(model, one_row(x), k)
     sq, idx = _nearest(model, X[0], k)
     return [(int(i), float(np.sqrt(sq[i]))) for i in idx]
 
@@ -101,8 +94,8 @@ def predict_knn(model: KnnModel, x: np.ndarray, k: int | None = None) -> tuple[i
     Returns (label, confidence) where confidence is the malicious-vote
     fraction; a 50/50 vote classifies as malicious.
     """
-    confidence = float(predict_knn_batch(model, _one_row(x), k)[0])
-    return (1 if confidence >= 0.5 else 0), confidence
+    confidence = float(predict_knn_batch(model, one_row(x), k)[0])
+    return int(confidence >= SCORING_CUT), confidence
 
 
 # Distinct queries whose distance rows are selected together; bounds the

@@ -20,7 +20,7 @@ from .errors import (
     LatentTooLarge,
     SingleClassTrainingSet,
 )
-from .pipeline import Dataset
+from .pipeline import Dataset, one_row
 
 PROB_EPS = 1e-12  # keeps probabilities strictly inside (0, 1) and logs finite
 
@@ -174,7 +174,7 @@ def train_mlp(train: Dataset, cfg: TrainConfig | None = None) -> MlpModel:
 
 def predict_proba_mlp(model: MlpModel, x: np.ndarray) -> float:
     """Probability the input is malicious; a one-row predict_proba_mlp_batch."""
-    return float(predict_proba_mlp_batch(model, x)[0])
+    return float(predict_proba_mlp_batch(model, one_row(x))[0])
 
 
 def predict_proba_mlp_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DegenerateSplit,
+    DimensionMismatch,
     EmptyMatrix,
     MalformedRow,
     MissingColumn,
@@ -29,6 +30,9 @@ DEFAULT_LABEL_MAP = {
     "defacement": 1,
     "malware": 1,
 }
+
+# A confidence at or above this cut is labelled malicious (1).
+SCORING_CUT = 0.5
 
 
 @dataclass(frozen=True)
@@ -83,21 +87,25 @@ def read_columns(path: str, names: tuple[str, ...]) -> Iterator[tuple[int, list[
     Header names match case-insensitively, with a byte-order mark stripped;
     blank lines are skipped. Raises FileNotFoundError, MissingColumn, or
     MalformedRow(line_no) for a data row whose field count differs from the
-    header's; the file is read as the rows are taken.
+    header's or a row the csv module cannot read (a field over its size
+    limit, say); the file is read as the rows are taken.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = [h.strip().lstrip("\ufeff").lower() for h in next(reader, [])]
-        for required in names:
-            if required not in header:
-                raise MissingColumn(required)
-        columns = [header.index(name) for name in names]
-        for row in reader:
-            if not row:  # blank line
-                continue
-            if len(row) != len(header):
-                raise MalformedRow(reader.line_num)
-            yield reader.line_num, [row[i] for i in columns]
+        try:
+            header = [h.strip().lstrip("\ufeff").lower() for h in next(reader, [])]
+            for required in names:
+                if required not in header:
+                    raise MissingColumn(required)
+            columns = [header.index(name) for name in names]
+            for row in reader:
+                if not row:  # blank line
+                    continue
+                if len(row) != len(header):
+                    raise MalformedRow(reader.line_num)
+                yield reader.line_num, [row[i] for i in columns]
+        except csv.Error as exc:
+            raise MalformedRow(reader.line_num, str(exc)) from exc
 
 
 def load_csv(path: str) -> list[RawRecord]:
@@ -127,20 +135,16 @@ def clean(records: list[RawRecord]) -> tuple[list[RawRecord], CleanReport]:
     return kept, report
 
 
-def map_labels(
-    records: list[RawRecord], mapping: dict[str, int] | None = None
-) -> tuple[list[str], np.ndarray]:
-    """Map label text to binary {0, 1} labels; lookup is case-insensitive."""
-    if mapping is None:
-        mapping = DEFAULT_LABEL_MAP
+def map_labels(records: list[RawRecord]) -> tuple[list[str], np.ndarray]:
+    """Map label text to binary {0, 1} labels by DEFAULT_LABEL_MAP; lookup is case-insensitive."""
     urls = []
     labels = []
     for rec in records:
         key = rec.label_text.strip().lower()
-        if key not in mapping:
+        if key not in DEFAULT_LABEL_MAP:
             raise UnknownLabel(rec.label_text)
         urls.append(rec.url)
-        labels.append(int(mapping[key]))
+        labels.append(DEFAULT_LABEL_MAP[key])
     return urls, np.asarray(labels, dtype=np.int64)
 
 
@@ -177,11 +181,15 @@ def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, group
 
 
-def _nearest_rank(sorted_col: np.ndarray, pct: float) -> float:
-    """Nearest-rank percentile: value at index ceil(pct/100 * n), 1-based."""
-    n = len(sorted_col)
-    rank = max(math.ceil(pct / 100.0 * n), 1)
-    return float(sorted_col[rank - 1])
+def one_row(x: np.ndarray) -> np.ndarray:
+    """x as a one-row float matrix, the input of a one-row view of a batch predictor.
+
+    Raises DimensionMismatch unless x is one vector.
+    """
+    q = np.asarray(x, dtype=np.float64)
+    if q.ndim != 1:
+        raise DimensionMismatch(f"query must be one vector, got shape {q.shape}")
+    return q[None, :]
 
 
 def bound_outliers(train_features: np.ndarray) -> tuple[OutlierBounds, np.ndarray]:
@@ -190,15 +198,12 @@ def bound_outliers(train_features: np.ndarray) -> tuple[OutlierBounds, np.ndarra
     Returns the per-column bounds and the clipped training matrix. Rows are
     never deleted, so class balance is untouched.
     """
-    if train_features.shape[0] == 0:
+    n = train_features.shape[0]
+    if n == 0:
         raise EmptyMatrix("cannot bound outliers on an empty matrix")
-    d = train_features.shape[1]
-    lower = np.empty(d, dtype=np.float64)
-    upper = np.empty(d, dtype=np.float64)
-    for j in range(d):
-        col = np.sort(train_features[:, j])
-        lower[j] = _nearest_rank(col, 1.0)
-        upper[j] = _nearest_rank(col, 99.0)
+    # nearest rank: the value at 1-based index ceil(pct/100 * n), at least 1
+    ranks = [max(math.ceil(pct / 100.0 * n), 1) - 1 for pct in (1.0, 99.0)]
+    lower, upper = np.sort(train_features, axis=0)[ranks].astype(np.float64)
     bounds = OutlierBounds(lower=lower, upper=upper)
     return bounds, apply_bounds(bounds, train_features)
 
@@ -264,17 +269,12 @@ def stratified_subsample(ds: Dataset, max_rows: int, seed: int) -> Dataset:
         classes, key=lambda c: (counts[c] * max_rows) % n, reverse=True
     )
     deficit = max_rows - sum(quotas.values())
-    while deficit > 0:
-        grew = False
-        for c in remainders:
-            if deficit == 0:
-                break
-            if quotas[c] < counts[c]:
-                quotas[c] += 1
-                deficit -= 1
-                grew = True
-        if not grew:
-            break
+    # A positive deficit is the sum of the quotas' fractional parts less one for
+    # each class raised to 1, so it is below the number of classes with a
+    # fractional part, each of which has room: one pass fills it.
+    for c in [c for c in remainders if quotas[c] < counts[c]][:max(deficit, 0)]:
+        quotas[c] += 1
+        deficit -= 1
     while deficit < 0:
         c = max(classes, key=lambda c: quotas[c])
         if quotas[c] <= 1:

@@ -19,8 +19,8 @@ from .artifact import (
     predict_feature_matrix,
     predict_urls,
 )
-from .config import PipelineConfig
-from .errors import ConfigError, EmptyInput, ThresholdOutOfRange
+from .config import PipelineConfig, check_threshold
+from .errors import EmptyInput
 from .evaluation import (
     SCORING_CUT,
     ComparisonTable,
@@ -62,8 +62,7 @@ class Verdict:
 
 def _flag_rule(threshold: float):
     """The rule flagging a confidence: confidence >= threshold, a threshold in [0, 1]."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ThresholdOutOfRange(f"threshold must be in [0, 1], got {threshold}")
+    check_threshold(threshold)
     return lambda confidence: confidence >= threshold
 
 
@@ -106,7 +105,7 @@ def load_labeled_dataset(
         spec = FeatureSpec()
     records = load_csv(path)
     records, report = clean(records)
-    urls, labels = map_labels(records, config.label_map)
+    urls, labels = map_labels(records)
     features = featurize_many(urls, spec)
     return Dataset(features=features, labels=labels, urls=urls), report
 
@@ -131,8 +130,6 @@ def train_artifact(
     """Fit preprocessing on the full dataset and train one classifier."""
     if dataset.n_rows == 0:
         raise EmptyInput("cannot train on an empty dataset")
-    if config.classifier not in CLASSIFIERS:
-        raise ConfigError(f"train needs a single classifier kind, got {config.classifier!r}")
     ds = stratified_subsample(dataset, MAX_ROWS, config.seed)
     preprocessor = fit_preprocessor(ds.features, config)
     work = Dataset(features=preprocessor.transform(ds.features), labels=ds.labels, urls=ds.urls)

@@ -60,7 +60,7 @@ import numpy as np
 
 from .config import BoostParams, ForestParams, XgbParams
 from .errors import DimensionMismatch, EmptyNode, SingleClassTrainingSet, TooFewRows
-from .pipeline import Dataset, distinct_rows
+from .pipeline import SCORING_CUT, Dataset, distinct_rows, one_row
 
 LEAF_DENOM_FLOOR = 1e-12  # guards Newton leaf values when hessians vanish
 # Elements per pass of a second-order split search ((feature, row) pairs, or
@@ -685,8 +685,9 @@ def predict_tree(tree: TreeNode, x: np.ndarray) -> float:
     Every split node of tree.arrays, in this tree or any other tree of the
     model, must name a feature of x, or DimensionMismatch is raised.
     """
-    _check_width(tree.arrays, len(x))
-    return float(_tree_outputs(replace(tree.arrays, roots=np.array([tree.index])), x)[0, 0])
+    X = one_row(x)
+    _check_width(tree.arrays, X.shape[1])
+    return float(_tree_outputs(replace(tree.arrays, roots=np.array([tree.index])), X)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -738,9 +739,9 @@ def train_random_forest(train: Dataset, params: ForestParams | None = None) -> F
 
 
 def predict_forest(model: ForestModel, x: np.ndarray) -> tuple[int, float]:
-    """Mean leaf fraction across trees; label 1 iff confidence >= 0.5."""
-    confidence = float(predict_forest_batch(model, x)[0])
-    return (1 if confidence >= 0.5 else 0), confidence
+    """Mean leaf fraction across trees; label 1 iff confidence >= SCORING_CUT."""
+    confidence = float(predict_forest_batch(model, one_row(x))[0])
+    return int(confidence >= SCORING_CUT), confidence
 
 
 def predict_forest_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -833,9 +834,9 @@ def train_xgb(train: Dataset, params: XgbParams | None = None) -> BoostedModel:
 
 
 def predict_boosted(model: BoostedModel, x: np.ndarray) -> tuple[int, float]:
-    """sigmoid(init + lr * sum of tree outputs); label 1 iff >= 0.5."""
-    confidence = float(predict_boosted_batch(model, x)[0])
-    return (1 if confidence >= 0.5 else 0), confidence
+    """sigmoid(init + lr * sum of tree outputs); label 1 iff >= SCORING_CUT."""
+    confidence = float(predict_boosted_batch(model, one_row(x))[0])
+    return int(confidence >= SCORING_CUT), confidence
 
 
 def predict_boosted_batch(model: BoostedModel, X: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import re
@@ -640,6 +641,49 @@ FLAGS_READ = {
     "predict": {"--data", "--config", "--model", "--threshold", "--out"},
     "report": {"--data", "--config", "--out"},
 }
+
+
+class TestConfigIsCheckedWhenBuilt:
+    @pytest.mark.parametrize("settings", [
+        {"threshold": 1.5}, {"classifier": "bogus"}, {"feature_mode": "bogus"}, {"seed": -1},
+    ], ids=lambda settings: next(iter(settings)))
+    def test_an_invalid_setting_fails_construction(self, settings):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**settings)
+
+    def test_replace_checks_the_threshold(self):
+        with pytest.raises(ThresholdOutOfRange):
+            dataclasses.replace(PipelineConfig(), threshold=2.0)
+
+    def test_config_is_frozen(self):
+        cfg = PipelineConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.threshold = 2.0
+
+    def test_predict_threshold_out_of_range_names_its_error_once(self, tmp_path, capsys):
+        argv = ["predict", "--model", str(tmp_path / "m.json"), "--threshold", "1.5",
+                "https://example.org/docs"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ThresholdOutOfRange: threshold must be in [0, 1], got 1.5")
+        assert err.count("ThresholdOutOfRange") == 1
+
+    def test_config_file_with_a_byte_order_mark(self, tmp_path, tiny_csv, capsys):
+        cfg_file = tmp_path / "bom.cfg"
+        cfg_file.write_bytes(b"\xef\xbb\xbfseed = 3\n")
+        argv = ["train", "--data", tiny_csv, "--config", str(cfg_file), "--features", "raw",
+                "--classifier", "knn", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert "seed: 3\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, header", [("train", "url,type"),
+                                             ("report", "classifier,accuracy")])
+def test_a_row_over_the_csv_field_limit_exits_one(command, header, tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text(f"{header}\nhttp://a.com/{'a' * 200_000},benign\n", encoding="utf-8")
+    assert main([command, "--data", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: MalformedRow: malformed CSV row at line 2")
 
 
 class TestCommandLine:

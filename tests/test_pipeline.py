@@ -1,11 +1,14 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from urlsentry.errors import DimensionMismatch
 from urlsentry.errors import (
     DegenerateSplit,
     EmptyMatrix,
@@ -26,6 +29,20 @@ from urlsentry.pipeline import (
     map_labels,
     stratified_split,
     stratified_subsample,
+)
+from urlsentry.pipeline import read_columns
+from urlsentry.knn import KnnModel, predict_knn
+from urlsentry.neural import TrainConfig, predict_proba_mlp, train_mlp
+from urlsentry.trees import (
+    BoostParams,
+    ForestParams,
+    TreeParams,
+    grow_tree,
+    predict_boosted,
+    predict_forest,
+    predict_tree,
+    train_gradient_boosting,
+    train_random_forest,
 )
 
 
@@ -276,3 +293,111 @@ class TestStratifiedSubsample:
             sub = stratified_subsample(make_dataset(nb, nm, seed=trial), cap, seed=trial)
             assert sub.n_rows == cap
             assert len(np.unique(sub.labels)) == 2
+
+
+def test_a_row_the_csv_module_cannot_read_is_a_malformed_row(tmp_path):
+    path = write_csv(tmp_path / "long.csv", [("http://a.com/" + "a" * 200_000, "benign")])
+    with pytest.raises(MalformedRow, match="line 2: field larger than field limit"):
+        list(read_columns(path, ("url", "type")))
+
+
+def reference_bounds(X):
+    """The per-column loop bound_outliers replaced: sort a column, index its nearest ranks."""
+    lower = np.empty(X.shape[1], dtype=np.float64)
+    upper = np.empty(X.shape[1], dtype=np.float64)
+    for j in range(X.shape[1]):
+        col = np.sort(X[:, j])
+        for out, pct in ((lower, 1.0), (upper, 99.0)):
+            out[j] = float(col[max(math.ceil(pct / 100.0 * len(col)), 1) - 1])
+    return lower, upper
+
+
+SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=120)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    hnp.arrays(np.float64, SHAPES, elements=st.floats() | st.sampled_from([0.0, -0.0, np.nan])),
+    hnp.arrays(np.float32, SHAPES, elements=st.floats(width=32)),
+    hnp.arrays(np.int64, SHAPES, elements=st.integers(-(2**62), 2**62) | st.integers(-3, 3)),
+))
+def test_bounds_match_the_per_column_loop_bit_for_bit(X):
+    bounds, clipped = bound_outliers(X)
+    lower, upper = reference_bounds(X)
+    assert bounds.lower.dtype == bounds.upper.dtype == np.float64
+    assert bounds.lower.tobytes() == lower.tobytes()
+    assert bounds.upper.tobytes() == upper.tobytes()
+    assert clipped.tobytes() == np.clip(X, lower, upper).tobytes()
+
+
+def reference_quotas(counts, max_rows):
+    """stratified_subsample's largest-remainder quotas by its former round-by-round loops."""
+    n = sum(counts)
+    classes = list(range(len(counts)))
+    quotas = {c: max(counts[c] * max_rows // n, 1) for c in classes}
+    remainders = sorted(classes, key=lambda c: (counts[c] * max_rows) % n, reverse=True)
+    deficit = max_rows - sum(quotas.values())
+    while deficit > 0:
+        grew = False
+        for c in remainders:
+            if deficit == 0:
+                break
+            if quotas[c] < counts[c]:
+                quotas[c] += 1
+                deficit -= 1
+                grew = True
+        if not grew:
+            break
+    while deficit < 0:
+        c = max(classes, key=lambda c: quotas[c])
+        if quotas[c] <= 1:
+            break
+        quotas[c] -= 1
+        deficit += 1
+    return [quotas[c] for c in classes]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=5).flatmap(
+    lambda counts: st.tuples(st.just(counts), st.integers(1, max(1, sum(counts) - 1)))
+), st.integers(0, 2**32 - 1))
+def test_subsample_quotas_match_the_round_by_round_loops(counts_and_cap, seed):
+    counts, cap = counts_and_cap
+    labels = np.repeat(np.arange(len(counts)), counts)
+    rng = np.random.default_rng(seed)
+    labels = labels[rng.permutation(len(labels))]
+    ds = Dataset(np.arange(len(labels), dtype=np.float64)[:, None], labels,
+                 [f"u{i}" for i in range(len(labels))])
+    sub = stratified_subsample(ds, cap, seed)
+    if sum(counts) <= cap:
+        assert sub is ds
+    else:
+        kept = [int((sub.labels == c).sum()) for c in range(len(counts))]
+        assert kept == reference_quotas(counts, cap)
+
+
+@pytest.fixture(params=["tree", "forest", "boosted", "mlp", "knn"])
+def one_row_view(request, toy_dataset):
+    """A one-row view of each model family, fitted on the 2-feature toy set."""
+    X, y = toy_dataset.features, toy_dataset.labels
+    if request.param == "tree":
+        tree = grow_tree(X, y, TreeParams(max_depth=2))
+        return lambda x: predict_tree(tree, x)
+    if request.param == "forest":
+        forest = train_random_forest(toy_dataset, ForestParams(n_trees=3, seed=0))
+        return lambda x: predict_forest(forest, x)
+    if request.param == "boosted":
+        boosted = train_gradient_boosting(toy_dataset, BoostParams(n_rounds=3))
+        return lambda x: predict_boosted(boosted, x)
+    if request.param == "mlp":
+        mlp = train_mlp(toy_dataset, TrainConfig(epochs=2))
+        return lambda x: predict_proba_mlp(mlp, x)
+    knn = KnnModel(X, y, default_k=3)
+    return lambda x: predict_knn(knn, x)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_one_row_views_reject_a_matrix(one_row_view, toy_dataset, rows):
+    one_row_view(toy_dataset.features[0])  # one vector is answered
+    with pytest.raises(DimensionMismatch, match="one vector"):
+        one_row_view(toy_dataset.features[:rows])

@@ -299,6 +299,10 @@ class TestPredictTree:
         with pytest.raises(DimensionMismatch):
             predict_tree(stump(3), np.array([1.0]))
 
+    def test_a_matrix_is_not_one_input(self):
+        with pytest.raises(DimensionMismatch, match="one vector"):
+            predict_tree(stump(2), np.zeros((3, 3)))
+
     def test_negative_feature_rejected(self):
         tree = stump(-1)
         with pytest.raises(DimensionMismatch):

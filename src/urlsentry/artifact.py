@@ -32,6 +32,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from functools import cache
 from importlib import import_module
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import CorruptArtifact, FeatureSpecMismatch, KOutOfRange, UnsupportedVersion
 from .features import FeatureSpec, featurize_many
 from .knn import KnnModel, predict_knn_batch
-from .pipeline import Dataset, OutlierBounds, Scaler, apply_bounds, apply_scaler
+from .pipeline import Dataset, OutlierBounds, Scaler, apply_bounds, apply_scaler, write_text
 
 if TYPE_CHECKING:
     from .config import PipelineConfig
@@ -143,9 +144,9 @@ def _decode(kind, value, where: str = "the payload"):
     """value, as json.loads read it, rebuilt as the declared type kind.
 
     A scalar is read only as its declared type, except that an int may stand
-    for a float. An array is read only if numpy gives it a numeric dtype, and
-    an integer one where its annotation declares an integer dtype. Anything
-    else raises CorruptArtifact naming where in the payload it is.
+    for a float. An array is read only if it holds no true or false and numpy
+    gives it a numeric dtype, an integer one where its annotation declares
+    one. Anything else raises CorruptArtifact naming where in the payload it is.
     """
     origin, args = get_origin(kind) or kind, get_args(kind)
     if origin is np.ndarray:
@@ -155,6 +156,11 @@ def _decode(kind, value, where: str = "the payload"):
         allowed, what = ("i", "integers") if integers else ("iuf", "numbers")
         if array.size and array.dtype.kind not in allowed:  # an empty list reads as float
             raise CorruptArtifact(f"{where} holds {array.dtype} values, not {what}")
+        items = value  # numpy reads [1, true] as integers and [0.5, true] as floats
+        for _ in range(array.ndim - 1):
+            items = chain.from_iterable(items)
+        if array.ndim and bool in set(map(type, items)):
+            raise CorruptArtifact(f"{where} holds true or false, not {what}")
         return array if dtype is None else array.astype(dtype, copy=False)
     if is_dataclass(kind) and type(value) is dict:
         return kind(**{name: _decode(hint, value[key], f"{where}.{key}")
@@ -246,7 +252,15 @@ def _check_trees(model: BoostedModel | ForestModel, width: int) -> None:
         raise CorruptArtifact(f"{n - np.count_nonzero(seen)} tree nodes are not reachable")
 
 
-def _check_boosted(model: BoostedModel, width: int) -> None:
+def _check_forest(model: ForestModel, width: int) -> None:
+    if model.n_trees != len(model.arrays.roots):
+        raise CorruptArtifact(f"n_trees is {model.n_trees}, not {len(model.arrays.roots)}")
+    _check_trees(model, width)
+
+
+def _check_boosted(model: BoostedModel, width: int, variant: str) -> None:
+    if model.variant != variant:
+        raise CorruptArtifact(f"variant is {model.variant!r}, not {variant!r}")
     for name in ("init_score", "learning_rate"):
         value = getattr(model, name)
         if not math.isfinite(value):
@@ -296,14 +310,14 @@ CLASSIFIERS: dict[str, ClassifierKind] = {
         train=lambda ds, config: _import("trees").train_xgb(ds, config.xgb),
         predict=lambda model, X: _module.predict_boosted_batch(model, X),
         model=lambda: _import("trees").BoostedModel,
-        check=_check_boosted,
+        check=lambda model, width: _check_boosted(model, width, "xgboost_style"),
     ),
     "gb": ClassifierKind(
         "Gradient Boosting",
         train=lambda ds, config: _import("trees").train_gradient_boosting(ds, config.gb),
         predict=lambda model, X: _module.predict_boosted_batch(model, X),
         model=lambda: _import("trees").BoostedModel,
-        check=_check_boosted,
+        check=lambda model, width: _check_boosted(model, width, "gradient_boosting"),
     ),
     "rf": ClassifierKind(
         "Random Forest",
@@ -312,7 +326,7 @@ CLASSIFIERS: dict[str, ClassifierKind] = {
         ),
         predict=lambda model, X: _module.predict_forest_batch(model, X),
         model=lambda: _import("trees").ForestModel,
-        check=_check_trees,
+        check=_check_forest,
     ),
 }
 
@@ -380,8 +394,7 @@ def save_model(artifact: ModelArtifact, path: str) -> None:
         "created_at": artifact.created_at or datetime.now(timezone.utc).isoformat(),
         "format_version": FORMAT_VERSION,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_canonical(header)[:-1] + _PAYLOAD_KEY + payload_text + "}\n")
+    write_text(path, _canonical(header)[:-1] + _PAYLOAD_KEY + payload_text + "}\n")
 
 
 def _read(path: str) -> tuple[dict, str]:

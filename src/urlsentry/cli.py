@@ -27,7 +27,7 @@ from .evaluation import (
     render_confusion,
     render_metrics,
 )
-from .pipeline import read_columns
+from .pipeline import read_columns, write_text
 from .runner import (
     dataset_fingerprint,
     evaluate_artifact,
@@ -38,9 +38,10 @@ from .runner import (
 )
 
 
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
+def _out_path(config: PipelineConfig, name: str) -> str:
+    """The path of file name in --out, making the directory if it is missing."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    return os.path.join(config.out_dir, name)
 
 
 def _print_rows(rows: list[tuple[str, float]]) -> None:
@@ -49,10 +50,9 @@ def _print_rows(rows: list[tuple[str, float]]) -> None:
 
 
 def cmd_train(config: PipelineConfig) -> int:
-    dataset, report = load_labeled_dataset(config.data_path, config)
+    dataset, report = load_labeled_dataset(config.data_path)
     artifact = train_artifact(dataset, config, fingerprint=dataset_fingerprint(config.data_path))
-    out_dir = _ensure_out(config.out_dir)
-    model_path = config.model_path or os.path.join(out_dir, "model.json")
+    model_path = config.model_path or _out_path(config, "model.json")
     save_model(artifact, model_path)
 
     n = dataset.n_rows
@@ -68,18 +68,13 @@ def cmd_train(config: PipelineConfig) -> int:
 
 
 def cmd_compare(config: PipelineConfig) -> int:
-    dataset, _ = load_labeled_dataset(config.data_path, config)
+    dataset, _ = load_labeled_dataset(config.data_path)
     table, matrices = run_compare(dataset, config)
 
-    out_dir = _ensure_out(config.out_dir)
-    csv_path = os.path.join(out_dir, "comparison.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(comparison_csv(table))
-    svg_path = os.path.join(out_dir, "accuracy_chart.svg")
-    render_bar_chart(table, svg_path)
-    report_path = os.path.join(out_dir, "report.txt")
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_comparison_report(table, matrices))
+    csv_path = write_text(_out_path(config, "comparison.csv"), comparison_csv(table))
+    svg_path = write_text(_out_path(config, "accuracy_chart.svg"), render_bar_chart(table))
+    report_path = write_text(_out_path(config, "report.txt"),
+                             render_comparison_report(table, matrices))
 
     _print_rows(table.rows)
     print(f"wrote {csv_path}, {svg_path}, {report_path}")
@@ -88,7 +83,7 @@ def cmd_compare(config: PipelineConfig) -> int:
 
 def cmd_evaluate(config: PipelineConfig) -> int:
     artifact = load_model(config.model_path)
-    dataset, _ = load_labeled_dataset(config.data_path, config, spec=artifact.feature_spec)
+    dataset, _ = load_labeled_dataset(config.data_path, spec=artifact.feature_spec)
     cm, metrics = evaluate_artifact(artifact, dataset)
     print(render_confusion(cm, artifact.classifier_kind))
     print(render_metrics(metrics), end="")
@@ -121,11 +116,7 @@ def cmd_predict(config: PipelineConfig, *arguments: str) -> int:
         print(f"{v.url}\t{v.confidence:.6f}\t{v.label}")
 
     safe = [v.url for v in verdicts if v.label == "safe"]
-    out_dir = _ensure_out(config.out_dir)
-    safe_path = os.path.join(out_dir, "safe_urls.txt")
-    with open(safe_path, "w", encoding="utf-8", newline="\n") as fh:
-        for url in safe:
-            fh.write(url + "\n")
+    safe_path = write_text(_out_path(config, "safe_urls.txt"), "".join(url + "\n" for url in safe))
     print(
         f"{len(verdicts) - len(safe)} flagged, {len(safe)} safe "
         f"(threshold {config.threshold}); safe list: {safe_path}",
@@ -149,9 +140,7 @@ def cmd_report(config: PipelineConfig) -> int:
     table = ComparisonTable(
         rows=rows, split_descriptor=f"from {config.data_path}", seed=config.seed
     )
-    out_dir = _ensure_out(config.out_dir)
-    svg_path = os.path.join(out_dir, "accuracy_chart.svg")
-    render_bar_chart(table, svg_path)
+    svg_path = write_text(_out_path(config, "accuracy_chart.svg"), render_bar_chart(table))
     _print_rows(rows)
     print(f"wrote {svg_path}")
     return 0

@@ -179,8 +179,8 @@ def _svg_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_bar_chart(table: ComparisonTable, path: str) -> None:
-    """Write a deterministic SVG bar chart, one bar per row, y axis [0, 1]."""
+def render_bar_chart(table: ComparisonTable) -> str:
+    """A deterministic SVG bar chart, one bar per row, y axis [0, 1]."""
     if not table.rows:
         raise EmptyInput("cannot chart an empty comparison table")
     width, height = 640, 420
@@ -237,5 +237,4 @@ def render_bar_chart(table: ComparisonTable, path: str) -> None:
         f'y2="{top + plot_h}" stroke="black" stroke-width="1"/>'
     )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

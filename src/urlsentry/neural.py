@@ -135,6 +135,13 @@ def _init_layer(rng: np.random.Generator, d_in: int, d_out: int, activation: str
     return LayerParams(weights=weights, biases=np.zeros(d_out), activation=activation)
 
 
+def _layer_stack(rng: np.random.Generator, sizes: list[int], hidden: str,
+                 output: str) -> list[LayerParams]:
+    """Layers chaining the widths in sizes, drawn in order; only the last is output."""
+    activations = [hidden] * (len(sizes) - 2) + [output]
+    return [_init_layer(rng, *pair) for pair in zip(sizes, sizes[1:], activations)]
+
+
 def _sgd(model, X: np.ndarray, T: np.ndarray, cfg: TrainConfig, loss: str,
          rng: np.random.Generator) -> None:
     n = X.shape[0]
@@ -162,12 +169,8 @@ def train_mlp(train: Dataset, cfg: TrainConfig | None = None) -> MlpModel:
         raise SingleClassTrainingSet("MLP training needs both classes")
 
     rng = np.random.default_rng(cfg.seed)
-    sizes = [X.shape[1], *cfg.hidden_sizes, 1]
-    layers = []
-    for i in range(len(sizes) - 1):
-        activation = "sigmoid" if i == len(sizes) - 2 else "relu"
-        layers.append(_init_layer(rng, sizes[i], sizes[i + 1], activation))
-    model = MlpModel(layers=layers)
+    model = MlpModel(layers=_layer_stack(rng, [X.shape[1], *cfg.hidden_sizes, 1],
+                                         "relu", "sigmoid"))
     _sgd(model, X, y, cfg, "bce", rng)
     return model
 
@@ -202,16 +205,8 @@ def train_autoencoder(
         raise LatentTooLarge(f"latent width {latent_dim} exceeds input width {d}")
 
     rng = np.random.default_rng(cfg.seed)
-    enc_sizes = [d, *cfg.hidden_sizes]
-    dec_sizes = [*cfg.hidden_sizes[::-1], d]
-    encoder = [
-        _init_layer(rng, enc_sizes[i], enc_sizes[i + 1], "sigmoid")
-        for i in range(len(enc_sizes) - 1)
-    ]
-    decoder = []
-    for i in range(len(dec_sizes) - 1):
-        activation = "identity" if i == len(dec_sizes) - 2 else "sigmoid"
-        decoder.append(_init_layer(rng, dec_sizes[i], dec_sizes[i + 1], activation))
+    encoder = _layer_stack(rng, [d, *cfg.hidden_sizes], "sigmoid", "sigmoid")
+    decoder = _layer_stack(rng, [*cfg.hidden_sizes[::-1], d], "sigmoid", "identity")
     model = AutoencoderModel(encoder_layers=encoder, decoder_layers=decoder,
                              latent_dim=latent_dim)
     _sgd(model, X, X, cfg, "mse", rng)

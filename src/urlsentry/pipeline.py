@@ -108,6 +108,13 @@ def read_columns(path: str, names: tuple[str, ...]) -> Iterator[tuple[int, list[
             raise MalformedRow(reader.line_num, str(exc)) from exc
 
 
+def write_text(path: str, text: str) -> str:
+    """Write text to path as UTF-8 with \\n line ends; return path."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return path
+
+
 def load_csv(path: str) -> list[RawRecord]:
     """Read a url/type CSV into RawRecords, in file order, by read_columns' rules."""
     return [RawRecord(url, label) for _, (url, label) in read_columns(path, ("url", "type"))]
@@ -223,19 +230,11 @@ def stratified_split(ds: Dataset, cfg: SplitConfig) -> tuple[Dataset, Dataset]:
     partitions preserve the original row order.
     """
     n = ds.n_rows
-    rng = np.random.default_rng(cfg.seed)
-    test_idx: list[int] = []
-    classes = np.unique(ds.labels)
+    classes, counts = np.unique(ds.labels, return_counts=True)
     if len(classes) < 2:
         raise DegenerateSplit("stratified split requires both classes present")
-    for cls in sorted(int(c) for c in classes):
-        cls_idx = np.flatnonzero(ds.labels == cls)
-        n_test = _round_half_up(len(cls_idx) * cfg.test_fraction)
-        perm = rng.permutation(len(cls_idx))
-        test_idx.extend(int(i) for i in cls_idx[perm[:n_test]])
-
-    test_mask = np.zeros(n, dtype=bool)
-    test_mask[test_idx] = True
+    quotas = [_round_half_up(int(count) * cfg.test_fraction) for count in counts]
+    test_mask = _draw(ds.labels, quotas, cfg.seed)
     if test_mask.all() or not test_mask.any():
         raise DegenerateSplit(
             f"test_fraction {cfg.test_fraction} leaves an empty partition for {n} rows"
@@ -261,14 +260,13 @@ def stratified_subsample(ds: Dataset, max_rows: int, seed: int) -> Dataset:
     n = ds.n_rows
     if n <= max_rows:
         return ds
-    classes = sorted(int(c) for c in np.unique(ds.labels))
-    counts = {c: int((ds.labels == c).sum()) for c in classes}
-
-    quotas = {c: max(counts[c] * max_rows // n, 1) for c in classes}
+    counts = np.unique(ds.labels, return_counts=True)[1].tolist()
+    classes = range(len(counts))  # positions in ascending label order
+    quotas = [max(count * max_rows // n, 1) for count in counts]
     remainders = sorted(
         classes, key=lambda c: (counts[c] * max_rows) % n, reverse=True
     )
-    deficit = max_rows - sum(quotas.values())
+    deficit = max_rows - sum(quotas)
     # A positive deficit is the sum of the quotas' fractional parts less one for
     # each class raised to 1, so it is below the number of classes with a
     # fractional part, each of which has room: one pass fills it.
@@ -282,10 +280,15 @@ def stratified_subsample(ds: Dataset, max_rows: int, seed: int) -> Dataset:
         quotas[c] -= 1
         deficit += 1
 
+    return _take(ds, _draw(ds.labels, quotas, seed))
+
+
+def _draw(labels: np.ndarray, quotas: list[int], seed: int) -> np.ndarray:
+    """A mask of quotas[i] rows of the i-th smallest label, each class's rows
+    permuted in turn by one generator seeded with seed."""
     rng = np.random.default_rng(seed)
-    keep_mask = np.zeros(n, dtype=bool)
-    for cls in classes:
-        cls_idx = np.flatnonzero(ds.labels == cls)
-        perm = rng.permutation(len(cls_idx))
-        keep_mask[cls_idx[perm[: quotas[cls]]]] = True
-    return _take(ds, keep_mask)
+    mask = np.zeros(len(labels), dtype=bool)
+    for cls, quota in zip(np.unique(labels), quotas):
+        cls_idx = np.flatnonzero(labels == cls)
+        mask[cls_idx[rng.permutation(len(cls_idx))[:quota]]] = True
+    return mask

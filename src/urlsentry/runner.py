@@ -98,7 +98,7 @@ def dataset_fingerprint(path: str) -> str:
 
 
 def load_labeled_dataset(
-    path: str, config: PipelineConfig, spec: FeatureSpec | None = None
+    path: str, *, spec: FeatureSpec | None = None
 ) -> tuple[Dataset, CleanReport]:
     """CSV -> cleaned, labeled, featurized Dataset."""
     if spec is None:

@@ -83,7 +83,7 @@ def test_criterion_1_reference_accuracy_band():
     with criterion(1, "reference accuracy band on external dataset"):
         config = PipelineConfig()  # 80/20 stratified, seed 42, latent, <=50k rows
         start = time.monotonic()
-        dataset, _ = load_labeled_dataset(path, config)
+        dataset, _ = load_labeled_dataset(path)
         table, _ = run_compare(dataset, config)
         elapsed = time.monotonic() - start
 
@@ -107,7 +107,7 @@ def test_criterion_1_smoke_on_bundled_sample(sample_csv):
     # default pipeline separates the bundled sample well.
     with criterion(1, "(smoke) default compare on bundled sample, all >= 0.90"):
         config = PipelineConfig()
-        dataset, _ = load_labeled_dataset(sample_csv, config)
+        dataset, _ = load_labeled_dataset(sample_csv)
         table, _ = run_compare(dataset, config)
         for name, acc in table.rows:
             assert acc >= 0.90, f"{name} accuracy {acc:.6f}"
@@ -121,7 +121,7 @@ def test_criterion_2_report_metrics_recomputable(sample_csv, tmp_path, capsys):
             classifier="knn", seed=42,
             autoencoder=TrainConfig(epochs=10, hidden_sizes=(8,)),
         )
-        dataset, _ = load_labeled_dataset(sample_csv, config)
+        dataset, _ = load_labeled_dataset(sample_csv)
         artifact = train_artifact(dataset, config)
         model_path = tmp_path / "model.json"
         save_model(artifact, str(model_path))
@@ -269,7 +269,7 @@ def test_criterion_6_degenerate_forest_identity():
 
 def _sample_latents(sample_csv, seed=42):
     config = PipelineConfig()
-    dataset, _ = load_labeled_dataset(sample_csv, config)
+    dataset, _ = load_labeled_dataset(sample_csv)
     bounds, clipped = bound_outliers(dataset.features)
     scaler = fit_scaler(clipped)
     X = apply_scaler(scaler, clipped)
@@ -324,7 +324,7 @@ def test_criterion_9_compare_determinism(sample_csv, tmp_path):
 
 def test_criterion_10_round_trip_all_kinds(sample_csv, tmp_path):
     with criterion(10, "save/load round trip preserves predictions for all kinds"):
-        dataset, _ = load_labeled_dataset(sample_csv, PipelineConfig())
+        dataset, _ = load_labeled_dataset(sample_csv)
         urls = random_urls(1000, seed=23)
         for kind in ("mlp", "knn", "xgb", "gb", "rf"):
             config = PipelineConfig(

@@ -52,7 +52,7 @@ def small_config(kind: str, feature_mode: str = "latent") -> PipelineConfig:
 
 @pytest.fixture(scope="module")
 def training_data(sample_csv):
-    dataset, _ = load_labeled_dataset(sample_csv, PipelineConfig())
+    dataset, _ = load_labeled_dataset(sample_csv)
     return dataset
 
 

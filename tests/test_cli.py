@@ -20,6 +20,7 @@ from urlsentry.config import (
     parse_config_file,
 )
 from urlsentry.errors import ConfigError, FeatureSpecMismatch, ThresholdOutOfRange
+from urlsentry.evaluation import render_bar_chart
 from urlsentry.features import FeatureSpec, featurize_many
 from urlsentry.neural import TrainConfig
 from urlsentry.pipeline import Dataset
@@ -114,6 +115,13 @@ class TestCmdTrain:
         path.write_text("url,label\nhttp://a.com,benign\n")
         assert main(["train", "--data", str(path), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: MissingColumn: ")
+
+    def test_model_flag_leaves_only_the_model(self, tiny_csv, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        assert main(["train", "--data", tiny_csv, "--classifier", "knn", "--model", "m.json"]) == 0
+        assert sorted(p.name for p in run.iterdir()) == ["m.json"]
 
 
 def minus_inf_lower_bound(payload):
@@ -215,13 +223,60 @@ def deadline(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
+def first_root_left_child_as_true(payload):
+    trees = payload["classifier"]["trees"]
+    root = trees["roots"][0]
+    assert trees["left"][root] == 1, "the first root is not a split"  # preorder numbering
+    trees["left"][root] = True
+
+
+def first_root_threshold_as_false(payload):
+    trees = payload["classifier"]["trees"]
+    trees["threshold"][trees["roots"][0]] = False
+
+
+BAD_METADATA_CASES = [
+    pytest.param("rf", first_root_left_child_as_true,
+                 "classifier.trees.left holds true or false, not integers", id="rf-left-true"),
+    pytest.param("xgb", first_root_left_child_as_true,
+                 "classifier.trees.left holds true or false, not integers", id="xgb-left-true"),
+    pytest.param("xgb", first_root_threshold_as_false,
+                 "classifier.trees.threshold holds true or false, not numbers",
+                 id="xgb-threshold-false"),
+    pytest.param("knn", lambda payload: payload["classifier"]["features"][0].__setitem__(0, False),
+                 "classifier.features holds true or false, not numbers", id="knn-row-false"),
+    pytest.param("rf", lambda payload: payload["classifier"].update(n_trees=7),
+                 "n_trees is 7, not 3", id="rf-n-trees"),
+    pytest.param("xgb", lambda payload: payload["classifier"].update(variant="gradient_boosting"),
+                 "variant is 'gradient_boosting', not 'xgboost_style'", id="xgb-variant"),
+    pytest.param("gb", lambda payload: payload["classifier"].update(variant="xgboost_style"),
+                 "variant is 'xgboost_style', not 'gradient_boosting'", id="gb-variant"),
+]
+
+
 class TestCmdPredict:
+    @pytest.mark.parametrize("kind, mutate, message", BAD_METADATA_CASES)
+    def test_stored_value_training_cannot_write_exits_one(self, kind, mutate, message,
+                                                          tiny_csv, tmp_path, capsys):
+        cfg = PipelineConfig(classifier=kind, feature_mode="raw", seed=1,
+                             forest=ForestParams(n_trees=3), xgb=XgbParams(n_rounds=3))
+        model = tmp_path / f"{kind}.json"
+        save_model(train_artifact(load_labeled_dataset(tiny_csv)[0], cfg), str(model))
+        assert main(["predict", "--model", str(model), "--out", str(tmp_path / "ok"),
+                     "https://example.org/docs"]) == 0
+        rewrite_payload(model, mutate)
+        code = main(["predict", "--model", str(model), "--out", str(tmp_path / "o"),
+                     "https://example.org/docs"])
+        assert code == 1
+        assert f"error: CorruptArtifact: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def make_knn_artifact(self, tiny_csv, tmp_path, k=1):
         cfg = PipelineConfig(
             classifier="knn", knn_k=k, seed=1,
             autoencoder=TrainConfig(epochs=5, hidden_sizes=(6,)),
         )
-        dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+        dataset, _ = load_labeled_dataset(tiny_csv)
         artifact = train_artifact(dataset, cfg)
         path = tmp_path / "knn.json"
         save_model(artifact, str(path))
@@ -366,7 +421,7 @@ class TestCmdPredict:
     @pytest.mark.parametrize("field, value", [("feature", -13), ("threshold", float("nan"))])
     def test_invalid_tree_exits_one(self, field, value, tiny_csv, tmp_path, capsys):
         cfg = PipelineConfig(classifier="xgb", feature_mode="raw", seed=1)
-        dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+        dataset, _ = load_labeled_dataset(tiny_csv)
         model = tmp_path / "xgb.json"
         save_model(train_artifact(dataset, cfg), str(model))
 
@@ -385,7 +440,7 @@ class TestCmdPredict:
     def test_corrupt_tree_lists_exit_one(self, kind, case, tiny_csv, tmp_path, capsys):
         cfg = PipelineConfig(classifier=kind, feature_mode="raw", seed=1,
                              forest=ForestParams(n_trees=3), xgb=XgbParams(n_rounds=3))
-        dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+        dataset, _ = load_labeled_dataset(tiny_csv)
         model = tmp_path / f"{kind}.json"
         save_model(train_artifact(dataset, cfg), str(model))
         rewrite_payload(model, lambda payload: corrupt(payload["classifier"]["trees"], case))
@@ -398,7 +453,7 @@ class TestCmdPredict:
     def test_unknown_activation_exits_one(self, tiny_csv, tmp_path, capsys):
         cfg = PipelineConfig(classifier="mlp", feature_mode="raw", seed=1,
                              mlp=TrainConfig(epochs=2))
-        dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+        dataset, _ = load_labeled_dataset(tiny_csv)
         model = tmp_path / "mlp.json"
         save_model(train_artifact(dataset, cfg), str(model))
         rewrite_payload(
@@ -413,7 +468,7 @@ class TestCmdPredict:
     def test_non_finite_mlp_weight_exits_one(self, tiny_csv, tmp_path, capsys):
         cfg = PipelineConfig(classifier="mlp", feature_mode="raw", seed=1,
                              mlp=TrainConfig(epochs=2))
-        dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+        dataset, _ = load_labeled_dataset(tiny_csv)
         model = tmp_path / "mlp.json"
         save_model(train_artifact(dataset, cfg), str(model))
         rewrite_payload(
@@ -463,7 +518,7 @@ class TestCmdPredict:
             self.make_knn_artifact(tiny_csv, tmp_path)
         else:
             cfg = PipelineConfig(classifier="rf", feature_mode="raw", seed=1)
-            dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+            dataset, _ = load_labeled_dataset(tiny_csv)
             model = tmp_path / "rf.json"
             save_model(train_artifact(dataset, cfg), str(model))
         header, payload_text = read_artifact(model)
@@ -493,7 +548,7 @@ class TestCmdPredict:
     ])
     def test_json_python_cannot_read_exits_one(self, rewrite, tiny_csv, tmp_path, capsys):
         cfg = PipelineConfig(classifier="xgb", feature_mode="raw", seed=1)
-        dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+        dataset, _ = load_labeled_dataset(tiny_csv)
         model = tmp_path / "xgb.json"
         save_model(train_artifact(dataset, cfg), str(model))
         write_artifact(model, rewrite(read_artifact(model)[1]))
@@ -508,7 +563,7 @@ class TestCmdEvaluate:
         cfg = PipelineConfig(
             classifier="knn", knn_k=1, seed=1, feature_mode="raw",
         )
-        dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+        dataset, _ = load_labeled_dataset(tiny_csv)
         artifact = train_artifact(dataset, cfg)
         model_path = tmp_path / "m.json"
         save_model(artifact, str(model_path))
@@ -522,7 +577,7 @@ class TestCmdEvaluate:
     def test_printed_metrics_recompute_from_printed_cells(self, tiny_csv, tmp_path, capsys):
         cfg = PipelineConfig(classifier="rf", seed=2,
                              autoencoder=TrainConfig(epochs=5, hidden_sizes=(6,)))
-        dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+        dataset, _ = load_labeled_dataset(tiny_csv)
         artifact = train_artifact(dataset, cfg)
         model_path = tmp_path / "m.json"
         save_model(artifact, str(model_path))
@@ -541,7 +596,7 @@ class TestCmdEvaluate:
 
     def test_feature_spec_mismatch(self, tiny_csv):
         cfg = PipelineConfig(classifier="knn", knn_k=1, feature_mode="raw")
-        dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+        dataset, _ = load_labeled_dataset(tiny_csv)
         artifact = train_artifact(dataset, cfg)
         wide_spec = FeatureSpec(keywords=FeatureSpec().keywords + ("aa", "bb"))
         wide = Dataset(
@@ -593,6 +648,18 @@ class TestCmdCompareAndReport:
         err = capsys.readouterr().err
         assert err.startswith("error: MalformedRow")
         assert "line 3" in err
+
+
+    @pytest.mark.parametrize("command", ["compare", "report"])
+    def test_chart_file_is_the_rendered_text(self, command, tiny_csv, tmp_path, monkeypatch):
+        assert main(["compare", "--data", tiny_csv, "--out", str(tmp_path / "cmp")]) == 0
+        rendered = []
+        monkeypatch.setattr("urlsentry.cli.render_bar_chart",
+                            lambda table: rendered.append(render_bar_chart(table)) or rendered[-1])
+        data = tiny_csv if command == "compare" else str(tmp_path / "cmp" / "comparison.csv")
+        assert main([command, "--data", data, "--out", str(tmp_path / "o")]) == 0
+        assert len(rendered) == 1
+        assert (tmp_path / "o" / "accuracy_chart.svg").read_bytes() == rendered[0].encode("utf-8")
 
 
 class TestConfigHandling:
@@ -816,7 +883,7 @@ class TestFilterPredictions:
 
     def test_verdicts_flag_as_the_filter_does(self, tiny_csv, tmp_path):
         cfg = PipelineConfig(classifier="knn", feature_mode="raw", seed=1)
-        dataset, _ = load_labeled_dataset(tiny_csv, cfg)
+        dataset, _ = load_labeled_dataset(tiny_csv)
         artifact = train_artifact(dataset, cfg)
         urls = list(dataset.urls)
         for threshold in (0.0, 0.5, 1.0):

@@ -174,7 +174,7 @@ def demo_table():
 class TestRendering:
     def test_chart_has_one_bar_per_row(self, tmp_path):
         path = tmp_path / "chart.svg"
-        render_bar_chart(demo_table(), str(path))
+        path.write_text(render_bar_chart(demo_table()), encoding="utf-8", newline="\n")
         svg = path.read_text()
         assert svg.count('<rect class="bar"') == 5
         assert "0.991086" in svg
@@ -182,12 +182,12 @@ class TestRendering:
     def test_chart_empty_table_rejected(self, tmp_path):
         table = ComparisonTable(rows=[], split_descriptor="", seed=0)
         with pytest.raises(EmptyInput):
-            render_bar_chart(table, str(tmp_path / "never.svg"))
+            render_bar_chart(table)
 
     def test_chart_bytes_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-        render_bar_chart(demo_table(), str(p1))
-        render_bar_chart(demo_table(), str(p2))
+        p1.write_text(render_bar_chart(demo_table()), encoding="utf-8", newline="\n")
+        p2.write_text(render_bar_chart(demo_table()), encoding="utf-8", newline="\n")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_confusion_grid_contents(self):

@@ -27,6 +27,7 @@ from urlsentry.neural import (
     train_autoencoder,
     train_mlp,
 )
+from urlsentry.pipeline import Dataset
 
 
 def identity_layer(d):
@@ -323,3 +324,73 @@ class TestSigmoid:
         with np.errstate(over="raise", invalid="raise"):
             out = neural.sigmoid(np.array([-1e308, -800.0, 0.0, 800.0, 1e308]))
         assert out.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+
+
+def reference_layer(rng, d_in, d_out, activation):
+    bound = np.sqrt(6.0 / (d_in + d_out))
+    weights = rng.uniform(-bound, bound, size=(d_out, d_in))
+    return LayerParams(weights=weights, biases=np.zeros(d_out), activation=activation)
+
+
+def reference_mlp_layers(rng, d, hidden_sizes):
+    """train_mlp's initial layers by its former construction loop."""
+    sizes = [d, *hidden_sizes, 1]
+    layers = []
+    for i in range(len(sizes) - 1):
+        activation = "sigmoid" if i == len(sizes) - 2 else "relu"
+        layers.append(reference_layer(rng, sizes[i], sizes[i + 1], activation))
+    return layers
+
+
+def reference_autoencoder_layers(rng, d, hidden_sizes):
+    """train_autoencoder's initial encoder and decoder by their former construction loops."""
+    enc_sizes = [d, *hidden_sizes]
+    dec_sizes = [*hidden_sizes[::-1], d]
+    encoder = [
+        reference_layer(rng, enc_sizes[i], enc_sizes[i + 1], "sigmoid")
+        for i in range(len(enc_sizes) - 1)
+    ]
+    decoder = []
+    for i in range(len(dec_sizes) - 1):
+        activation = "identity" if i == len(dec_sizes) - 2 else "sigmoid"
+        decoder.append(reference_layer(rng, dec_sizes[i], dec_sizes[i + 1], activation))
+    return encoder, decoder
+
+
+def assert_same_layers(actual, expected):
+    assert len(actual) == len(expected)
+    for a, e in zip(actual, expected):
+        assert a.activation == e.activation
+        assert a.weights.shape == e.weights.shape and a.weights.tobytes() == e.weights.tobytes()
+        assert a.biases.shape == e.biases.shape and a.biases.tobytes() == e.biases.tobytes()
+
+
+def construction_data(n=40, d=18):
+    rng = np.random.default_rng(3)
+    return rng.uniform(size=(n, d)), np.arange(n) % 2
+
+
+@pytest.mark.parametrize("epochs", [0, 2])
+@pytest.mark.parametrize("hidden_sizes", [(), (8,), (16, 8), (12, 6, 3)])
+def test_mlp_layers_match_the_former_construction(hidden_sizes, epochs):
+    X, y = construction_data()
+    cfg = TrainConfig(epochs=epochs, batch_size=16, hidden_sizes=hidden_sizes, seed=5)
+    model = train_mlp(Dataset(X, y, [""] * len(y)), cfg)
+    rng = np.random.default_rng(cfg.seed)
+    expected = MlpModel(reference_mlp_layers(rng, X.shape[1], hidden_sizes))
+    neural._sgd(expected, X, y.astype(np.float64).reshape(-1, 1), cfg, "bce", rng)
+    assert_same_layers(model.layers, expected.layers)
+
+
+@pytest.mark.parametrize("epochs", [0, 2])
+@pytest.mark.parametrize("hidden_sizes", [(8,), (16, 8), (12, 6, 3), (18,)])
+def test_autoencoder_layers_match_the_former_construction(hidden_sizes, epochs):
+    X, _ = construction_data()
+    cfg = TrainConfig(epochs=epochs, batch_size=16, hidden_sizes=hidden_sizes, seed=5)
+    model = train_autoencoder(X, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    encoder, decoder = reference_autoencoder_layers(rng, X.shape[1], hidden_sizes)
+    expected = AutoencoderModel(encoder, decoder, hidden_sizes[-1])
+    neural._sgd(expected, X, X, cfg, "mse", rng)
+    assert_same_layers(model.encoder_layers, expected.encoder_layers)
+    assert_same_layers(model.decoder_layers, expected.decoder_layers)

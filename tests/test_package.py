@@ -56,7 +56,7 @@ def test_predict_imports_only_the_model_code_it_runs(
     feature_mode, classifier, unused, sample_csv, tmp_path
 ):
     cfg = PipelineConfig(feature_mode=feature_mode, classifier=classifier)
-    dataset, _ = load_labeled_dataset(sample_csv, cfg)
+    dataset, _ = load_labeled_dataset(sample_csv)
     model = tmp_path / "model.json"
     save_model(train_artifact(dataset, cfg), str(model))
     done = run_fresh(PREDICT_THEN_LIST_MODULES, str(model), str(tmp_path / "out"))

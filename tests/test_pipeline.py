@@ -401,3 +401,76 @@ def test_one_row_views_reject_a_matrix(one_row_view, toy_dataset, rows):
     one_row_view(toy_dataset.features[0])  # one vector is answered
     with pytest.raises(DimensionMismatch, match="one vector"):
         one_row_view(toy_dataset.features[:rows])
+
+
+def reference_split_mask(labels, test_fraction, seed):
+    """stratified_split's test rows by its former per-class loop."""
+    rng = np.random.default_rng(seed)
+    test_idx = []
+    for cls in sorted(int(c) for c in np.unique(labels)):
+        cls_idx = np.flatnonzero(labels == cls)
+        n_test = int(math.floor(len(cls_idx) * test_fraction + 0.5))
+        perm = rng.permutation(len(cls_idx))
+        test_idx.extend(int(i) for i in cls_idx[perm[:n_test]])
+    test_mask = np.zeros(len(labels), dtype=bool)
+    test_mask[test_idx] = True
+    return test_mask
+
+
+def reference_subsample_mask(labels, max_rows, seed):
+    """stratified_subsample's kept rows by its former per-class loop."""
+    classes = sorted(int(c) for c in np.unique(labels))
+    counts = [int((labels == c).sum()) for c in classes]
+    quotas = dict(zip(classes, reference_quotas(counts, max_rows)))
+    rng = np.random.default_rng(seed)
+    keep_mask = np.zeros(len(labels), dtype=bool)
+    for cls in classes:
+        cls_idx = np.flatnonzero(labels == cls)
+        perm = rng.permutation(len(cls_idx))
+        keep_mask[cls_idx[perm[: quotas[cls]]]] = True
+    return keep_mask
+
+
+@st.composite
+def shuffled_labels(draw):
+    """1-5 classes with arbitrary distinct label values, 1-40 rows each, shuffled."""
+    values = draw(st.lists(st.integers(-5, 9), min_size=1, max_size=5, unique=True))
+    counts = draw(st.lists(st.integers(1, 40), min_size=len(values), max_size=len(values)))
+    labels = np.repeat(np.array(values), counts)
+    return labels[np.random.default_rng(draw(st.integers(0, 2**16))).permutation(len(labels))]
+
+
+def indexed_dataset(labels):
+    n = len(labels)
+    return Dataset(np.zeros((n, 1)), labels, [str(i) for i in range(n)])
+
+
+def rows_of(ds):
+    return [int(url) for url in ds.urls]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_labels(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_split_draw_matches_the_per_class_loop(labels, test_fraction, seed):
+    ds = indexed_dataset(labels)
+    mask = reference_split_mask(labels, test_fraction, seed)
+    if len(np.unique(labels)) < 2 or mask.all() or not mask.any():
+        with pytest.raises(DegenerateSplit):
+            stratified_split(ds, SplitConfig(test_fraction=test_fraction, seed=seed))
+        return
+    train, test = stratified_split(ds, SplitConfig(test_fraction=test_fraction, seed=seed))
+    assert rows_of(test) == np.flatnonzero(mask).tolist()
+    assert rows_of(train) == np.flatnonzero(~mask).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_labels().flatmap(
+    lambda labels: st.tuples(st.just(labels), st.integers(1, max(1, len(labels) - 1)))
+), st.integers(0, 2**32 - 1))
+def test_subsample_draw_matches_the_per_class_loop(labels_and_cap, seed):
+    labels, cap = labels_and_cap
+    sub = stratified_subsample(indexed_dataset(labels), cap, seed)
+    if len(labels) <= cap:
+        assert sub.n_rows == len(labels)
+        return
+    assert rows_of(sub) == np.flatnonzero(reference_subsample_mask(labels, cap, seed)).tolist()

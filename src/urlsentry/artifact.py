@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-import math
 import reprlib
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -146,7 +145,8 @@ def _decode(kind, value, where: str = "the payload"):
     A scalar is read only as its declared type, except that an int may stand
     for a float. An array is read only if it holds no true or false and numpy
     gives it a numeric dtype, an integer one where its annotation declares
-    one. Anything else raises CorruptArtifact naming where in the payload it is.
+    one. Every float, in an array or alone, must be finite. Anything else
+    raises CorruptArtifact naming where in the payload it is.
     """
     origin, args = get_origin(kind) or kind, get_args(kind)
     if origin is np.ndarray:
@@ -161,6 +161,8 @@ def _decode(kind, value, where: str = "the payload"):
             items = chain.from_iterable(items)
         if array.ndim and bool in set(map(type, items)):
             raise CorruptArtifact(f"{where} holds true or false, not {what}")
+        if array.dtype.kind == "f" and not (finite := np.isfinite(array)).all():
+            raise CorruptArtifact(f"{where} holds {array[~finite][0]}, not finite")
         return array if dtype is None else array.astype(dtype, copy=False)
     if is_dataclass(kind) and type(value) is dict:
         return kind(**{name: _decode(hint, value[key], f"{where}.{key}")
@@ -169,7 +171,10 @@ def _decode(kind, value, where: str = "the payload"):
         items = [_decode(args[0], item, f"{where}[{i}]") for i, item in enumerate(value)]
         return origin(items)
     if type(value) is kind or (kind is float and type(value) is int):
-        return kind(value)
+        value = kind(value)
+        if kind is float and not np.isfinite(value):
+            raise CorruptArtifact(f"{where} is {value}, not finite")
+        return value
     raise CorruptArtifact(f"{where} is {reprlib.repr(value)}, not {origin.__name__}")
 
 
@@ -177,15 +182,9 @@ def _decode(kind, value, where: str = "the payload"):
 # Checks of a loaded model against the width of its transformed input
 # ---------------------------------------------------------------------------
 
-def _check_finite(name: str, array: np.ndarray) -> None:
-    bad = array[~np.isfinite(array)]
-    if bad.size:
-        raise CorruptArtifact(f"{name} holds {bad[0]}, not finite")
-
-
 def _check_layers(name: str, layers: list[LayerParams], width_in: int, width_out: int) -> None:
     """Reject a layer stack whose widths do not chain from width_in to width_out,
-    or that holds an unknown activation or a non-finite weight or bias."""
+    or that holds an unknown activation."""
     if not layers:
         raise CorruptArtifact(f"the {name} has no layers")
     activations = _import("neural").ACTIVATIONS
@@ -204,8 +203,6 @@ def _check_layers(name: str, layers: list[LayerParams], width_in: int, width_out
                 f"{name} layer {i} has biases of shape {layer.biases.shape}, "
                 f"its output is {width} wide"
             )
-        _check_finite(f"{name} layer {i} weights", layer.weights)
-        _check_finite(f"{name} layer {i} biases", layer.biases)
     if width != width_out:
         raise CorruptArtifact(f"the {name} outputs {width} values, {width_out} expected")
 
@@ -214,24 +211,21 @@ def _check_knn(model: KnnModel, width: int) -> None:
     stored = model.stored_features.shape[1]
     if stored != width:
         raise CorruptArtifact(f"kNN rows are {stored} wide, the transformed input is {width}")
-    _check_finite("the kNN rows", model.stored_features)
 
 
 def _check_trees(model: BoostedModel | ForestModel, width: int) -> None:
     """Reject node arrays training cannot produce, and any that routing could loop on.
 
-    Besides the shapes, ranges and finite numbers, the walk from the roots,
-    through both children of every node that is not its own left and right
-    child, must reach every node exactly once: so no node has two parents
-    or none, and no cycle is reachable.
+    Besides the shapes and ranges, the walk from the roots, through both
+    children of every node that is not its own left and right child, must
+    reach every node exactly once: so no node has two parents or none, and
+    no cycle is reachable.
     """
     a = model.arrays
     shapes = {name: array.shape for name, array in vars(a).items()}
     node_shapes = {shape for name, shape in shapes.items() if name != "roots"}
     if any(len(shape) != 1 for shape in shapes.values()) or len(node_shapes) != 1:
         raise CorruptArtifact(f"the tree lists have shapes {shapes}, not one length")
-    _check_finite("the tree thresholds", a.threshold)
-    _check_finite("the tree values", a.value)
     n = len(a.value)
     for name, index, bound in (("feature", a.feature, width), ("left", a.left, n),
                                ("right", a.right, n), ("roots", a.roots, n)):
@@ -253,18 +247,16 @@ def _check_trees(model: BoostedModel | ForestModel, width: int) -> None:
 
 
 def _check_forest(model: ForestModel, width: int) -> None:
+    _check_trees(model, width)
+    if not model.arrays.roots.size:  # its mean over no trees would be NaN
+        raise CorruptArtifact("the forest has no trees")
     if model.n_trees != len(model.arrays.roots):
         raise CorruptArtifact(f"n_trees is {model.n_trees}, not {len(model.arrays.roots)}")
-    _check_trees(model, width)
 
 
 def _check_boosted(model: BoostedModel, width: int, variant: str) -> None:
     if model.variant != variant:
         raise CorruptArtifact(f"variant is {model.variant!r}, not {variant!r}")
-    for name in ("init_score", "learning_rate"):
-        value = getattr(model, name)
-        if not math.isfinite(value):
-            raise CorruptArtifact(f"{name} is {value}, not finite")
     _check_trees(model, width)
 
 
@@ -461,7 +453,6 @@ def load_model(path: str) -> ModelArtifact:
             raise CorruptArtifact(
                 f"bounds.{name} has shape {array.shape}, the feature spec needs ({dim},)"
             )
-        _check_finite(f"bounds.{name}", array)
     width = dim
     if autoencoder is not None:
         width = autoencoder.latent_dim

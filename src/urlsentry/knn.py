@@ -69,20 +69,18 @@ def _nearest(model: KnnModel, q: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
 def _k_smallest_indices(sq_dist: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest values, ties resolved by lower index.
 
-    Equivalent to a full stable argsort prefix, but only partitions around
-    the k-th value.
+    Partitions around the k-th value. A NaN sorts last, so when fewer than
+    k values are not NaN the k-th is NaN and no index is returned.
     """
-    if k == len(sq_dist):
-        cand = np.arange(len(sq_dist))
-    else:
-        kth = np.partition(sq_dist, k - 1)[k - 1]
-        cand = np.flatnonzero(sq_dist <= kth)
+    kth = np.partition(sq_dist, k - 1)[k - 1]
+    cand = np.flatnonzero(sq_dist <= kth)
     order = np.argsort(sq_dist[cand], kind="stable")
     return cand[order[:k]]
 
 
 def k_nearest(model: KnnModel, x: np.ndarray, k: int) -> list[tuple[int, float]]:
-    """The k nearest stored rows as (index, euclidean distance), ascending."""
+    """The k nearest stored rows as (index, euclidean distance), ascending; none
+    when fewer than k rows are at a non-NaN distance."""
     X, k = _checked(model, one_row(x), k)
     sq, idx = _nearest(model, X[0], k)
     return [(int(i), float(np.sqrt(sq[i]))) for i in idx]
@@ -169,8 +167,6 @@ class _StoredGroups:
 def predict_knn_batch(model: KnnModel, X: np.ndarray, k: int | None = None) -> np.ndarray:
     """Malicious-vote confidence for each query row; each distinct row is scored once."""
     X, k = _checked(model, X, k)
-    if k == len(model.stored_labels):  # every stored row votes, whatever its distance
-        return np.full(X.shape[0], float(model.stored_labels.sum()) / k)
     stored = _StoredGroups.of(model)
     first, group = distinct_rows(X)
     Q = X[first]

@@ -59,7 +59,7 @@ from typing import Any
 import numpy as np
 
 from .config import BoostParams, ForestParams, XgbParams
-from .errors import DimensionMismatch, EmptyNode, SingleClassTrainingSet, TooFewRows
+from .errors import ConfigError, DimensionMismatch, EmptyNode, SingleClassTrainingSet, TooFewRows
 from .pipeline import SCORING_CUT, Dataset, distinct_rows, one_row
 
 LEAF_DENOM_FLOOR = 1e-12  # guards Newton leaf values when hessians vanish
@@ -542,6 +542,8 @@ def best_split(
     n = features.shape[0]
     if n < 2:
         raise TooFewRows(f"cannot split {n} row(s)")
+    if not cands.size:
+        return None
 
     if criterion == "gini":
         cols, orders, group = _distinct_presort(features)
@@ -709,6 +711,8 @@ def train_random_forest(train: Dataset, params: ForestParams | None = None) -> F
     """Bagged CART ensemble; tree t draws everything from seed + t."""
     if params is None:
         params = ForestParams()
+    if params.n_trees < 1:
+        raise ConfigError(f"a forest needs at least one tree, got n_trees={params.n_trees}")
     X = np.asarray(train.features, dtype=np.float64)
     y = np.asarray(train.labels, dtype=np.int64)
     n, d = X.shape

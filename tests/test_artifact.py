@@ -1,4 +1,5 @@
 import json
+import re
 import string
 from dataclasses import fields, replace
 
@@ -249,8 +250,64 @@ def test_non_finite_knn_row_rejected(feature_mode, value, training_data, tmp_pat
     path = tmp_path / "model.json"
     save_model(artifact, str(path))
     rewrite_payload(path, lambda payload: payload["classifier"]["features"][3].__setitem__(1, value))
-    with pytest.raises(CorruptArtifact, match=f"the kNN rows holds? {value}, not finite"):
+    with pytest.raises(CorruptArtifact, match=f"classifier.features holds {value}, not finite"):
         load_model(str(path))
+
+
+def stored_floats(value, field: str = "", where: tuple = ()):
+    """(field, where, in_array) for floats of a payload: the field as load_model names
+    it, the keys and indices that reach the float, and whether the field is an array.
+    Every float scalar, and the first, middle and last float of every array."""
+    if type(value) is float:
+        yield field, where, False
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from stored_floats(item, f"{field}.{key}" if field else key, where + (key,))
+    elif isinstance(value, list) and value and all(isinstance(item, dict) for item in value):
+        for i, item in enumerate(value):
+            yield from stored_floats(item, f"{field}[{i}]", where + (i,))
+    elif isinstance(value, list):
+        entries = [at for at, item in array_entries(value, where) if type(item) is float]
+        if entries:
+            for at in dict.fromkeys([entries[0], entries[len(entries) // 2], entries[-1]]):
+                yield field, at, True
+
+
+def array_entries(value, where: tuple):
+    if not isinstance(value, list):
+        yield where, value
+        return
+    for i, item in enumerate(value):
+        yield from array_entries(item, where + (i,))
+
+
+def set_at(payload, where: tuple, value) -> None:
+    for key in where[:-1]:
+        payload = payload[key]
+    payload[where[-1]] = value
+
+
+@pytest.mark.parametrize("kind", ["mlp", "knn", "xgb", "gb", "rf"])
+@pytest.mark.parametrize("feature_mode", ["raw", "latent"])
+def test_every_stored_float_must_be_finite(kind, feature_mode, training_data, tmp_path):
+    """A NaN or infinity anywhere in the payload is rejected, named by its field."""
+    path = tmp_path / "model.json"
+    save_model(train_artifact(training_data, small_config(kind, feature_mode)), str(path))
+    header, text = read_artifact(path)
+    cases = list(stored_floats(json.loads(text)))
+    fields_seen = {field for field, _, _ in cases}
+    assert {"bounds.lower", "bounds.upper"} <= fields_seen
+    if kind in ("xgb", "gb"):
+        assert {"classifier.init_score", "classifier.learning_rate", "classifier.lam",
+                "classifier.gamma", "classifier.trees.threshold"} <= fields_seen
+    for field, where, in_array in cases:
+        for value in (float("nan"), float("inf"), float("-inf")):
+            payload = json.loads(text)
+            set_at(payload, where, value)
+            write_artifact(path, canonical(payload), created_at=header["created_at"])
+            message = f"{field} {'holds' if in_array else 'is'} {value}, not finite"
+            with pytest.raises(CorruptArtifact, match=f"^{re.escape(message)}$"):
+                load_model(str(path))
 
 
 def drop_last_column(layer: dict) -> None:
@@ -300,13 +357,13 @@ def test_mlp_first_layer_checked_against_transformed_width(feature_mode, width, 
 @pytest.mark.parametrize("kind, feature_mode, mutate, message", [
     pytest.param("mlp", "raw",
                  lambda p: p["classifier"]["layers"][0]["weights"][0].__setitem__(0, float("nan")),
-                 "MLP layer 0 weights holds nan, not finite", id="mlp-weight"),
+                 "classifier.layers\\[0\\].weights holds nan, not finite", id="mlp-weight"),
     pytest.param("mlp", "latent",
                  lambda p: p["classifier"]["layers"][-1]["biases"].__setitem__(0, float("inf")),
-                 "MLP layer 1 biases holds inf, not finite", id="mlp-bias"),
+                 "classifier.layers\\[1\\].biases holds inf, not finite", id="mlp-bias"),
     pytest.param("xgb", "latent",
                  lambda p: p["autoencoder"]["encoder"][0]["weights"][2].__setitem__(1, float("-inf")),
-                 "encoder layer 0 weights holds -inf, not finite", id="encoder-weight"),
+                 "autoencoder.encoder\\[0\\].weights holds -inf, not finite", id="encoder-weight"),
 ])
 def test_non_finite_network_parameter_rejected(kind, feature_mode, mutate, message,
                                                training_data, tmp_path):
@@ -340,9 +397,9 @@ def set_entry(trees: dict, name: str, index: int, value) -> None:
                  "feature index is 18, outside \\[0, 18\\)", id="feature-past-width"),
     pytest.param(lambda c: set_entry(c["trees"], "threshold", root_split(c["trees"], -1),
                                      float("nan")),
-                 "thresholds holds nan", id="nan-threshold"),
+                 "classifier.trees.threshold holds nan", id="nan-threshold"),
     pytest.param(lambda c: set_entry(c["trees"], "value", first_leaf(c["trees"]), float("inf")),
-                 "values holds inf", id="inf-leaf"),
+                 "classifier.trees.value holds inf", id="inf-leaf"),
     pytest.param(lambda c: c.update(init_score=float("nan")),
                  "init_score is nan", id="nan-init-score"),
     pytest.param(lambda c: c.update(learning_rate=float("-inf")),

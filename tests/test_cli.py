@@ -247,6 +247,15 @@ BAD_METADATA_CASES = [
                  "classifier.features holds true or false, not numbers", id="knn-row-false"),
     pytest.param("rf", lambda payload: payload["classifier"].update(n_trees=7),
                  "n_trees is 7, not 3", id="rf-n-trees"),
+    pytest.param("rf", lambda payload: payload["classifier"].update(
+                     n_trees=0, trees={name: [] for name in payload["classifier"]["trees"]}),
+                 "the forest has no trees", id="rf-no-trees"),
+    pytest.param("rf", lambda payload: payload["classifier"]["trees"].update(roots=0),
+                 "the tree lists have shapes", id="rf-roots-not-a-list"),
+    pytest.param("xgb", lambda payload: payload["classifier"].update(lam=float("nan")),
+                 "classifier.lam is nan, not finite", id="xgb-lam-nan"),
+    pytest.param("gb", lambda payload: payload["classifier"].update(gamma=float("inf")),
+                 "classifier.gamma is inf, not finite", id="gb-gamma-inf"),
     pytest.param("xgb", lambda payload: payload["classifier"].update(variant="gradient_boosting"),
                  "variant is 'gradient_boosting', not 'xgboost_style'", id="xgb-variant"),
     pytest.param("gb", lambda payload: payload["classifier"].update(variant="xgboost_style"),
@@ -480,7 +489,7 @@ class TestCmdPredict:
         code = main(["predict", "--model", str(model), "--out", str(tmp_path / "o"),
                      "http://login-update.tk/verify?acct=1"])
         assert code == 1
-        assert "CorruptArtifact: MLP layer 0 weights holds nan" in capsys.readouterr().err
+        assert "CorruptArtifact: classifier.layers[0].weights holds nan" in capsys.readouterr().err
         assert not (tmp_path / "o" / "safe_urls.txt").exists()
 
     @pytest.mark.parametrize("text", ["[1, 2]", '"x"'])

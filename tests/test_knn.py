@@ -82,6 +82,23 @@ def nan_cases():
            np.array([[0.0, 0.0]]))
 
 
+def nan_rule_reference(features, labels, q, k):
+    """The k nearest rows at a non-NaN distance vote, ties by lower index; with
+    fewer than k such rows, none do."""
+    sq = ((features - q) ** 2).sum(axis=1)
+    order = sorted((d, i) for i, d in enumerate(sq.tolist()) if not np.isnan(d))
+    return sum(int(labels[i]) for _, i in order[:k]) / k if len(order) >= k else 0.0
+
+
+def nan_rule_cases():
+    """(stored rows, labels, queries) where some query is at a NaN distance from some row."""
+    for features, queries in nan_cases():
+        yield features, np.array([1, 1, 0, 1, 1]), queries
+    yield np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([1, 1, 0, 1]), np.array([[np.nan]])
+    yield (np.array([[0.0], [1.0], [np.nan], [3.0]]), np.array([1, 1, 0, 1]),
+           np.array([[0.0], [2.5], [np.nan]]))
+
+
 def small_model():
     return KnnModel(
         stored_features=np.array([[0.0, 0.0], [3.0, 4.0]]),
@@ -213,6 +230,24 @@ class TestPredictKnn:
             for k in range(1, 6):
                 got = predict_knn_batch(model, queries, k)
                 assert got.tobytes() == per_query_reference(model, queries, k).tobytes()
+
+    def test_one_nan_distance_rule_at_every_k(self):
+        for features, labels, queries in nan_rule_cases():
+            model = KnnModel(features, labels, default_k=1)
+            for k in range(1, len(labels) + 1):
+                want = [nan_rule_reference(features, labels, q, k) for q in queries]
+                assert predict_knn_batch(model, queries, k).tolist() == want
+                assert per_query_reference(model, queries, k).tolist() == want
+                assert [predict_knn(model, q, k)[1] for q in queries] == want
+
+    def test_no_k_nearest_when_fewer_than_k_rows_at_a_non_nan_distance(self):
+        model = KnnModel(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([1, 1, 0, 1]),
+                         default_k=1)
+        assert k_nearest(model, np.array([np.nan]), k=4) == []
+        assert [i for i, _ in k_nearest(model, np.array([1.5]), k=4)] == [1, 2, 0, 3]
+        model = KnnModel(np.array([[0.0], [np.nan], [2.0]]), np.array([1, 0, 1]), default_k=1)
+        assert k_nearest(model, np.array([0.0]), k=3) == []
+        assert k_nearest(model, np.array([0.0]), k=2) == [(0, 0.0), (2, 2.0)]
 
     @settings(max_examples=300, deadline=None)
     @given(heavy_group_cases())

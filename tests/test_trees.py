@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from urlsentry import trees
-from urlsentry.errors import DimensionMismatch, EmptyNode, SingleClassTrainingSet, TooFewRows
+from urlsentry.errors import (
+    ConfigError,
+    DimensionMismatch,
+    EmptyNode,
+    SingleClassTrainingSet,
+    TooFewRows,
+)
 from urlsentry.neural import sigmoid
 from urlsentry.pipeline import Dataset
 from urlsentry.trees import (
@@ -199,6 +205,12 @@ class TestBestSplit:
         with pytest.raises(TooFewRows):
             best_split(np.array([[1.0]]), np.array([1]), [0], "gini")
 
+    @pytest.mark.parametrize("criterion", ["gini", "second_order"])
+    def test_no_candidates_no_split(self, criterion):
+        features = np.array([[0.0], [1.0], [2.0]])
+        targets = np.array([0, 1, 1]) if criterion == "gini" else np.array([0.5, -0.5, -0.5])
+        assert best_split(features, targets, [], criterion, hessians=np.ones(3)) is None
+
     @pytest.mark.parametrize("candidates", [[-2], [0, 2], [-1, 0]])
     def test_candidate_outside_columns_rejected(self, candidates):
         features = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -381,6 +393,11 @@ class TestRandomForest:
         ds = Dataset(np.ones((5, 2)), np.ones(5, dtype=int), [f"u{i}" for i in range(5)])
         forest = train_random_forest(ds, ForestParams(n_trees=3, seed=0))
         assert predict_forest(forest, np.ones(2)) == (1, 1.0)
+
+    @pytest.mark.parametrize("n_trees", [0, -1])
+    def test_no_trees_rejected(self, toy_dataset, n_trees):
+        with pytest.raises(ConfigError, match=f"at least one tree, got n_trees={n_trees}"):
+            train_random_forest(toy_dataset, ForestParams(n_trees=n_trees))
 
 
 def log_loss(probs, labels):

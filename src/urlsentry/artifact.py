@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import CorruptArtifact, FeatureSpecMismatch, KOutOfRange, UnsupportedVersion
+from .errors import CorruptArtifact, DimensionMismatch, KOutOfRange, UnsupportedVersion
 from .features import FeatureSpec, featurize_many
 from .knn import KnnModel, predict_knn_batch
 from .pipeline import Dataset, OutlierBounds, Scaler, apply_bounds, apply_scaler, write_text
@@ -332,7 +332,7 @@ CLASSIFIER_KINDS = tuple(CLASSIFIERS)
 def transform_features(artifact: ModelArtifact, features: np.ndarray) -> np.ndarray:
     """Apply the artifact's fitted preprocessing (and encoder) to raw features."""
     if features.shape[1] != artifact.feature_spec.dim:
-        raise FeatureSpecMismatch(
+        raise DimensionMismatch(
             f"artifact expects {artifact.feature_spec.dim} features, "
             f"data has {features.shape[1]}"
         )

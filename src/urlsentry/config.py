@@ -40,7 +40,6 @@ class ForestParams:
     max_depth: int = 12
     m_features: int | None = None  # None -> ceil(sqrt(d))
     bootstrap: bool = True
-    min_samples_leaf: int = 1
     seed: int = 0
 
 
@@ -49,7 +48,6 @@ class BoostParams:
     n_rounds: int = 100
     learning_rate: float = 0.1
     max_depth: int = 3
-    min_samples_leaf: int = 1
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,6 @@ class XgbParams:
     max_depth: int = 6
     lam: float = 1.0
     gamma: float = 0.0
-    min_samples_leaf: int = 1
 
 
 # Config-file key (= CLI flag name) -> (PipelineConfig field, value parser, help).
@@ -110,6 +107,10 @@ class PipelineConfig:
         check_threshold(self.threshold)
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        for name in ("mlp", "autoencoder", "forest"):  # training replaces their seeds with seed
+            sub_seed = getattr(self, name).seed
+            if sub_seed != 0:
+                raise ConfigError(f"{name}.seed is {sub_seed}, not 0: seed is the one run seed")
 
 
 def parse_config_file(path: str) -> dict[str, str]:

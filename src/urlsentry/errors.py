@@ -27,16 +27,14 @@ class UnknownLabel(UrlSentryError):
         super().__init__(f"{text!r} has no entry in the label mapping")
 
 
-class EmptyMatrix(UrlSentryError):
-    """Raised when an operation requires at least one row."""
-
-
 class DegenerateSplit(UrlSentryError):
     """Raised when a train/test split would leave a partition empty."""
 
 
 class DimensionMismatch(UrlSentryError):
-    """Raised when an input vector does not match the expected width."""
+    """Raised when shapes disagree: an input's width is not the width it must have
+    (a model's, an artifact's feature spec, a tree trainer's at least one column),
+    or paired sequences differ in length."""
 
 
 class SingleClassTrainingSet(UrlSentryError):
@@ -55,16 +53,8 @@ class TooFewRows(UrlSentryError):
     """Raised when a split is requested on fewer than two rows."""
 
 
-class EmptyNode(UrlSentryError):
-    """Raised when impurity is requested for zero samples."""
-
-
-class LengthMismatch(UrlSentryError):
-    """Raised when paired prediction/truth sequences differ in length."""
-
-
 class EmptyInput(UrlSentryError):
-    """Raised when an evaluation is requested on zero examples."""
+    """Raised when a fit, an evaluation or an impurity is requested on zero rows."""
 
 
 class UnsupportedVersion(UrlSentryError):
@@ -78,10 +68,6 @@ class UnsupportedVersion(UrlSentryError):
 
 class CorruptArtifact(UrlSentryError):
     """Raised when an artifact fails its checksum or structural checks."""
-
-
-class FeatureSpecMismatch(UrlSentryError):
-    """Raised when data dimensionality does not match an artifact's feature spec."""
 
 
 class ConfigError(UrlSentryError):

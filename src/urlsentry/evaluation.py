@@ -14,7 +14,7 @@ import numpy as np
 
 from .artifact import CLASSIFIERS
 from .config import PipelineConfig
-from .errors import EmptyInput, EmptyMatrix, LengthMismatch
+from .errors import DimensionMismatch, EmptyInput
 from .pipeline import SCORING_CUT, Dataset
 
 # Fixed comparison row order; serials 1-5 in every emitted table.
@@ -55,7 +55,7 @@ def confusion_matrix(predicted, truth) -> ConfusionMatrix:
     nor (0, 0) counts as a false negative."""
     p, t = np.asarray(predicted), np.asarray(truth)
     if len(p) != len(t):
-        raise LengthMismatch(f"{len(p)} predictions vs {len(t)} truths")
+        raise DimensionMismatch(f"{len(p)} predictions vs {len(t)} truths")
     if len(p) == 0:
         raise EmptyInput("cannot evaluate zero examples")
     tp = int(np.count_nonzero((p == 1) & (t == 1)))
@@ -74,7 +74,7 @@ def _ratio(num: int, denom: int, name: str, degenerate: list[str]) -> float:
 def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
     """Standard metrics; 0/0 ratios report 0 and are flagged degenerate."""
     if cm.total == 0:
-        raise EmptyMatrix("confusion matrix holds zero examples")
+        raise EmptyInput("confusion matrix holds zero examples")
     degenerate: list[str] = []
     accuracy = (cm.tp + cm.tn) / cm.total
     precision = _ratio(cm.tp, cm.tp + cm.fp, "precision", degenerate)

@@ -16,7 +16,7 @@ import numpy as np
 from .config import DEFAULT_AUTOENCODER_CONFIG, TrainConfig
 from .errors import (
     DimensionMismatch,
-    EmptyMatrix,
+    EmptyInput,
     LatentTooLarge,
     SingleClassTrainingSet,
 )
@@ -164,7 +164,7 @@ def train_mlp(train: Dataset, cfg: TrainConfig | None = None) -> MlpModel:
     X = np.asarray(train.features, dtype=np.float64)
     y = np.asarray(train.labels, dtype=np.float64).reshape(-1, 1)
     if X.shape[0] == 0:
-        raise EmptyMatrix("training set is empty")
+        raise EmptyInput("training set is empty")
     if len(np.unique(train.labels)) < 2:
         raise SingleClassTrainingSet("MLP training needs both classes")
 
@@ -198,7 +198,7 @@ def train_autoencoder(
         cfg = DEFAULT_AUTOENCODER_CONFIG
     X = np.asarray(train_features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyMatrix("autoencoder training needs a non-empty matrix")
+        raise EmptyInput("autoencoder training needs a non-empty matrix")
     d = X.shape[1]
     latent_dim = cfg.hidden_sizes[-1]
     if latent_dim > d:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (
     DegenerateSplit,
     DimensionMismatch,
-    EmptyMatrix,
+    EmptyInput,
     MalformedRow,
     MissingColumn,
     UnknownLabel,
@@ -50,7 +50,7 @@ class Dataset:
     def __post_init__(self):
         n = self.features.shape[0]
         if len(self.labels) != n or len(self.urls) != n:
-            raise ValueError("features, labels and urls must have equal row counts")
+            raise DimensionMismatch("features, labels and urls must have equal row counts")
 
     @property
     def n_rows(self) -> int:
@@ -157,7 +157,7 @@ def map_labels(records: list[RawRecord]) -> tuple[list[str], np.ndarray]:
 
 def fit_scaler(train_features: np.ndarray) -> Scaler:
     if train_features.shape[0] == 0:
-        raise EmptyMatrix("cannot fit a scaler on an empty matrix")
+        raise EmptyInput("cannot fit a scaler on an empty matrix")
     return Scaler(
         col_min=train_features.min(axis=0).astype(np.float64),
         col_max=train_features.max(axis=0).astype(np.float64),
@@ -207,7 +207,7 @@ def bound_outliers(train_features: np.ndarray) -> tuple[OutlierBounds, np.ndarra
     """
     n = train_features.shape[0]
     if n == 0:
-        raise EmptyMatrix("cannot bound outliers on an empty matrix")
+        raise EmptyInput("cannot bound outliers on an empty matrix")
     # nearest rank: the value at 1-based index ceil(pct/100 * n), at least 1
     ranks = [max(math.ceil(pct / 100.0 * n), 1) - 1 for pct in (1.0, 99.0)]
     lower, upper = np.sort(train_features, axis=0)[ranks].astype(np.float64)

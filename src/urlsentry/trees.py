@@ -59,7 +59,7 @@ from typing import Any
 import numpy as np
 
 from .config import BoostParams, ForestParams, XgbParams
-from .errors import ConfigError, DimensionMismatch, EmptyNode, SingleClassTrainingSet, TooFewRows
+from .errors import ConfigError, DimensionMismatch, EmptyInput, SingleClassTrainingSet, TooFewRows
 from .pipeline import SCORING_CUT, Dataset, distinct_rows, one_row
 
 LEAF_DENOM_FLOOR = 1e-12  # guards Newton leaf values when hessians vanish
@@ -175,7 +175,6 @@ class SplitDecision:
 @dataclass(frozen=True)
 class TreeParams:
     max_depth: int
-    min_samples_leaf: int = 1
 
 
 @dataclass
@@ -198,7 +197,7 @@ def gini(class_counts: tuple[int, int]) -> float:
     c0, c1 = class_counts
     total = c0 + c1
     if total == 0:
-        raise EmptyNode("Gini impurity of zero samples is undefined")
+        raise EmptyInput("Gini impurity of zero samples is undefined")
     p0 = c0 / total
     p1 = c1 / total
     return 1.0 - p0 * p0 - p1 * p1
@@ -227,6 +226,15 @@ def _candidates(candidate_features, d: int) -> np.ndarray:
     return np.array(cands, dtype=np.intp)
 
 
+def _check_training(features: np.ndarray) -> None:
+    """Raise unless features, a tree trainer's matrix, has a row and a column."""
+    n, d = features.shape
+    if n == 0:
+        raise EmptyInput("cannot train a tree on zero rows")
+    if d == 0:
+        raise DimensionMismatch("cannot train a tree on zero feature columns")
+
+
 def _presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The columns of features as contiguous rows, and the stable argsort of each."""
     cols = np.ascontiguousarray(features.T)
@@ -247,19 +255,18 @@ def _split_sorted(
     gh: np.ndarray,
     lam: float,
     gamma: float,
-    min_samples_leaf: int,
 ) -> SplitDecision | None:
     """Best second-order split of one node over all candidate features at once.
 
     Row r of orders lists the node's rows sorted stably by feature cands[r],
     and row r of values holds that feature's values in that order; gh is
     _grad_hess(grad, hess), indexed by row. Only a boundary between two
-    distinct values that leaves min_samples_leaf rows on each side can win,
-    so gains are computed at those boundaries alone, _SCORE_BLOCK elements at
-    a time. cumsum(axis=1) adds sequentially and complex sums add real and
-    imaginary parts apart, so each row's prefixes equal one-feature cumsums
-    of grad and hess, and the gain formula, evaluated in place in its usual
-    order, sees the same operands as a dense search, bit for bit. The winner
+    distinct values can win, so gains are computed at those boundaries
+    alone, _SCORE_BLOCK elements at a time. cumsum(axis=1) adds sequentially
+    and complex sums add real and imaginary parts apart, so each row's
+    prefixes equal one-feature cumsums of grad and hess, and the gain
+    formula, evaluated in place in its usual order, sees the same operands
+    as a dense search, bit for bit. The winner
     is picked from each feature's maximum in ascending feature order with a
     strict >, so the earliest of equal gains wins and a NaN gain, once best,
     is never displaced (a feature's maximum is NaN when any of its gains is,
@@ -267,18 +274,14 @@ def _split_sorted(
     the position.
     """
     n = values.shape[1]
-    lo, hi = min_samples_leaf - 1, n - min_samples_leaf  # admissible boundaries: [lo, hi)
-    if lo >= hi:
-        return None
-
     best = None
     step = max(1, _SCORE_BLOCK // n)
     for start in range(0, len(cands), step):
         block = slice(start, start + step)
         vals = values[block]
         valid = np.zeros(vals.shape, dtype=bool)
-        np.not_equal(vals[:, lo:hi], vals[:, lo + 1:hi + 1], out=valid[:, lo:hi])
-        at = np.flatnonzero(valid)  # flat (row, position) of each admissible boundary
+        np.not_equal(vals[:, :-1], vals[:, 1:], out=valid[:, :-1])
+        at = np.flatnonzero(valid)  # flat (row, position) of each boundary
         if not at.size:
             continue
         ends = np.searchsorted(at, np.arange(1, len(vals) + 1) * n)
@@ -340,10 +343,7 @@ def _tally(group: np.ndarray, labels: np.ndarray, size: int) -> np.ndarray:
 
 
 def _gini_splits(
-    cols: np.ndarray,
-    tally: np.ndarray,
-    nodes: list[tuple],
-    min_samples_leaf: int,
+    cols: np.ndarray, tally: np.ndarray, nodes: list[tuple]
 ) -> list[SplitDecision | None]:
     """Best gini split of each node, or None, in one batched search.
 
@@ -360,9 +360,9 @@ def _gini_splits(
     cuts it after the last row of the lower value, with the same integer
     prefix counts, so the gain formula below gives the same floats, and the
     threshold is the same midpoint. Gains are computed only at such
-    boundaries that leave min_samples_leaf rows on each side. The winner is
-    the first maximum in (feature, position) order, kept only if positive:
-    the per-feature rule of _split_sorted, since gini gains are never NaN.
+    boundaries. The winner is the first maximum in (feature, position)
+    order, kept only if positive: the per-feature rule of _split_sorted,
+    since gini gains are never NaN.
     """
     d, U = cols.shape
     tree_ids, blocks, cands, n, pos = zip(*nodes)
@@ -388,12 +388,6 @@ def _gini_splits(
     seg = seg_of[at]
     node = seg_node[seg]
     left_n, left_pos = np.divmod(cum[at] - (cum[starts] - row[starts])[seg], _COUNT)
-    if min_samples_leaf > 1:  # every boundary leaves at least one row on each side
-        node_n = np.array(n, dtype=np.int64)[node]
-        keep = (left_n >= min_samples_leaf) & (node_n - left_n >= min_samples_leaf)
-        at, seg, node = at[keep], seg[keep], node[keep]
-        left_n, left_pos = left_n[keep], left_pos[keep]
-
     left_pos = left_pos.astype(np.float64)
     left_n = left_n.astype(np.float64)
     total_n = np.array(n, dtype=np.float64)
@@ -482,9 +476,7 @@ def _grow_gini(
             return trees
         costs = [len(item[2]) * len(item[1]) // d for item in todo]
         for batch in _batches(todo, costs, _GINI_BLOCK):
-            decisions = _gini_splits(
-                cols, tally, [item[:5] for item in batch], params.min_samples_leaf
-            )
+            decisions = _gini_splits(cols, tally, [item[:5] for item in batch])
             split = [(item, s) for item, s in zip(batch, decisions) if s is not None]
             if not split:
                 continue
@@ -526,7 +518,6 @@ def best_split(
     hessians: np.ndarray | None = None,
     lam: float = 0.0,
     gamma: float = 0.0,
-    min_samples_leaf: int = 1,
 ) -> SplitDecision | None:
     """Best (feature, midpoint) split over the candidates, or None.
 
@@ -549,13 +540,11 @@ def best_split(
         cols, orders, group = _distinct_presort(features)
         tally = _tally(group, targets, cols.shape[1])
         node = (0, orders.ravel(), cands, n, int(tally.sum()) % _COUNT)
-        return _gini_splits(cols, tally[None], [node], min_samples_leaf)[0]
+        return _gini_splits(cols, tally[None], [node])[0]
     cols = features.T[cands]
     orders = np.argsort(cols, axis=1, kind="stable")
-    return _split_sorted(
-        cands, orders, np.take_along_axis(cols, orders, axis=1), _grad_hess(targets, hessians),
-        lam, gamma, min_samples_leaf,
-    )
+    values = np.take_along_axis(cols, orders, axis=1)
+    return _split_sorted(cands, orders, values, _grad_hess(targets, hessians), lam, gamma)
 
 
 def _leaf_value(targets: GradientTargets, idx: np.ndarray) -> float:
@@ -570,6 +559,7 @@ def grow_tree(features: np.ndarray, targets, params: TreeParams) -> TreeNode:
     targets: binary labels (criterion "gini") or GradientTargets
     ("second_order"). Every node considers every feature.
     """
+    _check_training(features)
     if isinstance(targets, GradientTargets):
         return TreeNode(_stack([_grow(*_presort(features), targets, params)[0]]), 0)
     cols, orders, group = _distinct_presort(features)
@@ -607,10 +597,8 @@ def _grow(
         parent, idx, orders, depth = stack.pop()
         split = None
         if depth < params.max_depth and len(idx) >= 2:
-            split = _split_sorted(
-                every_feature, orders, flat_cols[orders + column_start], gh,
-                targets.lam, targets.gamma, params.min_samples_leaf,
-            )
+            split = _split_sorted(every_feature, orders, flat_cols[orders + column_start], gh,
+                                  targets.lam, targets.gamma)
         if split is None:
             out[idx] = value = _leaf_value(targets, idx)
             tree.add(parent, value)
@@ -715,10 +703,11 @@ def train_random_forest(train: Dataset, params: ForestParams | None = None) -> F
         raise ConfigError(f"a forest needs at least one tree, got n_trees={params.n_trees}")
     X = np.asarray(train.features, dtype=np.float64)
     y = np.asarray(train.labels, dtype=np.int64)
+    _check_training(X)
     n, d = X.shape
     m = params.m_features if params.m_features is not None else math.ceil(math.sqrt(d))
     m = min(m, d)
-    tree_params = TreeParams(max_depth=params.max_depth, min_samples_leaf=params.min_samples_leaf)
+    tree_params = TreeParams(max_depth=params.max_depth)
 
     cols, orders, group = _distinct_presort(X)
     size = cols.shape[1]
@@ -777,7 +766,7 @@ def _base_rate_log_odds(y: np.ndarray) -> float:
 
 def _boost(
     train: Dataset, *, variant: str, n_rounds: int, learning_rate: float,
-    max_depth: int, min_samples_leaf: int, newton_splits: bool,
+    max_depth: int, newton_splits: bool,
     lam: float = 0.0, gamma: float = 0.0,
 ) -> BoostedModel:
     """The boosting loop shared by both variants.
@@ -792,8 +781,9 @@ def _boost(
 
     X = np.asarray(train.features, dtype=np.float64)
     y = np.asarray(train.labels, dtype=np.float64)
+    _check_training(X)
     init_score = _base_rate_log_odds(y)
-    tree_params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+    tree_params = TreeParams(max_depth=max_depth)
     ones = np.ones(X.shape[0], dtype=np.float64)
     cols, orders = _presort(X)
 
@@ -820,8 +810,7 @@ def train_gradient_boosting(train: Dataset, params: BoostParams | None = None) -
         params = BoostParams()
     return _boost(
         train, variant="gradient_boosting", n_rounds=params.n_rounds,
-        learning_rate=params.learning_rate, max_depth=params.max_depth,
-        min_samples_leaf=params.min_samples_leaf, newton_splits=False,
+        learning_rate=params.learning_rate, max_depth=params.max_depth, newton_splits=False,
     )
 
 
@@ -831,8 +820,7 @@ def train_xgb(train: Dataset, params: XgbParams | None = None) -> BoostedModel:
         params = XgbParams()
     return _boost(
         train, variant="xgboost_style", n_rounds=params.n_rounds,
-        learning_rate=params.eta, max_depth=params.max_depth,
-        min_samples_leaf=params.min_samples_leaf, newton_splits=True,
+        learning_rate=params.eta, max_depth=params.max_depth, newton_splits=True,
         lam=params.lam, gamma=params.gamma,
     )
 

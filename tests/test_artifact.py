@@ -18,7 +18,7 @@ from urlsentry.artifact import (
     transform_features,
 )
 from urlsentry.config import PipelineConfig
-from urlsentry.errors import CorruptArtifact, FeatureSpecMismatch, UnsupportedVersion
+from urlsentry.errors import CorruptArtifact, DimensionMismatch, UnsupportedVersion
 from urlsentry.features import FeatureSpec, featurize_many
 from urlsentry.knn import KnnModel
 from urlsentry.neural import ACTIVATIONS, LayerParams, TrainConfig
@@ -121,7 +121,7 @@ def test_not_json_is_corrupt(tmp_path):
 def test_feature_spec_mismatch(training_data):
     artifact = train_artifact(training_data, small_config("knn"))
     wrong_width = np.ones((3, artifact.feature_spec.dim + 2))
-    with pytest.raises(FeatureSpecMismatch):
+    with pytest.raises(DimensionMismatch):
         predict_feature_matrix(artifact, wrong_width)
 
 

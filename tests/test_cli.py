@@ -19,7 +19,7 @@ from urlsentry.config import (
     build_config,
     parse_config_file,
 )
-from urlsentry.errors import ConfigError, FeatureSpecMismatch, ThresholdOutOfRange
+from urlsentry.errors import ConfigError, DimensionMismatch, ThresholdOutOfRange
 from urlsentry.evaluation import render_bar_chart
 from urlsentry.features import FeatureSpec, featurize_many
 from urlsentry.neural import TrainConfig
@@ -611,7 +611,7 @@ class TestCmdEvaluate:
         wide = Dataset(
             featurize_many(dataset.urls, wide_spec), dataset.labels, dataset.urls
         )
-        with pytest.raises(FeatureSpecMismatch):
+        with pytest.raises(DimensionMismatch):
             evaluate_artifact(artifact, wide)
 
 
@@ -725,6 +725,16 @@ class TestConfigIsCheckedWhenBuilt:
     ], ids=lambda settings: next(iter(settings)))
     def test_an_invalid_setting_fails_construction(self, settings):
         with pytest.raises(ConfigError):
+            PipelineConfig(**settings)
+
+    @pytest.mark.parametrize("settings", [
+        {"mlp": TrainConfig(seed=7)},
+        {"autoencoder": TrainConfig(hidden_sizes=(8,), seed=7)},
+        {"forest": ForestParams(seed=3)},
+    ], ids=lambda settings: next(iter(settings)))
+    def test_a_sub_config_seed_fails_construction(self, settings):
+        # training would replace it with seed, so it could never take effect
+        with pytest.raises(ConfigError, match="seed is the one run seed"):
             PipelineConfig(**settings)
 
     def test_replace_checks_the_threshold(self):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urlsentry.config import PipelineConfig
-from urlsentry.errors import EmptyInput, EmptyMatrix, LengthMismatch
+from urlsentry.errors import DimensionMismatch, EmptyInput
 from urlsentry.evaluation import (
     CLASSIFIER_ORDER,
     ComparisonTable,
@@ -35,7 +35,7 @@ class TestConfusionMatrix:
         assert (cm.tp, cm.fp, cm.tn, cm.fn) == (5, 0, 0, 0)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch):
             confusion_matrix([1, 0, 1], [1, 0, 1, 0])
 
     def test_empty_input(self):
@@ -103,7 +103,7 @@ class TestComputeMetrics:
         assert "recall" in report.degenerate
 
     def test_empty_matrix(self):
-        with pytest.raises(EmptyMatrix):
+        with pytest.raises(EmptyInput):
             compute_metrics(ConfusionMatrix(0, 0, 0, 0))
 
     def test_identities_recomputable(self):

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from urlsentry import neural
 from urlsentry.errors import (
     DimensionMismatch,
-    EmptyMatrix,
+    EmptyInput,
     LatentTooLarge,
     SingleClassTrainingSet,
 )
@@ -272,7 +272,7 @@ class TestAutoencoder:
             train_autoencoder(X, TrainConfig(epochs=1, hidden_sizes=(4,), seed=0))
 
     def test_empty_matrix(self):
-        with pytest.raises(EmptyMatrix):
+        with pytest.raises(EmptyInput):
             train_autoencoder(np.empty((0, 3)), TrainConfig(hidden_sizes=(2,)))
 
     def test_encode_dimension_mismatch(self):

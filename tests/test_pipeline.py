@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from urlsentry.errors import DimensionMismatch
 from urlsentry.errors import (
     DegenerateSplit,
-    EmptyMatrix,
+    EmptyInput,
     MalformedRow,
     MissingColumn,
     UnknownLabel,
@@ -166,7 +166,7 @@ class TestScaler:
         assert apply_scaler(scaler, np.array([[8.0]]))[0, 0] == pytest.approx(1.5)
 
     def test_empty_matrix(self):
-        with pytest.raises(EmptyMatrix):
+        with pytest.raises(EmptyInput):
             fit_scaler(np.empty((0, 3)))
 
     def test_leakage_guard(self):
@@ -199,7 +199,7 @@ class TestOutlierBounds:
         assert apply_bounds(bounds, np.array([[1000.0]]))[0, 0] == bounds.upper[0]
 
     def test_empty_matrix(self):
-        with pytest.raises(EmptyMatrix):
+        with pytest.raises(EmptyInput):
             bound_outliers(np.empty((0, 2)))
 
     @given(hnp.arrays(

@@ -11,7 +11,7 @@ from urlsentry import trees
 from urlsentry.errors import (
     ConfigError,
     DimensionMismatch,
-    EmptyNode,
+    EmptyInput,
     SingleClassTrainingSet,
     TooFewRows,
 )
@@ -167,7 +167,7 @@ class TestGini:
         assert gini((3, 1)) == pytest.approx(0.375, abs=1e-15)  # 1 - 9/16 - 1/16
 
     def test_empty_node(self):
-        with pytest.raises(EmptyNode):
+        with pytest.raises(EmptyInput):
             gini((0, 0))
 
 
@@ -506,7 +506,7 @@ class TestPredictBoosted:
 # ---------------------------------------------------------------------------
 
 def reference_best_split(features, targets, candidate_features, criterion="gini", *,
-                         hessians=None, lam=0.0, gamma=0.0, min_samples_leaf=1):
+                         hessians=None, lam=0.0, gamma=0.0):
     """Split search that argsorts every candidate column afresh at every node."""
     n = features.shape[0]
     best = None
@@ -518,7 +518,6 @@ def reference_best_split(features, targets, candidate_features, criterion="gini"
         left_n = np.arange(1, n, dtype=np.float64)
         right_n = n - left_n
         valid = sorted_col[:-1] != sorted_col[1:]
-        valid &= (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
         if not valid.any():
             continue
 
@@ -580,13 +579,9 @@ def reference_grow_tree(features, targets, params, feature_sampler=None):
             split = reference_best_split(
                 features[idx], targets.grad[idx], candidates, "second_order",
                 hessians=targets.hess[idx], lam=targets.lam, gamma=targets.gamma,
-                min_samples_leaf=params.min_samples_leaf,
             )
         else:
-            split = reference_best_split(
-                features[idx], targets[idx], candidates, "gini",
-                min_samples_leaf=params.min_samples_leaf,
-            )
+            split = reference_best_split(features[idx], targets[idx], candidates, "gini")
         if split is None:
             return leaf
         go_left = features[idx, split.feature_index] < split.threshold
@@ -600,10 +595,9 @@ def reference_grow_tree(features, targets, params, feature_sampler=None):
     return build(np.arange(features.shape[0]), 0)
 
 
-def reference_boost(X, y, n_rounds, learning_rate, max_depth, min_samples_leaf,
-                    newton_splits, lam=0.0, gamma=0.0):
+def reference_boost(X, y, n_rounds, learning_rate, max_depth, newton_splits, lam=0.0, gamma=0.0):
     y = y.astype(np.float64)
-    params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+    params = TreeParams(max_depth=max_depth)
     scores = np.full(len(y), math.log(np.mean(y) / (1.0 - np.mean(y))))
     grown = []
     for _ in range(n_rounds):
@@ -620,7 +614,7 @@ def reference_boost(X, y, n_rounds, learning_rate, max_depth, min_samples_leaf,
 def reference_forest(X, y, params):
     n, d = X.shape
     m = min(params.m_features, d)
-    tree_params = TreeParams(max_depth=params.max_depth, min_samples_leaf=params.min_samples_leaf)
+    tree_params = TreeParams(max_depth=params.max_depth)
     grown = []
     for t in range(params.n_trees):
         rng = np.random.default_rng(params.seed + t)
@@ -667,23 +661,23 @@ MODEL_SETTINGS = settings(max_examples=40, deadline=None,
 
 class TestPresortedMatchesReference:
     @MODEL_SETTINGS
-    @given(tie_heavy_data(), st.integers(0, 6), st.sampled_from([1, 3]))
-    def test_grow_tree_gini(self, data, max_depth, min_samples_leaf):
+    @given(tie_heavy_data(), st.integers(0, 6))
+    def test_grow_tree_gini(self, data, max_depth):
         X, y = data
-        params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        params = TreeParams(max_depth=max_depth)
         assert nodes(grow_tree(X, y, params)) == nodes(reference_grow_tree(X, y, params))
 
     @MODEL_SETTINGS
-    @given(tie_heavy_data(), st.integers(0, 5), st.sampled_from([1, 3]),
+    @given(tie_heavy_data(), st.integers(0, 5),
            st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.01]), st.data())
-    def test_grow_tree_second_order(self, data, max_depth, min_samples_leaf, lam, gamma, draw):
+    def test_grow_tree_second_order(self, data, max_depth, lam, gamma, draw):
         X, _ = data
         n = X.shape[0]
         floats = st.floats(-1.0, 1.0, allow_nan=False, width=64)
         grad = draw.draw(hnp.arrays(np.float64, n, elements=floats))
         hess = draw.draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, 0.1, 0.25, 0.7])))
         targets = GradientTargets(grad=grad, hess=hess, leaf_hess=hess, lam=lam, gamma=gamma)
-        params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        params = TreeParams(max_depth=max_depth)
         with np.errstate(divide="ignore", invalid="ignore"):
             got = grow_tree(X, targets, params)
             want = reference_grow_tree(X, targets, params)
@@ -705,29 +699,24 @@ class TestPresortedMatchesReference:
         assert nodes(got) == nodes(want)
 
     @MODEL_SETTINGS
-    @given(tie_heavy_data(min_rows=4), st.sampled_from([1, 3]),
-           st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 0.05]))
-    def test_boosting(self, data, min_samples_leaf, lam, gamma):
+    @given(tie_heavy_data(min_rows=4), st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 0.05]))
+    def test_boosting(self, data, lam, gamma):
         X, y = data
         assume(0 < y.sum() < len(y))
         ds = Dataset(X, y, [f"u{i}" for i in range(len(y))])
-        xgb = train_xgb(ds, XgbParams(n_rounds=3, max_depth=3, lam=lam, gamma=gamma,
-                                      min_samples_leaf=min_samples_leaf))
-        want = reference_boost(X, y, 3, 0.3, 3, min_samples_leaf, True, lam, gamma)
+        xgb = train_xgb(ds, XgbParams(n_rounds=3, max_depth=3, lam=lam, gamma=gamma))
+        want = reference_boost(X, y, 3, 0.3, 3, True, lam, gamma)
         assert [nodes(t) for t in xgb.trees] == [nodes(t) for t in want]
-        gb = train_gradient_boosting(ds, BoostParams(n_rounds=3, max_depth=2,
-                                                     min_samples_leaf=min_samples_leaf))
-        want = reference_boost(X, y, 3, 0.1, 2, min_samples_leaf, False)
+        gb = train_gradient_boosting(ds, BoostParams(n_rounds=3, max_depth=2))
+        want = reference_boost(X, y, 3, 0.1, 2, False)
         assert [nodes(t) for t in gb.trees] == [nodes(t) for t in want]
 
     @MODEL_SETTINGS
-    @given(tie_heavy_data(), st.integers(1, 4), st.booleans(), st.sampled_from([1, 3]),
-           st.integers(0, 1000))
-    def test_random_forest(self, data, m_features, bootstrap, min_samples_leaf, seed):
+    @given(tie_heavy_data(), st.integers(1, 4), st.booleans(), st.integers(0, 1000))
+    def test_random_forest(self, data, m_features, bootstrap, seed):
         X, y = data
         params = ForestParams(n_trees=3, max_depth=6, m_features=m_features,
-                              bootstrap=bootstrap, min_samples_leaf=min_samples_leaf,
-                              seed=seed)
+                              bootstrap=bootstrap, seed=seed)
         forest = train_random_forest(Dataset(X, y, [f"u{i}" for i in range(len(y))]), params)
         want = reference_forest(X, y, params)
         assert [nodes(t) for t in forest.trees] == [nodes(t) for t in want]
@@ -863,49 +852,37 @@ class TestBoundaryOnlySecondOrderSearch:
                 want = reference_grow_tree(cols, targets, params)
             assert nodes(got) == nodes(want)
 
-    @pytest.mark.parametrize("min_samples_leaf, splits", [(3, True), (4, False), (7, False)])
-    def test_min_samples_leaf_at_half_the_node(self, min_samples_leaf, splits):
-        X = np.arange(6.0)[:, None]
-        grad = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
-        got, want = self.split_pair(X, grad, np.ones(6), min_samples_leaf=min_samples_leaf)
-        if splits:
-            assert (got.feature_index, got.threshold, got.gain) == (0, 2.5, want.gain)
-        else:
-            assert got is None and want is None
-
     @MODEL_SETTINGS
-    @given(distinct_float_data(), st.integers(0, 5), st.sampled_from([1, 3]),
+    @given(distinct_float_data(), st.integers(0, 5),
            st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 0.01]), st.data())
-    def test_grow_tree_second_order_all_distinct(self, data, max_depth, min_samples_leaf, lam,
-                                                 gamma, draw):
+    def test_grow_tree_second_order_all_distinct(self, data, max_depth, lam, gamma, draw):
         X, _ = data
         n = X.shape[0]
         grad = draw.draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0, width=64)))
         hess = draw.draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, 0.1, 0.25])))
         targets = GradientTargets(grad=grad, hess=hess, leaf_hess=hess, lam=lam, gamma=gamma)
-        params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        params = TreeParams(max_depth=max_depth)
         with np.errstate(divide="ignore", invalid="ignore"):
             got = grow_tree(X, targets, params)
             want = reference_grow_tree(X, targets, params)
         assert nodes(got) == nodes(want)
 
     @MODEL_SETTINGS
-    @given(distinct_float_data(min_rows=4), st.sampled_from([1, 3]))
-    def test_boosting_all_distinct(self, data, min_samples_leaf):
+    @given(distinct_float_data(min_rows=4))
+    def test_boosting_all_distinct(self, data):
         X, y = data
         assume(0 < y.sum() < len(y))
         ds = Dataset(X, y, [f"u{i}" for i in range(len(y))])
-        xgb = train_xgb(ds, XgbParams(n_rounds=3, max_depth=3, min_samples_leaf=min_samples_leaf))
-        want = reference_boost(X, y, 3, 0.3, 3, min_samples_leaf, True, 1.0)
+        xgb = train_xgb(ds, XgbParams(n_rounds=3, max_depth=3))
+        want = reference_boost(X, y, 3, 0.3, 3, True, 1.0)
         assert [nodes(t) for t in xgb.trees] == [nodes(t) for t in want]
-        gb = train_gradient_boosting(ds, BoostParams(n_rounds=3, max_depth=2,
-                                                     min_samples_leaf=min_samples_leaf))
-        want = reference_boost(X, y, 3, 0.1, 2, min_samples_leaf, False)
+        gb = train_gradient_boosting(ds, BoostParams(n_rounds=3, max_depth=2))
+        want = reference_boost(X, y, 3, 0.1, 2, False)
         assert [nodes(t) for t in gb.trees] == [nodes(t) for t in want]
 
     @MODEL_SETTINGS
-    @given(tie_heavy_data(min_rows=4) | distinct_float_data(min_rows=4), st.sampled_from([1, 3]))
-    def test_grower_outputs_are_the_tree_predictions(self, data, min_samples_leaf):
+    @given(tie_heavy_data(min_rows=4) | distinct_float_data(min_rows=4))
+    def test_grower_outputs_are_the_tree_predictions(self, data):
         X, y = data
         assume(0 < y.sum() < len(y))
         ds = Dataset(X, y, [f"u{i}" for i in range(len(y))])
@@ -918,9 +895,8 @@ class TestBoundaryOnlySecondOrderSearch:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(trees, "_grow", recording_grow)
-            train_xgb(ds, XgbParams(n_rounds=4, max_depth=4, min_samples_leaf=min_samples_leaf))
-            train_gradient_boosting(ds, BoostParams(n_rounds=4,
-                                                    min_samples_leaf=min_samples_leaf))
+            train_xgb(ds, XgbParams(n_rounds=4, max_depth=4))
+            train_gradient_boosting(ds, BoostParams(n_rounds=4))
         assert len(grown) == 8
         for tree, out in grown:
             assert out.tobytes() == trees._tree_outputs(trees._stack([tree]), X)[0].tobytes()
@@ -951,22 +927,21 @@ def signed_zero_grid(rng, n, d):
 
 class TestLockstepGini:
     @MODEL_SETTINGS
-    @given(duplicate_heavy_data(), st.integers(1, 4), st.booleans(), st.sampled_from([1, 2, 4]),
-           st.integers(0, 6), st.integers(0, 1000))
-    def test_random_forest_on_duplicates(self, data, m_features, bootstrap, min_samples_leaf,
-                                         max_depth, seed):
+    @given(duplicate_heavy_data(), st.integers(1, 4), st.booleans(), st.integers(0, 6),
+           st.integers(0, 1000))
+    def test_random_forest_on_duplicates(self, data, m_features, bootstrap, max_depth, seed):
         X, y = data
         params = ForestParams(n_trees=4, max_depth=max_depth, m_features=m_features,
-                              bootstrap=bootstrap, min_samples_leaf=min_samples_leaf, seed=seed)
+                              bootstrap=bootstrap, seed=seed)
         forest = train_random_forest(Dataset(X, y, [f"u{i}" for i in range(len(y))]), params)
         want = reference_forest(X, y, params)
         assert [nodes(t) for t in forest.trees] == [nodes(t) for t in want]
 
     @MODEL_SETTINGS
-    @given(duplicate_heavy_data(), st.sampled_from([1, 2, 4]), st.integers(0, 6))
-    def test_grow_tree_on_duplicates(self, data, min_samples_leaf, max_depth):
+    @given(duplicate_heavy_data(), st.integers(0, 6))
+    def test_grow_tree_on_duplicates(self, data, max_depth):
         X, y = data
-        params = TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        params = TreeParams(max_depth=max_depth)
         assert nodes(grow_tree(X, y, params)) == nodes(reference_grow_tree(X, y, params))
 
     @MODEL_SETTINGS
@@ -981,13 +956,10 @@ class TestLockstepGini:
             assert (got.gain, got.feature_index, got.threshold) == want
 
     @pytest.mark.parametrize("group, block", [(1, 1), (3, 1), (2, 64), (1000, 10**9)])
-    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
-    def test_group_and_batch_sizes_do_not_change_the_forest(self, monkeypatch, group, block,
-                                                            min_samples_leaf):
+    def test_group_and_batch_sizes_do_not_change_the_forest(self, monkeypatch, group, block):
         X, y = signed_zero_grid(np.random.default_rng(11), 150, 5)
         ds = Dataset(X, y, [f"u{i}" for i in range(len(y))])
-        params = ForestParams(n_trees=7, max_depth=8, m_features=2,
-                              min_samples_leaf=min_samples_leaf, seed=3)
+        params = ForestParams(n_trees=7, max_depth=8, m_features=2, seed=3)
         want = [nodes(t) for t in train_random_forest(ds, params).trees]
         assert want == [nodes(t) for t in reference_forest(X, y, params)]
         monkeypatch.setattr(trees, "_LOCKSTEP_TREES", group)
@@ -1019,25 +991,23 @@ def with_special_floats(draw, base):
 
 class TestFusedSecondOrderPass:
     @settings(MODEL_SETTINGS, max_examples=200)
-    @given(tie_heavy_data() | distinct_float_data(), st.sampled_from([1, 3]),
+    @given(tie_heavy_data() | distinct_float_data(),
            st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 0.01]), st.data())
-    def test_best_split_matches_reference_bits(self, data, min_samples_leaf, lam, gamma, draw):
+    def test_best_split_matches_reference_bits(self, data, lam, gamma, draw):
         X, _ = data
         n = X.shape[0]
         grad = draw.draw(with_special_floats(
             hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0, width=64))))
         hess = draw.draw(st.just(np.ones(n)) | with_special_floats(
             hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.0, width=64))))
-        kwargs = dict(hessians=hess, lam=lam, gamma=gamma, min_samples_leaf=min_samples_leaf)
+        kwargs = dict(hessians=hess, lam=lam, gamma=gamma)
         with np.errstate(all="ignore"):
             got = best_split(X, grad, range(X.shape[1]), "second_order", **kwargs)
             want = reference_best_split(X, grad, range(X.shape[1]), "second_order", **kwargs)
         assert split_bits(got) == split_bits(want)
 
     @pytest.mark.parametrize("block", [1, 20, 10**9])
-    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
-    def test_split_search_blocks_do_not_change_the_models(self, monkeypatch, block,
-                                                          min_samples_leaf):
+    def test_split_search_blocks_do_not_change_the_models(self, monkeypatch, block):
         rng = np.random.default_rng(17)
         X = rng.normal(size=(160, 6))
         X[:, :3] = np.round(X[:, :3] * 2)  # tied columns next to continuous ones
@@ -1046,10 +1016,8 @@ class TestFusedSecondOrderPass:
 
         def arrays():
             models = (
-                train_xgb(ds, XgbParams(n_rounds=4, max_depth=4,
-                                        min_samples_leaf=min_samples_leaf)),
-                train_gradient_boosting(ds, BoostParams(n_rounds=4, max_depth=3,
-                                                        min_samples_leaf=min_samples_leaf)),
+                train_xgb(ds, XgbParams(n_rounds=4, max_depth=4)),
+                train_gradient_boosting(ds, BoostParams(n_rounds=4, max_depth=3)),
             )
             return [[(field.dtype.str, field.tobytes()) for field in vars(m.arrays).values()]
                     for m in models]

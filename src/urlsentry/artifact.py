@@ -444,7 +444,7 @@ def load_model(path: str) -> ModelArtifact:
             created_at=_decode(str, header["created_at"], "created_at"),
         )
     # OverflowError: an integer too large for a float where a float field is read
-    except (KeyError, TypeError, ValueError, OverflowError, KOutOfRange) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, KOutOfRange, DimensionMismatch) as exc:
         raise CorruptArtifact(f"artifact payload is structurally invalid: {exc}") from exc
     dim = artifact.feature_spec.dim
     for name in ("lower", "upper"):

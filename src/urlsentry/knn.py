@@ -8,10 +8,11 @@ rows form one matrix, and the k nearest rows of every query in the block are
 selected together by one sort. A partition finds the groups no farther than
 each query's k-th nearest group, each such group gives its k lowest-indexed
 rows, and one sort by (query, distance, stored index) puts each query's k
-nearest rows first. At the scale this pipeline runs (tens of thousands of
-rows), exactness is worth more than an approximate index. Tie rules are
-fixed: equal distances order by lower stored index; an exact vote tie
-classifies as malicious.
+nearest rows first: predict_knn_batch counts their votes, and k_nearest
+returns them for one query. At the scale this pipeline runs (tens of
+thousands of rows), exactness is worth more than an approximate index. Tie
+rules are fixed: equal distances order by lower stored index; an exact vote
+tie classifies as malicious.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ class KnnModel:
 
     def __post_init__(self):
         if self.stored_features.ndim != 2 or self.stored_features.shape[1] == 0:
-            raise ValueError(
+            raise DimensionMismatch(
                 f"stored features must be a matrix of at least one column, "
                 f"not of shape {self.stored_features.shape}"
             )
         n = self.stored_features.shape[0]
         if np.shape(self.stored_labels) != (n,):
-            raise ValueError("features and labels must align")
+            raise DimensionMismatch("features and labels must align")
         if not np.isin(self.stored_labels, (0, 1)).all():
             raise ValueError("stored labels must be 0 or 1")
         if not 1 <= self.default_k <= n:
@@ -59,31 +60,13 @@ def _checked(model: KnnModel, X: np.ndarray, k: int | None) -> tuple[np.ndarray,
     return X, k
 
 
-def _nearest(model: KnnModel, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distances from q to every stored row, and the k nearest indices."""
-    diff = model.stored_features - q
-    sq = (diff * diff).sum(axis=1)
-    return sq, _k_smallest_indices(sq, k)
-
-
-def _k_smallest_indices(sq_dist: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest values, ties resolved by lower index.
-
-    Partitions around the k-th value. A NaN sorts last, so when fewer than
-    k values are not NaN the k-th is NaN and no index is returned.
-    """
-    kth = np.partition(sq_dist, k - 1)[k - 1]
-    cand = np.flatnonzero(sq_dist <= kth)
-    order = np.argsort(sq_dist[cand], kind="stable")
-    return cand[order[:k]]
-
-
 def k_nearest(model: KnnModel, x: np.ndarray, k: int) -> list[tuple[int, float]]:
     """The k nearest stored rows as (index, euclidean distance), ascending; none
     when fewer than k rows are at a non-NaN distance."""
     X, k = _checked(model, one_row(x), k)
-    sq, idx = _nearest(model, X[0], k)
-    return [(int(i), float(np.sqrt(sq[i]))) for i in idx]
+    stored = _StoredGroups.of(model)
+    _, rows, sq = stored.nearest(stored.squared_distances(X), k)
+    return [(int(i), float(np.sqrt(d))) for i, d in zip(rows, sq)]
 
 
 def predict_knn(model: KnnModel, x: np.ndarray, k: int | None = None) -> tuple[int, float]:
@@ -127,7 +110,8 @@ class _StoredGroups:
         """Squared distances from each query row to each group, one row per query.
 
         Each row is the difference, its square, and a sum over the columns of a
-        C-contiguous (groups, d) buffer: the arithmetic of _nearest, so the same bits.
+        C-contiguous (groups, d) buffer, so a row's distance has the same bits in
+        any block and for any number of queries.
         """
         buf = np.empty(self.features.shape)
         out = np.empty((len(Q), len(buf)))
@@ -137,11 +121,12 @@ class _StoredGroups:
             buf.sum(axis=1, out=out[i])
         return out
 
-    def positive_votes(self, D: np.ndarray, k: int) -> np.ndarray:
-        """Positive labels among the k stored rows nearest to each query, ties by lower index.
+    def nearest(self, D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The k stored rows nearest to each query as (query, stored row, squared distance).
 
-        D holds one query's squared group distances per row. A query with fewer
-        than k rows at a non-NaN distance gets 0 votes, as in _nearest.
+        D holds one query's squared group distances per row. The result is ordered
+        by query, then distance, then lower stored index. A NaN distance sorts
+        last, so a query with fewer than k rows at a non-NaN distance gets none.
         """
         b, u = D.shape
         # Each group holds at least one row, so the k nearest rows lie in groups
@@ -152,16 +137,16 @@ class _StoredGroups:
             bound = np.partition(D, k - 1, axis=1)[:, k - 1 : k]
             bound[np.isnan(bound)] = np.inf
         qi, gi = np.nonzero(D <= bound)
-        # A group's rows share one distance, so only its k lowest-indexed rows can vote.
+        # A group's rows share one distance, so only its k lowest-indexed rows can be selected.
         take = np.minimum(self.counts[gi], k)
         pos = np.arange(take.sum()) + np.repeat(self.starts[gi] - np.cumsum(take) + take, take)
         qi, dist, row = np.repeat(qi, take), np.repeat(D[qi, gi], take), self.rows[pos]
         order = np.lexsort((row, dist, qi))
-        qi, row = qi[order], row[order]
         span = np.bincount(qi, minlength=b)
-        rank = np.arange(len(qi)) - (np.cumsum(span) - span)[qi]
-        vote = (rank < k) & (span[qi] >= k) & (self.labels[row] == 1)
-        return np.bincount(qi[vote], minlength=b)
+        by_query = qi[order]
+        rank = np.arange(len(qi)) - (np.cumsum(span) - span)[by_query]
+        keep = order[(rank < k) & (span[by_query] >= k)]
+        return qi[keep], row[keep], dist[keep]
 
 
 def predict_knn_batch(model: KnnModel, X: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -173,5 +158,7 @@ def predict_knn_batch(model: KnnModel, X: np.ndarray, k: int | None = None) -> n
     votes = np.empty(len(Q), dtype=np.int64)
     for lo in range(0, len(Q), _QUERY_BLOCK):
         block = Q[lo : lo + _QUERY_BLOCK]
-        votes[lo : lo + len(block)] = stored.positive_votes(stored.squared_distances(block), k)
+        qi, row, _ = stored.nearest(stored.squared_distances(block), k)
+        votes[lo : lo + len(block)] = np.bincount(qi[stored.labels[row] == 1],
+                                                  minlength=len(block))
     return votes[group] / k

@@ -197,7 +197,9 @@ def train_autoencoder(
     if cfg is None:
         cfg = DEFAULT_AUTOENCODER_CONFIG
     X = np.asarray(train_features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
+    if X.ndim != 2:
+        raise DimensionMismatch(f"autoencoder training needs a matrix, got shape {X.shape}")
+    if X.shape[0] == 0:
         raise EmptyInput("autoencoder training needs a non-empty matrix")
     d = X.shape[1]
     latent_dim = cfg.hidden_sizes[-1]

@@ -195,6 +195,15 @@ def test_knn_label_outside_zero_one_rejected(label, training_data, tmp_path):
         load_model(str(path))
 
 
+def test_knn_labels_not_one_per_row_rejected(training_data, tmp_path):
+    artifact = train_artifact(training_data, small_config("knn", "raw"))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+    rewrite_payload(path, lambda payload: payload["classifier"]["labels"].pop())
+    with pytest.raises(CorruptArtifact, match="must align"):
+        load_model(str(path))
+
+
 @pytest.mark.parametrize("default_k", [lambda n: 0, lambda n: n + 1], ids=["zero", "rows+1"])
 def test_knn_default_k_outside_stored_rows_rejected(default_k, training_data, tmp_path):
     artifact = train_artifact(training_data, small_config("knn", "raw"))

@@ -97,6 +97,8 @@ WIDTH_CALLS = {
     "Dataset": lambda: Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), ["a", "b", "c"]),
     **tree_trainers(NO_COLUMNS),
     "forward": lambda: neural.forward(mlp(), np.zeros((2, 3))),
+    "train_autoencoder": lambda: neural.train_autoencoder(np.zeros(5)),
+    "KnnModel": lambda: KnnModel(np.zeros((3, 2)), np.array([0, 1])),
     "predict_knn_batch": lambda: predict_knn_batch(
         KnnModel(np.zeros((3, 2)), np.array([0, 1, 0]), 1), np.zeros((2, 3))),
     "predict_tree": lambda: trees.predict_tree(fitted_tree(), np.zeros(0)),

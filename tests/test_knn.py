@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from urlsentry import knn
 from urlsentry.errors import DimensionMismatch, KOutOfRange
-from urlsentry.knn import KnnModel, _nearest, k_nearest, predict_knn, predict_knn_batch
+from urlsentry.knn import KnnModel, k_nearest, predict_knn, predict_knn_batch
 
 
 def brute_force_predict(features, labels, x, k):
@@ -19,6 +19,25 @@ def brute_force_predict(features, labels, x, k):
     return (1 if confidence >= 0.5 else 0), confidence
 
 
+def _nearest(model, q, k):
+    """Squared distances from q to every stored row, and the k nearest indices."""
+    diff = model.stored_features - q
+    sq = (diff * diff).sum(axis=1)
+    return sq, _k_smallest_indices(sq, k)
+
+
+def _k_smallest_indices(sq_dist, k):
+    """Indices of the k smallest values, ties resolved by lower index.
+
+    Partitions around the k-th value. A NaN sorts last, so when fewer than
+    k values are not NaN the k-th is NaN and no index is returned.
+    """
+    kth = np.partition(sq_dist, k - 1)[k - 1]
+    cand = np.flatnonzero(sq_dist <= kth)
+    order = np.argsort(sq_dist[cand], kind="stable")
+    return cand[order[:k]]
+
+
 def per_query_reference(model, X, k):
     """The per-query loop predict_knn_batch replaced: each query row against every stored row."""
     out = np.empty(X.shape[0], dtype=np.float64)
@@ -26,6 +45,15 @@ def per_query_reference(model, X, k):
         _, idx = _nearest(model, q, k)
         out[i] = float(model.stored_labels[idx].sum()) / k
     return out
+
+
+def assert_k_nearest_matches_per_query_reference(model, queries, k):
+    """k_nearest gives _nearest's indices and distance bits, the empty result included."""
+    for q in queries:
+        sq, idx = _nearest(model, q, k)
+        got = k_nearest(model, q, k)
+        assert [i for i, _ in got] == idx.tolist()
+        assert np.array([d for _, d in got]).tobytes() == np.sqrt(sq[idx]).tobytes()
 
 
 @st.composite
@@ -127,6 +155,16 @@ class TestKNearest:
         )
         result = k_nearest(model, np.array([0.0, 0.0]), k=3)
         assert [r[0] for r in result] == [0, 1, 2]  # all distance 1, index order
+
+    @settings(max_examples=300, deadline=None)
+    @given(duplicated_grid_cases())
+    def test_matches_per_query_reference_on_duplicates_and_nan_rows(self, case):
+        assert_k_nearest_matches_per_query_reference(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(heavy_group_cases())
+    def test_matches_per_query_reference_on_groups_split_at_the_kth_distance(self, case):
+        assert_k_nearest_matches_per_query_reference(*case)
 
     def test_k_out_of_range(self):
         model = small_model()
@@ -300,9 +338,9 @@ class TestKnnModel:
 
     @pytest.mark.parametrize("shape", [(2,), (2, 0)])
     def test_features_without_columns_rejected(self, shape):
-        with pytest.raises(ValueError, match="at least one column"):
+        with pytest.raises(DimensionMismatch, match="at least one column"):
             KnnModel(np.zeros(shape), np.array([0, 1]))
 
     def test_labels_not_one_per_row_rejected(self):
-        with pytest.raises(ValueError, match="must align"):
+        with pytest.raises(DimensionMismatch, match="must align"):
             KnnModel(np.zeros((2, 1)), np.array([[0], [1]]))

@@ -36,7 +36,14 @@ from typing import TYPE_CHECKING, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import CorruptArtifact, DimensionMismatch, KOutOfRange, UnsupportedVersion
+from .errors import (
+    ConfigError,
+    CorruptArtifact,
+    DimensionMismatch,
+    KOutOfRange,
+    UnknownLabel,
+    UnsupportedVersion,
+)
 from .features import FeatureSpec, featurize_many
 from .knn import KnnModel, predict_knn_batch
 from .pipeline import Dataset, OutlierBounds, Scaler, apply_bounds, apply_scaler, write_text
@@ -444,7 +451,8 @@ def load_model(path: str) -> ModelArtifact:
             created_at=_decode(str, header["created_at"], "created_at"),
         )
     # OverflowError: an integer too large for a float where a float field is read
-    except (KeyError, TypeError, ValueError, OverflowError, KOutOfRange, DimensionMismatch) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, KOutOfRange, DimensionMismatch,
+            UnknownLabel, ConfigError) as exc:
         raise CorruptArtifact(f"artifact payload is structurally invalid: {exc}") from exc
     dim = artifact.feature_spec.dim
     for name in ("lower", "upper"):

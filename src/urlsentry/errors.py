@@ -22,9 +22,9 @@ class MalformedRow(UrlSentryError):
 
 
 class UnknownLabel(UrlSentryError):
-    def __init__(self, text: str):
+    def __init__(self, text: object, detail: str = "has no entry in the label mapping"):
         self.text = text
-        super().__init__(f"{text!r} has no entry in the label mapping")
+        super().__init__(f"{text!r} {detail}")
 
 
 class DegenerateSplit(UrlSentryError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyUrl
+from .errors import ConfigError, EmptyUrl
 
 IP_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
 
@@ -69,7 +69,7 @@ class FeatureSpec:
         object.__setattr__(self, "keywords", lowered)
         names = feature_names(self)
         if len(set(names)) != len(names):
-            raise ValueError("feature names must be unique")
+            raise ConfigError("feature names must be unique")
 
     @property
     def dim(self) -> int:

@@ -195,6 +195,15 @@ def test_knn_label_outside_zero_one_rejected(label, training_data, tmp_path):
         load_model(str(path))
 
 
+def test_colliding_feature_names_rejected(training_data, tmp_path):
+    artifact = train_artifact(training_data, small_config("knn", "raw"))
+    path = tmp_path / "model.json"
+    save_model(artifact, str(path))
+    rewrite_payload(path, lambda payload: payload["feature_spec"].update(keywords=["login", "LOGIN"]))
+    with pytest.raises(CorruptArtifact, match="feature names must be unique"):
+        load_model(str(path))
+
+
 def test_knn_labels_not_one_per_row_rejected(training_data, tmp_path):
     artifact = train_artifact(training_data, small_config("knn", "raw"))
     path = tmp_path / "model.json"

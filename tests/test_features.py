@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urlsentry.errors import EmptyUrl
+from urlsentry.errors import ConfigError, EmptyUrl
 from urlsentry.features import (
     SPECIAL_CHARS,
     FeatureSpec,
@@ -234,7 +234,7 @@ class TestFeatureSpec:
             assert np.array_equal(more[: len(base)], base)
 
     def test_duplicate_keyword_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="feature names must be unique"):
             FeatureSpec(keywords=("login", "login"))
 
 

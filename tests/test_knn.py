@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from urlsentry import knn
-from urlsentry.errors import DimensionMismatch, KOutOfRange
+from urlsentry.errors import DimensionMismatch, KOutOfRange, UnknownLabel
 from urlsentry.knn import KnnModel, k_nearest, predict_knn, predict_knn_batch
 
 
@@ -127,6 +127,42 @@ def nan_rule_cases():
            np.array([[0.0], [2.5], [np.nan]]))
 
 
+# Grid values reach twice the scale: SCREEN_SCALES[-2] puts the largest at the
+# screen cap, SCREEN_SCALES[-1] past it.
+SCREEN_SCALES = [2.0**-1074, 2.0**-1050, 1e-300, 1e-150, 1.0, 1e150,
+                 knn._SCREEN_CAP / 2, knn._SCREEN_CAP]
+
+
+@st.composite
+def screen_cases(draw):
+    """Stored rows and queries of width 1-40 on one scale, from the smallest
+    subnormal to past the screen cap, and a k in {1, groups - 1, groups, rows}.
+
+    Grid values, -0.0 among them, make rows repeat and distances tie at the k-th;
+    free values make distinct rows. A row's coordinates rolled lie at a nearly
+    equal distance, which the screen may round to the other side of the k-th.
+    One case in four puts a NaN or an infinity in the stored rows or the queries.
+    """
+    d = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from(SCREEN_SCALES))
+    value = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1 / 3, 0.7, 1.0, 2.0]) | st.floats(-2, 2)
+    base = draw(hnp.arrays(np.float64, (draw(st.integers(1, 3)), d), elements=value))
+    pool = np.vstack([base, np.roll(base, draw(st.integers(1, 3)), axis=1)]) * scale
+    n = draw(st.integers(1, 30))
+    stored = pool[draw(hnp.arrays(np.intp, n, elements=st.integers(0, len(pool) - 1)))]
+    fresh = draw(hnp.arrays(np.float64, (draw(st.integers(1, 6)), d), elements=value)) * scale
+    queries = np.vstack([pool, fresh])
+    if draw(st.integers(0, 3)) == 0:
+        rows = draw(st.sampled_from([stored, queries]))
+        rows[draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, d - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    model = KnnModel(stored, draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1))),
+                     default_k=1)
+    groups = len(knn._StoredGroups.of(model).features)
+    k = draw(st.sampled_from(sorted({1, groups - 1, groups, n} - {0})))
+    return model, queries, k
+
+
 def small_model():
     return KnnModel(
         stored_features=np.array([[0.0, 0.0], [3.0, 4.0]]),
@@ -165,6 +201,52 @@ class TestKNearest:
     @given(heavy_group_cases())
     def test_matches_per_query_reference_on_groups_split_at_the_kth_distance(self, case):
         assert_k_nearest_matches_per_query_reference(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(screen_cases())
+    def test_screened_search_matches_per_query_reference(self, case):
+        model, queries, k = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            qi, row, sq = knn._StoredGroups.of(model).nearest(queries, k)
+            for i, q in enumerate(queries):
+                want_sq, want = _nearest(model, q, k)
+                assert row[qi == i].tolist() == want.tolist()
+                assert sq[qi == i].tobytes() == want_sq[want].tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(screen_cases())
+    def test_candidates_hold_every_group_within_the_kth_distance(self, case):
+        model, queries, k = case
+        stored = knn._StoredGroups.of(model)
+        with np.errstate(over="ignore", invalid="ignore"):
+            qi, gi = stored.candidates(queries, k)
+            for i, q in enumerate(queries):
+                diff = stored.features - q
+                sq = (diff * diff).sum(axis=1)
+                kth = np.sort(sq)[min(k, len(sq)) - 1]  # NaN sorts last
+                within = ~np.isnan(sq) if np.isnan(kth) else sq <= kth
+                assert set(np.flatnonzero(within)) <= set(gi[qi == i])
+
+    @pytest.mark.parametrize("features, query", [
+        # Both rows are at one distance, but the first's screen rounds larger.
+        ([[1 / 3, 1 / 3, 2.0], [1 / 3, 2.0, 1 / 3]], [1.0, 2.0, 2.0]),
+        # Both distances underflow to 0, but the first's squared norm rounds up
+        # to the smallest subnormal.
+        ([[3 * 2.0**-539], [0.0]], [2.0**-539]),
+    ], ids=["rounding", "underflow"])
+    def test_slack_keeps_a_tie_the_screen_rounds_apart(self, features, query):
+        # Without the slack, only the second row would be a candidate.
+        model = KnnModel(np.array(features), np.array([0, 1]), default_k=1)
+        assert [i for i, _ in k_nearest(model, np.array(query), 1)] == [0]
+
+    def test_screen_keeps_few_candidates(self):
+        rng = np.random.default_rng(8)
+        model = KnnModel(rng.normal(size=(500, 18)), rng.integers(0, 2, size=500), default_k=5)
+        queries = rng.normal(size=(64, 18))
+        qi, _ = knn._StoredGroups.of(model).candidates(queries, 5)
+        assert len(qi) < 10 * len(queries)
+        assert predict_knn_batch(model, queries).tobytes() == \
+            per_query_reference(model, queries, 5).tobytes()
 
     def test_k_out_of_range(self):
         model = small_model()
@@ -308,10 +390,21 @@ class TestPredictKnn:
         model = KnnModel(features, rng.integers(0, 2, size=90), default_k=5)
         queries = np.vstack([rng.integers(-1, 2, size=(40, 2)) * 0.5, features[:9],
                              [[np.nan, 0.0]]])
+        # Rows of mixed magnitudes give the queries of each block different
+        # screen slacks; the NaN query leaves its block unscreened.
+        spread = 10.0 ** rng.integers(-3, 7, size=(60, 1))
+        mixed = KnnModel(rng.normal(size=(60, 3)) * spread, rng.integers(0, 2, size=60),
+                         default_k=5)
+        mixed_queries = np.vstack([mixed.stored_features[:5],
+                                   rng.normal(size=(30, 3)) * spread[:30]])
+        mixed_queries[12, 1] = np.nan
         cases = [split_tie_case()] + [(model, queries, k) for k in (1, 5, 17, 89)]
+        cases += [(mixed, mixed_queries, k) for k in (1, 5, 59)]
         for model, queries, k in cases:
             got = predict_knn_batch(model, queries, k)
             assert got.tobytes() == per_query_reference(model, queries, k).tobytes()
+            one_by_one = [predict_knn(model, q, k)[1] for q in queries]
+            assert got.tobytes() == np.array(one_by_one).tobytes()
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_empty_query_matrix_gives_empty_result(self, k):
@@ -333,7 +426,7 @@ class TestPredictKnn:
 class TestKnnModel:
     @pytest.mark.parametrize("labels", [[0, 2], [-1, 1], [0.5, 1]])
     def test_labels_outside_zero_one_rejected(self, labels):
-        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        with pytest.raises(UnknownLabel, match="is not a k-NN label: stored labels must be 0 or 1"):
             KnnModel(np.zeros((2, 1)), np.array(labels))
 
     @pytest.mark.parametrize("shape", [(2,), (2, 0)])

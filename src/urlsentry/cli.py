@@ -112,8 +112,7 @@ def cmd_predict(config: PipelineConfig, *arguments: str) -> int:
 
     artifact = load_model(config.model_path)
     verdicts = make_verdicts(artifact, urls, config.threshold)
-    for v in verdicts:
-        print(f"{v.url}\t{v.confidence:.6f}\t{v.label}")
+    sys.stdout.write("".join(f"{v.url}\t{v.confidence:.6f}\t{v.label}\n" for v in verdicts))
 
     safe = [v.url for v in verdicts if v.label == "safe"]
     safe_path = write_text(_out_path(config, "safe_urls.txt"), "".join(url + "\n" for url in safe))

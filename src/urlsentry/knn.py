@@ -13,10 +13,12 @@ Each candidate group gives its k lowest-indexed rows, and one sort by (query,
 distance, stored index) puts each query's k nearest rows first:
 predict_knn_batch counts their votes, and k_nearest returns them for one
 query. With k at least the group count, or a NaN, infinite or huge value in
-the block or the stored rows, every pair of the block is a candidate. At the
-scale this pipeline runs (tens of thousands of rows), exactness is worth
-more than an approximate index. Tie rules are fixed: equal distances order
-by lower stored index; an exact vote tie classifies as malicious.
+the stored rows, every pair of the block is a candidate; a query holding
+such a value gets every group, and the other queries of its block keep the
+screen. At the scale this pipeline runs (tens of thousands of rows),
+exactness is worth more than an approximate index. Tie rules are fixed:
+equal distances order by lower stored index; an exact vote tie classifies as
+malicious.
 """
 
 from __future__ import annotations
@@ -94,8 +96,8 @@ _QUERY_BLOCK = 64
 _SCREEN_CAP = 2.0**400
 
 
-def _screenable(A: np.ndarray) -> bool:
-    return bool(np.all(np.abs(A) <= _SCREEN_CAP))  # False at a NaN
+def _screenable(A: np.ndarray, axis: int | None = None) -> np.ndarray:
+    return np.all(np.abs(A) <= _SCREEN_CAP, axis=axis)  # False at a NaN
 
 
 @dataclass(frozen=True)
@@ -129,12 +131,19 @@ class _StoredGroups:
 
         The screen is ||q||^2 + ||s||^2 - 2 q.s, one matrix product for all pairs.
         A pair is kept if its screen is within the slack of the query's k-th
-        smallest screen. With k at least the group count, or a value that is not
-        screenable, every pair is kept.
+        smallest screen. A query holding a value that is not screenable keeps
+        every pair; with k at least the group count, or a stored value that is
+        not screenable, every query does.
         """
         b, u = len(Q), len(self.features)
-        if k >= u or self.norms is None or not _screenable(Q):
+        if k >= u or self.norms is None:
             return np.divmod(np.arange(b * u), u)
+        screenable = _screenable(Q, axis=1)
+        if not screenable.all():
+            some, rest = np.flatnonzero(screenable), np.flatnonzero(~screenable)
+            qi, gi = self.candidates(Q[some], k)
+            return (np.concatenate((some[qi], np.repeat(rest, u))),
+                    np.concatenate((gi, np.tile(np.arange(u), len(rest)))))
         norms = np.square(Q).sum(axis=1)
         screen = np.matmul(Q, self.features.T, out=np.empty((b, u)))
         screen *= -2.0

@@ -84,8 +84,8 @@ def make_verdicts(artifact: ModelArtifact, urls: list[str], threshold: float) ->
     flags = _flag_rule(threshold)
     confidences = predict_urls(artifact, urls)
     return [
-        Verdict(url=u, confidence=float(c), label="flagged" if flags(c) else "safe")
-        for u, c in zip(urls, confidences)
+        Verdict(url=u, confidence=c, label="flagged" if f else "safe")
+        for u, c, f in zip(urls, confidences.tolist(), flags(confidences).tolist())
     ]
 
 

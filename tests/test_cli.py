@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from urlsentry.artifact import save_model
+from urlsentry.artifact import predict_urls, save_model
 from urlsentry.cli import main
 from urlsentry.config import (
     ForestParams,
@@ -909,3 +909,17 @@ class TestFilterPredictions:
             verdicts = make_verdicts(artifact, urls, threshold)
             _, flagged = filter_predictions([(v.url, v.confidence) for v in verdicts], threshold)
             assert [v.url for v in verdicts if v.label == "flagged"] == [u for u, _ in flagged]
+
+    def test_verdict_confidences_are_the_predicted_floats(self, tiny_csv):
+        cfg = PipelineConfig(classifier="knn", feature_mode="raw", seed=1)
+        dataset, _ = load_labeled_dataset(tiny_csv)
+        artifact = train_artifact(dataset, cfg)
+        urls = list(dataset.urls) + ["http://login-update.tk/verify?acct=1"]
+        confidences = predict_urls(artifact, urls)
+        for threshold in (0.4, 0.6):  # k is 5, so both are reachable vote shares
+            verdicts = make_verdicts(artifact, urls, threshold)
+            assert all(type(v.confidence) is float for v in verdicts)
+            assert [v.confidence for v in verdicts] == [float(c) for c in confidences]
+            assert threshold in confidences
+            assert [v.label for v in verdicts] == [
+                "flagged" if c >= threshold else "safe" for c in confidences.tolist()]

@@ -1,12 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urlsentry import features
 from urlsentry.errors import ConfigError, EmptyUrl
 from urlsentry.features import (
     SPECIAL_CHARS,
     FeatureSpec,
+    UrlParts,
     _is_dotted_quad,
     extract_features,
     feature_names,
@@ -86,6 +90,18 @@ URL_PIECES = [
 url_text = st.lists(st.sampled_from(URL_PIECES) | st.text(max_size=4), min_size=1,
                     max_size=12).map("".join).filter(lambda u: u.strip())
 
+# Short URLs whose pieces straddle the rows of a joined block: a "://" split
+# in two, a keyword or a dotted quad split across URLs, and code points whose
+# lowercase is longer ("İ") or depends on its neighbours ("Σ" beside "α").
+BOUNDARY_PIECES = ["http:", "//", ":", "log", "in", "1.2.3", ".4", "İ", "Σ", "α", "x"]
+boundary_url = st.lists(st.sampled_from(BOUNDARY_PIECES) | st.sampled_from(URL_PIECES),
+                        min_size=1, max_size=2).map("".join).filter(lambda u: u.strip())
+BOUNDARY_SPEC = FeatureSpec(keywords=("login", "σ", "ς", "İ", "ss", ""))
+
+
+def code_points_where(predicate) -> list[str]:
+    return [c for c in map(chr, range(0x110000)) if predicate(c)]
+
 
 def idx(name: str) -> int:
     return feature_names(SPEC).index(name)
@@ -141,6 +157,12 @@ class TestParseUrl:
     )
     def test_dotted_quad_detection(self, host, is_ip):
         assert parse_url(f"http://{host}/").host_is_ip is is_ip
+
+    @settings(max_examples=300, deadline=None)
+    @given(url_text)
+    def test_matches_oracle_parse(self, url):
+        scheme, host, path, query = oracle_parse(url)
+        assert parse_url(url) == UrlParts(scheme, host, path, query, _is_dotted_quad(host))
 
     def test_segments_preserve_characters(self):
         # host+path+query keep all their characters (compared casefolded,
@@ -253,6 +275,7 @@ class TestFeaturizeManyMatchesOracle:
         "  http://١٢٣.4.5.6/²³ \u2003",
         "\u00a0https://bank.example/٣\u3000",
         "weird%%zz",
+        "http://a\udcff.com/x",  # a non-UTF-8 byte of a surrogate-escaped argument
     ]
 
     def test_cases_match_stacked_oracle(self):
@@ -270,6 +293,22 @@ class TestFeaturizeManyMatchesOracle:
         got = featurize_many(urls, SPEC)
         assert got.dtype == np.float64 and got.shape == (len(urls), SPEC.dim)
         assert got.tobytes() == oracle_matrix(urls, SPEC).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 3, 10**6])
+    def test_pieces_split_across_urls_match_stacked_oracle(self, monkeypatch, block):
+        urls = ["http:", "//a.com", "a.com/log", "in", "1.2.3", ".4", "xΣ", "x", "Σ", "İ.a/b"]
+        monkeypatch.setattr(features, "_URL_BLOCK", block)
+        for spec in (SPEC, BOUNDARY_SPEC):
+            assert featurize_many(urls, spec).tobytes() == oracle_matrix(urls, spec).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(boundary_url, min_size=1, max_size=40))
+    def test_block_size_does_not_change_features(self, urls):
+        for spec in (SPEC, BOUNDARY_SPEC):
+            want = oracle_matrix(urls, spec).tobytes()
+            for block in (1, 3, 10**6):
+                with mock.patch.object(features, "_URL_BLOCK", block):
+                    assert featurize_many(urls, spec).tobytes() == want
 
     @settings(max_examples=100, deadline=None)
     @given(url_text)
@@ -290,3 +329,28 @@ def test_featurize_many_shape():
     mat = featurize_many(urls, SPEC)
     assert mat.shape == (20, 18)
     assert featurize_many([], SPEC).shape == (0, 18)
+
+
+class TestUnicodeTables:
+    """What the featurizer assumes of str.lower, checked on every code point,
+    so that a Python whose Unicode tables break an assumption fails here."""
+
+    def test_only_dotted_capital_i_lowercases_to_more_code_points(self):
+        # host_length adds 1 for each U+0130 in the host
+        assert code_points_where(lambda c: len(c.lower()) != 1) == ["\u0130"]
+
+    def test_no_lowercase_adds_a_dot(self):
+        # num_subdomains counts the dots of the host before lowercasing it
+        assert code_points_where(lambda c: "." in c.lower()) == ["."]
+
+    def test_non_ascii_lowercases_holding_ascii(self):
+        # has_https reads an ASCII-lowercased scheme: no non-ASCII code point
+        # lowercases to an h, t, p or s
+        found = code_points_where(lambda c: not c.isascii()
+                                  and any(x.isascii() for x in c.lower()))
+        assert found == ["\u0130", "\u212a"]  # "i" + U+0307, and "k"
+
+    def test_only_capital_sigma_lowercases_by_its_neighbours(self):
+        # a block is lowercased whole unless it holds U+0130 or U+03A3
+        assert code_points_where(lambda c: ("A" + c).lower() != "a" + c.lower()
+                                 or (c + "A").lower() != c.lower() + "a") == ["\u03a3"]

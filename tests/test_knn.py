@@ -248,6 +248,23 @@ class TestKNearest:
         assert predict_knn_batch(model, queries).tobytes() == \
             per_query_reference(model, queries, 5).tobytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0**401], ids=["nan", "inf", "above_cap"])
+    def test_unscreenable_query_leaves_its_block_screened(self, bad):
+        rng = np.random.default_rng(8)
+        model = KnnModel(rng.normal(size=(500, 18)), rng.integers(0, 2, size=500), default_k=5)
+        stored = knn._StoredGroups.of(model)
+        queries = rng.normal(size=(64, 18))
+        alone_qi, alone_gi = stored.candidates(queries, 5)
+        queries[20, 3] = bad
+        qi, gi = stored.candidates(queries, 5)
+        for i in range(64):
+            want = np.arange(500) if i == 20 else alone_gi[alone_qi == i]
+            assert np.sort(gi[qi == i]).tolist() == np.sort(want).tolist()
+        assert len(qi) < 500 + 10 * len(queries)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert predict_knn_batch(model, queries).tobytes() == \
+                per_query_reference(model, queries, 5).tobytes()
+
     def test_k_out_of_range(self):
         model = small_model()
         with pytest.raises(KOutOfRange):
@@ -391,7 +408,8 @@ class TestPredictKnn:
         queries = np.vstack([rng.integers(-1, 2, size=(40, 2)) * 0.5, features[:9],
                              [[np.nan, 0.0]]])
         # Rows of mixed magnitudes give the queries of each block different
-        # screen slacks; the NaN query leaves its block unscreened.
+        # screen slacks; the NaN query gets every group, and the rest of its
+        # block is screened.
         spread = 10.0 ** rng.integers(-3, 7, size=(60, 1))
         mixed = KnnModel(rng.normal(size=(60, 3)) * spread, rng.integers(0, 2, size=60),
                          default_k=5)

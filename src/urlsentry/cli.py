@@ -96,6 +96,9 @@ def _read_url_lines(path: str) -> list[str]:
 
 
 def cmd_predict(config: PipelineConfig, *arguments: str) -> int:
+    for i, argument in enumerate(arguments, start=1):  # a non-UTF-8 byte is a lone surrogate
+        if argument != argument.encode(errors="replace").decode():
+            raise UsageError(f"argument {i}: URL is not valid UTF-8")
     sources = [("argument", arguments)]
     if config.data_path:
         sources.append((f"{config.data_path} line", _read_url_lines(config.data_path)))

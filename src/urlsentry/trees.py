@@ -1,7 +1,8 @@
 """CART trees and the three ensembles built on them.
 
 Shared conventions, fixed so models serialize and replay bit-exactly:
-  - candidate thresholds are midpoints of consecutive distinct sorted values;
+  - candidate thresholds are midpoints of consecutive distinct sorted values,
+    or the upper value where the midpoint rounds onto the lower one or overflows;
   - routing is x[feature] < threshold -> left, ties go right;
   - split ties break on (lower feature index, then lower threshold);
   - splits whose gain is not strictly positive are rejected.
@@ -9,15 +10,15 @@ Shared conventions, fixed so models serialize and replay bit-exactly:
 Split search is presorted (exact greedy, Chen & Guestrin 2016, sec. 4.1).
 Second-order (boosting) trees argsort each column stably once per boosting
 run, since every round sees the same X, and a split partitions every
-feature's order into its children with a row mask, which keeps relative
-order. Node row sets are always ascending, so a node's order for feature f,
-a stable partition of one stable per-column argsort, equals a fresh stable
-argsort of the node's rows by f: ties stay in row order and every gain is
-summed exactly as a per-node sort would sum it. Only a cut between two
-distinct sorted values can win, so the gain formula is evaluated at those
-boundaries alone, on prefix sums gathered there. The grower also returns
-each training row's leaf value, which boosting adds to its scores in place
-of routing the training matrix through the new tree.
+feature's order and sorted values into its children with a row mask, which
+keeps relative order. Node row sets are always ascending, so a node's order
+for feature f, a stable partition of one stable per-column argsort, equals
+a fresh stable argsort of the node's rows by f: ties stay in row order and
+every gain is summed exactly as a per-node sort would sum it. Only a cut
+between two distinct sorted values can win, so the gain formula is
+evaluated at those boundaries alone, on prefix sums gathered there. The
+grower also returns each training row's leaf value, which boosting adds to
+its scores in place of routing the training matrix through the new tree.
 
 Gini trees (the random forest, grow_tree on labels, best_split "gini") work
 on weighted distinct rows. The training rows are grouped by their bytes and
@@ -40,6 +41,11 @@ cumsum one complex vector grad + 1j * hess, whose real and imaginary parts
 numpy adds separately, so both prefixes are the sums two float passes give;
 the gain formula then reads .real and .imag. Gini trees gather and cumsum
 one packed int64, count << 32 | positives, and unpack the differences.
+
+Most nodes hold a few hundred rows or fewer, so numpy's fixed cost per call
+dominates their growth: every per-node step calls the ndarray method or ufunc
+itself (a.take, a.compress, a.nonzero(), np.add.accumulate), skipping the
+Python frame of wrappers such as np.take; no element's arithmetic changes.
 
 Each tree grows straight into five typed columns (feature, threshold, left,
 right, value) in preorder, from explicit stacks; an ensemble concatenates
@@ -235,10 +241,11 @@ def _check_training(features: np.ndarray) -> None:
         raise DimensionMismatch("cannot train a tree on zero feature columns")
 
 
-def _presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of features as contiguous rows, and the stable argsort of each."""
+def _presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """features' columns as contiguous rows, their stable argsorts and their sorted values."""
     cols = np.ascontiguousarray(features.T)
-    return cols, np.argsort(cols, axis=1, kind="stable")
+    orders = np.argsort(cols, axis=1, kind="stable")
+    return cols, orders, np.take_along_axis(cols, orders, axis=1)
 
 
 def _grad_hess(grad, hess) -> np.ndarray:
@@ -246,6 +253,12 @@ def _grad_hess(grad, hess) -> np.ndarray:
     gh = np.empty(len(grad), dtype=np.complex128)
     gh.real, gh.imag = grad, hess
     return gh
+
+
+def _midpoint(low: float, high: float) -> float:
+    """(low + high) / 2, or high where that rounds onto low or overflows: low < it <= high."""
+    mid = (low + high) / 2.0
+    return high if mid <= low or mid > high else mid
 
 
 def _split_sorted(
@@ -277,23 +290,21 @@ def _split_sorted(
     best = None
     step = max(1, _SCORE_BLOCK // n)
     for start in range(0, len(cands), step):
-        block = slice(start, start + step)
-        vals = values[block]
+        vals = values[start:start + step]
         valid = np.zeros(vals.shape, dtype=bool)
         np.not_equal(vals[:, :-1], vals[:, 1:], out=valid[:, :-1])
-        at = np.flatnonzero(valid)  # flat (row, position) of each boundary
+        at = valid.ravel().nonzero()[0]  # flat (row, position) of each boundary
         if not at.size:
             continue
-        ends = np.searchsorted(at, np.arange(1, len(vals) + 1) * n)
-        counts = ends.copy()
-        counts[1:] -= ends[:-1]
-        starts = ends - counts
+        bounds = at.searchsorted(np.arange(0, vals.size + 1, n))
+        starts, ends = bounds[:-1], bounds[1:]
+        counts = ends - starts
 
-        prefix = gh[orders[block]]
-        np.cumsum(prefix, axis=1, out=prefix)
+        prefix = gh[orders[start:start + step]]
+        np.add.accumulate(prefix, axis=1, out=prefix)
         total = prefix[:, -1]
-        left = np.take(prefix, at)
-        right = np.repeat(total, counts)
+        left = prefix.take(at)
+        right = total.repeat(counts)
         right -= left
         # 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - gamma
         gains = left.real * left.real
@@ -301,11 +312,11 @@ def _split_sorted(
         right_gain = right.real * right.real
         right_gain /= right.imag + lam
         gains += right_gain
-        gains -= np.repeat(total.real * total.real / (total.imag + lam), counts)
+        gains -= (total.real * total.real / (total.imag + lam)).repeat(counts)
         gains *= 0.5
         gains -= gamma
 
-        scored = np.flatnonzero(counts)
+        scored = counts.nonzero()[0]
         winner = None
         for r, gain in zip(scored.tolist(), np.maximum.reduceat(gains, starts[scored]).tolist()):
             if gain <= 0.0:
@@ -313,12 +324,12 @@ def _split_sorted(
             if best is None or gain > best[0]:
                 best, winner = (gain, start + r), r
         if winner is not None:
-            first = starts[winner] + int(np.argmax(gains[starts[winner]:ends[winner]]))
+            first = starts[winner] + gains[starts[winner]:ends[winner]].argmax()
             pos = int(at[first]) - winner * n
     if best is None:
         return None
     gain, r = best
-    threshold = float((values[r, pos] + values[r, pos + 1]) / 2.0)
+    threshold = _midpoint(*values[r, pos:pos + 2].tolist())
     return SplitDecision(feature_index=int(cands[r]), threshold=threshold, gain=gain)
 
 
@@ -329,14 +340,14 @@ def _distinct_presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     grower's largest state.
     """
     first, group = distinct_rows(features)
-    cols, orders = _presort(features[first])
+    cols, orders, _ = _presort(features[first])
     return cols, orders.astype(np.int32), group
 
 
 def _tally(group: np.ndarray, labels: np.ndarray, size: int) -> np.ndarray:
     """Per distinct row, count * _COUNT + positives: how many rows fall there, and
     how many of those are positive. Sums and differences of tallies stay exact
-    and unpack with divmod while a node holds fewer than 2**31 rows."""
+    and unpack with a shift and a mask while a node holds fewer than 2**31 rows."""
     counts = np.bincount(group, minlength=size)
     positives = np.bincount(group, weights=labels, minlength=size).astype(np.int64)
     return counts * _COUNT + positives
@@ -352,7 +363,7 @@ def _gini_splits(
     (see _tally), so one cumsum gives both prefix counts. A node is
     (t, block, cands, n, pos): block holds the keys t * U + u of its distinct
     rows u sorted by feature 0, then by feature 1, and so on (d runs of equal
-    length), cands its ascending candidate features, n and pos its row and
+    length), cands its candidate features in any order, n and pos its row and
     positive counts.
 
     Each (node, candidate) pair is one segment of flat arrays. A boundary
@@ -367,29 +378,30 @@ def _gini_splits(
     d, U = cols.shape
     tree_ids, blocks, cands, n, pos = zip(*nodes)
     k = np.array([len(block) for block in blocks]) // d
-    seg_node = np.repeat(np.arange(len(nodes)), [len(c) for c in cands])
-    seg_feat = np.concatenate(cands)
+    seg_node = np.arange(len(nodes)).repeat([len(c) for c in cands])
+    seg_feat = np.concatenate(cands) + seg_node * d
+    seg_feat.sort()  # each node's candidates in ascending order
+    seg_feat -= seg_node * d
     seg_len = k[seg_node]
-    ends = np.cumsum(seg_len)
+    ends = seg_len.cumsum()
     starts = ends - seg_len
-    seg_of = np.repeat(np.arange(len(seg_len)), seg_len)
-    block_starts = np.cumsum(d * k) - d * k
-    shift = block_starts[seg_node] + seg_feat * seg_len - starts
+    seg_of = np.arange(len(seg_len)).repeat(seg_len)
+    shift = ((d * k).cumsum() - d * k)[seg_node] + seg_feat * seg_len - starts
     keys = np.concatenate(blocks)[np.arange(ends[-1]) + shift[seg_of]]
     to_value = (seg_feat - np.array(tree_ids)[seg_node]) * U
     values = cols.ravel()[keys + to_value[seg_of]]
     row = tally.ravel()[keys]
-    cum = np.cumsum(row)
+    cum = row.cumsum()
 
     boundary = np.empty(len(values), dtype=bool)
     np.not_equal(values[:-1], values[1:], out=boundary[:-1])
     boundary[ends - 1] = False
-    at = np.flatnonzero(boundary)
+    at = boundary.nonzero()[0]
     seg = seg_of[at]
     node = seg_node[seg]
-    left_n, left_pos = np.divmod(cum[at] - (cum[starts] - row[starts])[seg], _COUNT)
-    left_pos = left_pos.astype(np.float64)
-    left_n = left_n.astype(np.float64)
+    left_tally = cum[at] - (cum[starts] - row[starts])[seg]
+    left_pos = (left_tally & (_COUNT - 1)).astype(np.float64)
+    left_n = (left_tally >> 32).astype(np.float64)
     total_n = np.array(n, dtype=np.float64)
     total_pos = np.array(pos, dtype=np.float64)
     p0 = (total_n - total_pos) / total_n
@@ -406,19 +418,20 @@ def _gini_splits(
     gr = 1.0 - p0r * p0r - p1r * p1r
     gains = parent - (left_n / total_n) * gl - (right_n / total_n) * gr
 
-    best = np.full(len(nodes), -np.inf)
-    np.maximum.at(best, node, gains)
-    hits = np.flatnonzero(gains == best[node])
-    first = np.full(len(nodes), len(gains))
-    np.minimum.at(first, node[hits], hits)
-    won = np.flatnonzero(best > 0.0)
-    cut = at[first[won]]
-    thresholds = (values[cut] + values[cut + 1]) / 2.0
+    bounds = node.searchsorted(np.arange(len(nodes) + 1))  # node ascends: one run per node
+    scored = (bounds[:-1] < bounds[1:]).nonzero()[0]
+    best = np.maximum.reduceat(gains, bounds[scored])
+    hits = (gains == best.repeat(bounds[scored + 1] - bounds[scored])).nonzero()[0]
+    won = best > 0.0
+    best, won = best[won], scored[won]
+    first = hits[node[hits].searchsorted(won)]  # each won node's first maximum
+    cut = at[first]
     decisions: list[SplitDecision | None] = [None] * len(nodes)
-    for i, feature, threshold, gain in zip(
-        won.tolist(), seg_feat[seg[first[won]]].tolist(), thresholds.tolist(), best[won].tolist()
-    ):
-        decisions[i] = SplitDecision(feature_index=feature, threshold=threshold, gain=gain)
+    for i, feature, low, high, gain in zip(won.tolist(), seg_feat[seg[first]].tolist(),
+                                           values[cut].tolist(), values[cut + 1].tolist(),
+                                           best.tolist()):
+        decisions[i] = SplitDecision(feature_index=feature, threshold=_midpoint(low, high),
+                                     gain=gain)
     return decisions
 
 
@@ -444,8 +457,8 @@ def _grow_gini(
     """Grow one gini tree per row of tally, all in lockstep.
 
     cols and orders are _distinct_presort's; tally is as in _gini_splits.
-    samplers[t] is None (every feature) or returns tree t's ascending
-    candidate features for one node. Each tree keeps its own
+    samplers[t] is None (every feature) or returns tree t's candidate
+    features for one node, in any order. Each tree keeps its own
     preorder stack: a step pops, per tree, leaves until the next node that
     needs a split search and draws its candidates, so every sampler is
     called in the order a recursive build calls it. One _gini_splits call
@@ -484,23 +497,21 @@ def _grow_gini(
             k = np.array([len(item[1]) for item, _ in split]) // d
             feature = np.array([s.feature_index for _, s in split])
             blocks = np.concatenate([item[1] for item, _ in split])
-            starts = np.cumsum(k) - k
-            row_starts = np.cumsum(d * k) - d * k + feature * k  # each split feature's run
-            keys = blocks[np.arange(starts[-1] + k[-1]) + np.repeat(row_starts - starts, k)]
-            left = cols.ravel()[keys + np.repeat((feature - t) * U, k)] < np.repeat(
-                [s.threshold for _, s in split], k
-            )
+            starts = k.cumsum() - k
+            row_starts = (d * k).cumsum() - d * k + feature * k  # each split feature's run
+            keys = blocks[np.arange(starts[-1] + k[-1]) + (row_starts - starts).repeat(k)]
+            threshold = np.array([s.threshold for _, s in split]).repeat(k)
+            left = cols.ravel()[keys + ((feature - t) * U).repeat(k)] < threshold
             goes_left[keys] = left
             k_left = np.add.reduceat(left, starts, dtype=np.int64)
-            n_left, pos_left = np.divmod(np.add.reduceat(tally.ravel()[keys] * left, starts),
-                                         _COUNT)
+            left_tally = np.add.reduceat(tally.ravel()[keys] * left, starts)
             to_left = goes_left[blocks]
-            lefts, rights = blocks[to_left], blocks[~to_left]
-            left_ends = (d * np.cumsum(k_left)).tolist()
-            right_ends = (d * np.cumsum(k - k_left)).tolist()
+            lefts, rights = blocks.compress(to_left), blocks.compress(~to_left)
+            left_ends = (d * k_left.cumsum()).tolist()
+            right_ends = (d * (k - k_left).cumsum()).tolist()
             for ((t, _, _, n, pos, node, depth), s), l0, l1, r0, r1, nl, pl in zip(
                 split, [0] + left_ends, left_ends, [0] + right_ends, right_ends,
-                n_left.tolist(), pos_left.tolist(),
+                (left_tally >> 32).tolist(), (left_tally & (_COUNT - 1)).tolist(),
             ):
                 trees[t].split(node, s)
                 stacks[t] += [
@@ -541,15 +552,13 @@ def best_split(
         tally = _tally(group, targets, cols.shape[1])
         node = (0, orders.ravel(), cands, n, int(tally.sum()) % _COUNT)
         return _gini_splits(cols, tally[None], [node])[0]
-    cols = features.T[cands]
-    orders = np.argsort(cols, axis=1, kind="stable")
-    values = np.take_along_axis(cols, orders, axis=1)
+    _, orders, values = _presort(features[:, cands])
     return _split_sorted(cands, orders, values, _grad_hess(targets, hessians), lam, gamma)
 
 
 def _leaf_value(targets: GradientTargets, idx: np.ndarray) -> float:
-    g = float(np.sum(targets.grad[idx]))
-    denom = float(np.sum(targets.leaf_hess[idx])) + targets.lam
+    g = float(targets.grad[idx].sum())
+    denom = float(targets.leaf_hess[idx].sum()) + targets.lam
     return -g / max(denom, LEAF_DENOM_FLOOR)
 
 
@@ -570,10 +579,11 @@ def grow_tree(features: np.ndarray, targets, params: TreeParams) -> TreeNode:
 def _grow(
     cols: np.ndarray,
     orders: np.ndarray,
+    values: np.ndarray,
     targets: GradientTargets,
     params: TreeParams,
 ) -> tuple[_Tree, np.ndarray]:
-    """A second-order grow_tree on the presorted columns and orders of features (see _presort).
+    """A second-order grow_tree on the columns, orders and sorted values of features (see _presort).
 
     Every node scores every feature; children at max_depth become leaves
     without a search, so their orders are never partitioned. Also returns
@@ -583,38 +593,35 @@ def _grow(
     """
     d, n = cols.shape
     every_feature = np.arange(d)
-    column_start = (every_feature * n)[:, None]
-    flat_cols = cols.ravel()
     in_left = np.zeros(n, dtype=bool)
     out = np.empty(n, dtype=np.float64)
     gh = _grad_hess(targets.grad, targets.hess)
     tree = _Tree()
-    # (parent, rows, orders, depth). The right child is pushed first, so the left
+    # (parent, rows, orders, values, depth). The right child is pushed first, so the left
     # subtree grows first and a pending right sibling per level is the only
     # extra order held.
-    stack = [(None, np.arange(n), orders, 0)]
+    stack = [(None, np.arange(n), orders, values, 0)]
     while stack:
-        parent, idx, orders, depth = stack.pop()
+        parent, idx, orders, values, depth = stack.pop()
         split = None
         if depth < params.max_depth and len(idx) >= 2:
-            split = _split_sorted(every_feature, orders, flat_cols[orders + column_start], gh,
-                                  targets.lam, targets.gamma)
+            split = _split_sorted(every_feature, orders, values, gh, targets.lam, targets.gamma)
         if split is None:
             out[idx] = value = _leaf_value(targets, idx)
             tree.add(parent, value)
             continue
         node = tree.add(parent)
         tree.split(node, split)
-        go_left = cols[split.feature_index, idx] < split.threshold
-        right_orders = left_orders = None
+        go_left = cols[split.feature_index].take(idx) < split.threshold
+        right = left = (None, None)
         if depth + 1 < params.max_depth:
             in_left[idx] = go_left
-            left_rows = in_left[orders].ravel()
-            right_orders = np.compress(~left_rows, orders).reshape(d, -1)
-            left_orders = np.compress(left_rows, orders).reshape(d, -1)
+            left_rows = in_left.take(orders).ravel()
+            right, left = ([a.take(rows).reshape(d, -1) for a in (orders, values)]
+                           for rows in ((~left_rows).nonzero()[0], left_rows.nonzero()[0]))
         stack += [
-            (node, idx[~go_left], right_orders, depth + 1),
-            (node, idx[go_left], left_orders, depth + 1),
+            (node, idx.compress(~go_left), *right, depth + 1),
+            (node, idx.compress(go_left), *left, depth + 1),
         ]
     return tree, out
 
@@ -722,7 +729,7 @@ def train_random_forest(train: Dataset, params: ForestParams | None = None) -> F
             tally[i] = _tally(group[rows], y[rows], size)
             sampler = None
             if m < d:
-                sampler = lambda rng=rng: np.sort(rng.choice(d, size=m, replace=False))
+                sampler = lambda rng=rng: rng.choice(d, size=m, replace=False)
             samplers.append(sampler)
         trees += _grow_gini(cols, orders, tally, tree_params, samplers)
     return ForestModel(
@@ -785,7 +792,7 @@ def _boost(
     init_score = _base_rate_log_odds(y)
     tree_params = TreeParams(max_depth=max_depth)
     ones = np.ones(X.shape[0], dtype=np.float64)
-    cols, orders = _presort(X)
+    presorted = _presort(X)
 
     scores = np.full(X.shape[0], init_score, dtype=np.float64)
     trees = []
@@ -795,7 +802,7 @@ def _boost(
         targets = GradientTargets(
             grad=p - y, hess=h if newton_splits else ones, leaf_hess=h, lam=lam, gamma=gamma
         )
-        tree, out = _grow(cols, orders, targets, tree_params)
+        tree, out = _grow(*presorted, targets, tree_params)
         trees.append(tree)
         scores += learning_rate * out
     return BoostedModel(

@@ -316,6 +316,18 @@ class TestCmdPredict:
         assert code == 1
         assert "UnicodeDecodeError" in capsys.readouterr().err
 
+    def test_url_argument_that_is_not_utf8_exits_one(self, tiny_csv, tmp_path, capsys):
+        # the shell passes the byte 0xff of http://a\xff.com/x as the lone surrogate U+DCFF
+        model = self.make_knn_artifact(tiny_csv, tmp_path)
+        out = tmp_path / "o"
+        code = main(["predict", "--model", model, "--out", str(out),
+                     "http://ok.com/", "http://a\udcff.com/x"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: UsageError: argument 2: URL is not valid UTF-8\n"
+        assert not out.exists()
+
     def test_partition_conservation_and_safe_list(self, tiny_csv, tmp_path, capsys):
         model = self.make_knn_artifact(tiny_csv, tmp_path, k=3)
         urls_file = tmp_path / "urls.txt"

@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from urlsentry import trees
+from urlsentry import sample_dataset_path, trees
+from urlsentry.config import PipelineConfig
 from urlsentry.errors import (
     ConfigError,
     DimensionMismatch,
@@ -16,7 +17,8 @@ from urlsentry.errors import (
     TooFewRows,
 )
 from urlsentry.neural import sigmoid
-from urlsentry.pipeline import Dataset
+from urlsentry.pipeline import Dataset, distinct_rows
+from urlsentry.runner import fit_preprocessor, load_labeled_dataset
 from urlsentry.trees import (
     BoostedModel,
     BoostParams,
@@ -36,6 +38,13 @@ from urlsentry.trees import (
     train_random_forest,
     train_xgb,
 )
+
+
+def midpoint(low, high):
+    """The threshold between sorted values low < high: their midpoint, or high
+    where the midpoint rounds onto low or overflows, so low goes left and high right."""
+    mid = float((low + high) / 2.0)
+    return float(high) if mid <= low or mid > high else mid
 
 
 def exhaustive_best_split(features, targets, criterion="gini",
@@ -80,7 +89,7 @@ def exhaustive_best_split(features, targets, criterion="gini",
             if gain <= 0.0:
                 continue
             if best is None or gain > best[0]:
-                best = (gain, f, (vals[pos] + vals[pos + 1]) / 2.0)
+                best = (gain, f, midpoint(vals[pos], vals[pos + 1]))
     return best
 
 
@@ -278,6 +287,23 @@ class TestGrowTree:
         assert not tree.is_leaf
         assert tree.threshold == 0.5
         assert tree.left.value == 0.0 and tree.right.value == 1.0
+
+    @pytest.mark.parametrize("low, high", [(1.0, np.nextafter(1.0, 2.0)), (-0.0, 5e-324),
+                                           (1e308, 1.5e308)])
+    def test_a_midpoint_on_the_lower_value_gives_way_to_the_upper(self, low, high):
+        # (low + high) / 2 rounds onto low (or overflows), so a split there would send
+        # the low rows right with the high ones; the upper value parts them instead
+        mid = (low + high) / 2.0
+        assert mid <= low or mid > high
+        X = np.array([[low], [high], [low], [high]])
+        y = np.array([0, 1, 0, 1])
+        hess = np.ones(4)
+        targets = GradientTargets(grad=y - 0.5, hess=hess, leaf_hess=hess, lam=1.0)
+        gini_tree = grow_tree(X, y, TreeParams(max_depth=3))
+        tree = grow_tree(X, targets, TreeParams(max_depth=3))
+        assert (gini_tree.threshold, gini_tree.left.value, gini_tree.right.value) == (high, 0.0, 1.0)
+        assert tree.threshold == high and tree.left.is_leaf and tree.right.is_leaf
+        assert tree.left.value > 0.0 > tree.right.value
 
     def test_depth_bound_honored(self):
         rng = np.random.default_rng(5)
@@ -554,7 +580,7 @@ def reference_best_split(features, targets, candidate_features, criterion="gini"
         if gain <= 0.0:
             continue
         if best is None or gain > best.gain:
-            threshold = float((sorted_col[pos] + sorted_col[pos + 1]) / 2.0)
+            threshold = midpoint(sorted_col[pos], sorted_col[pos + 1])
             best = trees.SplitDecision(feature_index=f, threshold=threshold, gain=gain)
     return best
 
@@ -655,6 +681,23 @@ def tie_heavy_data(draw, min_rows=2):
     return X, y
 
 
+@st.composite
+def continuous_data(draw, min_rows=2):
+    """Continuous columns up to the latent width, 8, holding -0.0 beside 0.0,
+    subnormal values and adjacent floats: 1.0 and the next float, whose midpoint
+    rounds onto 1.0, and that float and the one after it, whose midpoint rounds
+    onto the upper one."""
+    n = draw(st.integers(min_rows, 48))
+    d = draw(st.integers(1, 8))
+    up = np.nextafter(1.0, 2.0)
+    special = st.sampled_from([-0.0, 0.0, -5e-324, 5e-324, 1e-323, 1.5e-323,
+                               1.0, up, np.nextafter(up, 2.0)])
+    elements = st.floats(-4.0, 4.0, allow_nan=False, width=64) | special
+    X = draw(hnp.arrays(np.float64, (n, d), elements=elements))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    return X, y
+
+
 MODEL_SETTINGS = settings(max_examples=40, deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
 
@@ -714,6 +757,40 @@ class TestPresortedMatchesReference:
     @MODEL_SETTINGS
     @given(tie_heavy_data(), st.integers(1, 4), st.booleans(), st.integers(0, 1000))
     def test_random_forest(self, data, m_features, bootstrap, seed):
+        X, y = data
+        params = ForestParams(n_trees=3, max_depth=6, m_features=m_features,
+                              bootstrap=bootstrap, seed=seed)
+        forest = train_random_forest(Dataset(X, y, [f"u{i}" for i in range(len(y))]), params)
+        want = reference_forest(X, y, params)
+        assert [nodes(t) for t in forest.trees] == [nodes(t) for t in want]
+
+    @MODEL_SETTINGS
+    @given(continuous_data(), st.integers(0, 5), st.sampled_from([0.0, 1.0]), st.data())
+    def test_grow_tree_second_order_on_continuous_columns(self, data, max_depth, lam, draw):
+        X, _ = data
+        n = X.shape[0]
+        grad = draw.draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0, width=64)))
+        hess = draw.draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.1, 0.25, 0.7])))
+        targets = GradientTargets(grad=grad, hess=hess, leaf_hess=hess, lam=lam)
+        params = TreeParams(max_depth=max_depth)
+        assert nodes(grow_tree(X, targets, params)) == nodes(reference_grow_tree(X, targets, params))
+
+    @MODEL_SETTINGS
+    @given(continuous_data(min_rows=4), st.sampled_from([0.0, 1.0]))
+    def test_boosting_on_continuous_columns(self, data, lam):
+        X, y = data
+        assume(0 < y.sum() < len(y))
+        ds = Dataset(X, y, [f"u{i}" for i in range(len(y))])
+        xgb = train_xgb(ds, XgbParams(n_rounds=3, max_depth=4, lam=lam))
+        want = reference_boost(X, y, 3, 0.3, 4, True, lam)
+        assert [nodes(t) for t in xgb.trees] == [nodes(t) for t in want]
+        gb = train_gradient_boosting(ds, BoostParams(n_rounds=3, max_depth=3))
+        want = reference_boost(X, y, 3, 0.1, 3, False)
+        assert [nodes(t) for t in gb.trees] == [nodes(t) for t in want]
+
+    @MODEL_SETTINGS
+    @given(continuous_data(), st.integers(1, 8), st.booleans(), st.integers(0, 1000))
+    def test_random_forest_on_continuous_columns(self, data, m_features, bootstrap, seed):
         X, y = data
         params = ForestParams(n_trees=3, max_depth=6, m_features=m_features,
                               bootstrap=bootstrap, seed=seed)
@@ -1025,3 +1102,25 @@ class TestFusedSecondOrderPass:
         want = arrays()
         monkeypatch.setattr(trees, "_SCORE_BLOCK", block)
         assert arrays() == want
+
+
+# ---------------------------------------------------------------------------
+# Parity at the benchmark's shape
+# ---------------------------------------------------------------------------
+
+def test_latent_sample_models_match_the_references():
+    """XGB, GB and a forest on the latent features of the bundled sample: 600
+    rows, many of them duplicates, so nodes hold hundreds of rows and boundaries."""
+    dataset, _ = load_labeled_dataset(sample_dataset_path())
+    config = PipelineConfig(feature_mode="latent")
+    X = fit_preprocessor(dataset.features, config).transform(dataset.features)
+    y = dataset.labels
+    ds = Dataset(X, y, dataset.urls)
+    assert X.shape == (600, 8) and len(distinct_rows(X)[0]) < 500
+    xgb = train_xgb(ds, XgbParams(n_rounds=3, max_depth=6))
+    assert [nodes(t) for t in xgb.trees] == [nodes(t) for t in reference_boost(X, y, 3, 0.3, 6, True, 1.0)]
+    gb = train_gradient_boosting(ds, BoostParams(n_rounds=3))
+    assert [nodes(t) for t in gb.trees] == [nodes(t) for t in reference_boost(X, y, 3, 0.1, 3, False)]
+    params = ForestParams(n_trees=5, m_features=3)
+    forest = train_random_forest(ds, params)
+    assert [nodes(t) for t in forest.trees] == [nodes(t) for t in reference_forest(X, y, params)]

@@ -28,6 +28,16 @@ class TrainConfig:
     hidden_sizes: tuple[int, ...] = (32,)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be at least 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not 0.0 < self.learning_rate < float("inf"):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if any(width < 1 for width in self.hidden_sizes):
+            raise ConfigError(f"every hidden width must be at least 1, got {self.hidden_sizes}")
+
 
 DEFAULT_AUTOENCODER_CONFIG = TrainConfig(
     epochs=30, batch_size=32, learning_rate=0.05, hidden_sizes=(8,), seed=0

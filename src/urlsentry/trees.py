@@ -30,11 +30,14 @@ pos / n is the same float a row-by-row search computes.
 
 Random forest trees draw a bootstrap sample and per-node feature subsets
 from a per-tree generator seeded seed + tree_index, so the ensemble is
-independent of training order. The forest grows _LOCKSTEP_TREES trees at a
-time in lockstep: each step takes from every tree the next node of its own
-preorder stack, so each generator draws in the order a recursive build
-draws, and scores all those nodes in one batched numpy search. Boosting
-uses no sampling at all.
+independent of training order. A subset is the rng.choice(d, size=m,
+replace=False) that the generator's 32-bit words give, rebuilt without
+choice's per-call cost: Floyd's sample (Bentley & Floyd 1987), then a
+Fisher-Yates shuffle, each bounded draw by Lemire's method (Lemire 2019).
+The forest grows _LOCKSTEP_TREES trees at a time in lockstep: each step
+takes from every tree the next node of its own preorder stack, so each
+generator draws in the order a recursive build draws, and scores all those
+nodes in one batched numpy search. Boosting uses no sampling at all.
 
 Each split search makes one prefix pass. Second-order trees gather and
 cumsum one complex vector grad + 1j * hess, whose real and imaginary parts
@@ -457,11 +460,11 @@ def _grow_gini(
     """Grow one gini tree per row of tally, all in lockstep.
 
     cols and orders are _distinct_presort's; tally is as in _gini_splits.
-    samplers[t] is None (every feature) or returns tree t's candidate
-    features for one node, in any order. Each tree keeps its own
+    samplers[t] is None (every feature) or yields tree t's candidate
+    features for each node, in any order. Each tree keeps its own
     preorder stack: a step pops, per tree, leaves until the next node that
     needs a split search and draws its candidates, so every sampler is
-    called in the order a recursive build calls it. One _gini_splits call
+    drawn from in the order a recursive build draws. One _gini_splits call
     per _GINI_BLOCK elements then scores the popped nodes of all trees, and
     their blocks are partitioned with one compress per side.
     """
@@ -482,7 +485,7 @@ def _grow_gini(
                 node = trees[t].add(parent, pos / n)
                 if depth < params.max_depth and 0 < pos < n:
                     sampler = samplers[t]
-                    cands = every_feature if sampler is None else sampler()
+                    cands = every_feature if sampler is None else next(sampler)
                     todo.append((t, block, cands, n, pos, node, depth))
                     break
         if not todo:
@@ -702,18 +705,46 @@ class ForestModel:
     trees = property(_root_views)
 
 
+def _feature_subsets(rng: np.random.Generator, d: int, m: int):
+    """Yield each next rng.choice(d, size=m, replace=False) as a list, for 0 < m < d."""
+    def fetch():  # the words numpy's bounded draws take, in order
+        while True:
+            yield from rng.integers(0, 1 << 32, size=64, dtype=np.uint32).tolist()
+    words, cut = fetch(), [0] + [(1 << 32) % span for span in range(1, d + 1)]
+
+    def below(span: int) -> int:  # Lemire: (word * span) >> 32, redrawn below 2**32 % span
+        product = next(words) * span
+        while product & 0xFFFFFFFF < cut[span]:
+            product = next(words) * span
+        return product >> 32
+
+    while True:
+        if d > 10000 and m > d // 50:  # numpy shuffles the last m of range(d)
+            picks, stop = list(range(d)), max(d - m, 1)
+        else:  # Floyd's sample, then numpy shuffles all of it
+            picks, seen, stop = [], set(), 1
+            for j in range(d - m, d):
+                picks.append(j if (pick := below(j + 1)) in seen else pick)
+                seen.add(picks[-1])
+        for i in range(len(picks) - 1, stop - 1, -1):  # Fisher-Yates from the end
+            j = below(i + 1)
+            picks[i], picks[j] = picks[j], picks[i]
+        yield picks[-m:]
+
+
 def train_random_forest(train: Dataset, params: ForestParams | None = None) -> ForestModel:
     """Bagged CART ensemble; tree t draws everything from seed + t."""
     if params is None:
         params = ForestParams()
     if params.n_trees < 1:
         raise ConfigError(f"a forest needs at least one tree, got n_trees={params.n_trees}")
+    if params.m_features is not None and params.m_features < 1:
+        raise ConfigError(f"a node needs at least one feature, got m_features={params.m_features}")
     X = np.asarray(train.features, dtype=np.float64)
     y = np.asarray(train.labels, dtype=np.int64)
     _check_training(X)
     n, d = X.shape
-    m = params.m_features if params.m_features is not None else math.ceil(math.sqrt(d))
-    m = min(m, d)
+    m = min(params.m_features or math.ceil(math.sqrt(d)), d)  # m_features is None or >= 1
     tree_params = TreeParams(max_depth=params.max_depth)
 
     cols, orders, group = _distinct_presort(X)
@@ -727,10 +758,7 @@ def train_random_forest(train: Dataset, params: ForestParams | None = None) -> F
             rng = np.random.default_rng(params.seed + t)
             rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
             tally[i] = _tally(group[rows], y[rows], size)
-            sampler = None
-            if m < d:
-                sampler = lambda rng=rng: rng.choice(d, size=m, replace=False)
-            samplers.append(sampler)
+            samplers.append(_feature_subsets(rng, d, m) if m < d else None)
         trees += _grow_gini(cols, orders, tally, tree_params, samplers)
     return ForestModel(
         arrays=_stack(trees), n_trees=params.n_trees, m_features=m,

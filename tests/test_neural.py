@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from urlsentry import neural
 from urlsentry.errors import (
+    ConfigError,
     DimensionMismatch,
     EmptyInput,
     LatentTooLarge,
@@ -394,3 +395,90 @@ def test_autoencoder_layers_match_the_former_construction(hidden_sizes, epochs):
     neural._sgd(expected, X, X, cfg, "mse", rng)
     assert_same_layers(model.encoder_layers, expected.encoder_layers)
     assert_same_layers(model.decoder_layers, expected.decoder_layers)
+
+
+def reference_gradients(model, X, T, loss):
+    """The former gradients(): a fresh (dW, db) pair per layer from forward()'s cache."""
+    layers = model.layers
+    _, cache = forward(model, X)
+    n = X.shape[0]
+    if loss == "bce":
+        delta = (cache["act"][-1] - T) / n
+    else:
+        d_out = (2.0 / (n * T.shape[1])) * (cache["act"][-1] - T)
+        delta = d_out * neural.ACTIVATIONS[layers[-1].activation][1](
+            cache["pre"][-1], cache["act"][-1])
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        grads[i] = (delta.T @ cache["act"][i], delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ layers[i].weights) * neural.ACTIVATIONS[layers[i - 1].activation][1](
+                cache["pre"][i - 1], cache["act"][i])
+    return grads
+
+
+def reference_sgd(model, X, T, cfg, loss, rng):
+    """The former SGD loop: gather each batch by index, then update each layer in place."""
+    n = X.shape[0]
+    batch = min(cfg.batch_size, n)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            grads = reference_gradients(model, X[idx], T[idx], loss)
+            for layer, (dw, db) in zip(model.layers, grads):
+                layer.weights -= cfg.learning_rate * dw
+                layer.biases -= cfg.learning_rate * db
+
+
+SGD_ROWS = 37  # batches of 7 and 16 leave a short last batch
+SGD_CASES = [(d, batch, hidden) for d in (3, 5, 18) for batch in (1, 7, 16, SGD_ROWS, 50)
+             for hidden in ((8,), (16, 8), (5, 3))]
+
+
+@pytest.mark.parametrize("d, batch_size, hidden_sizes", SGD_CASES)
+def test_mlp_layers_match_the_former_sgd(d, batch_size, hidden_sizes):
+    X, y = construction_data(n=SGD_ROWS, d=d)
+    cfg = TrainConfig(epochs=2, batch_size=batch_size, hidden_sizes=hidden_sizes, seed=5)
+    model = train_mlp(Dataset(X, y, [""] * len(y)), cfg)
+    rng = np.random.default_rng(cfg.seed)
+    expected = MlpModel(reference_mlp_layers(rng, d, hidden_sizes))
+    reference_sgd(expected, X, y.astype(np.float64).reshape(-1, 1), cfg, "bce", rng)
+    assert_same_layers(model.layers, expected.layers)
+
+
+@pytest.mark.parametrize("d, batch_size, hidden_sizes",
+                         [case for case in SGD_CASES if case[2][-1] <= case[0]])
+def test_autoencoder_layers_match_the_former_sgd(d, batch_size, hidden_sizes):
+    X, _ = construction_data(n=SGD_ROWS, d=d)
+    cfg = TrainConfig(epochs=2, batch_size=batch_size, hidden_sizes=hidden_sizes, seed=5)
+    model = train_autoencoder(X, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    encoder, decoder = reference_autoencoder_layers(rng, d, hidden_sizes)
+    expected = AutoencoderModel(encoder, decoder, hidden_sizes[-1])
+    reference_sgd(expected, X, X, cfg, "mse", rng)
+    assert_same_layers(model.encoder_layers, expected.encoder_layers)
+    assert_same_layers(model.decoder_layers, expected.decoder_layers)
+
+
+class TestTrainConfigChecks:
+    @pytest.mark.parametrize("settings, message", [
+        ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
+        ({"batch_size": -3}, "batch_size must be at least 1, got -3"),
+        ({"epochs": -1}, "epochs must be at least 0, got -1"),
+        ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0, got nan"),
+        ({"learning_rate": float("inf")}, "learning_rate must be finite and > 0, got inf"),
+        ({"learning_rate": 0.0}, "learning_rate must be finite and > 0, got 0.0"),
+        ({"hidden_sizes": (0,)}, r"every hidden width must be at least 1, got \(0,\)"),
+        ({"hidden_sizes": (4, -1)}, r"every hidden width must be at least 1, got \(4, -1\)"),
+    ])
+    def test_unusable_settings_rejected(self, settings, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**settings)
+
+    def test_zero_epochs_and_no_hidden_layer_accepted(self):
+        assert TrainConfig(epochs=0, hidden_sizes=()).epochs == 0
+
+    def test_autoencoder_without_hidden_layer_rejected(self):
+        with pytest.raises(ConfigError, match="at least one hidden layer"):
+            train_autoencoder(np.ones((4, 3)), TrainConfig(hidden_sizes=()))

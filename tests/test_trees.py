@@ -16,6 +16,7 @@ from urlsentry.errors import (
     SingleClassTrainingSet,
     TooFewRows,
 )
+from urlsentry.features import FeatureSpec
 from urlsentry.neural import sigmoid
 from urlsentry.pipeline import Dataset, distinct_rows
 from urlsentry.runner import fit_preprocessor, load_labeled_dataset
@@ -424,6 +425,47 @@ class TestRandomForest:
     def test_no_trees_rejected(self, toy_dataset, n_trees):
         with pytest.raises(ConfigError, match=f"at least one tree, got n_trees={n_trees}"):
             train_random_forest(toy_dataset, ForestParams(n_trees=n_trees))
+
+    @pytest.mark.parametrize("m_features", [0, -2])
+    def test_no_features_rejected(self, toy_dataset, m_features):
+        with pytest.raises(ConfigError, match=f"got m_features={m_features}"):
+            train_random_forest(toy_dataset, ForestParams(m_features=m_features))
+
+
+class TestFeatureSampler:
+    """_feature_subsets draws what rng.choice(d, size=m, replace=False) draws, bit for bit."""
+
+    @pytest.mark.parametrize("d, m", [
+        (8, 1), (8, 7), (8, 3), (2, 1),
+        (FeatureSpec().dim, math.ceil(math.sqrt(FeatureSpec().dim))),
+    ])
+    def test_equals_choice_after_a_bootstrap(self, d, m):
+        # 60 draws of m > 1 take more than 64 words, so each run refills its words;
+        # an odd bootstrap size leaves half of a 64-bit output for the first word
+        for seed in range(200):
+            n = 37 + seed
+            expected, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected.integers(0, n, size=n)
+            rng.integers(0, n, size=n)
+            subsets = trees._feature_subsets(rng, d, m)
+            for _ in range(60):
+                assert next(subsets) == expected.choice(d, size=m, replace=False).tolist()
+
+    @pytest.mark.parametrize("seed", [34, 135, 180, 359])
+    def test_equals_choice_where_a_word_is_rejected(self, seed):
+        # choice(10000, size=5000) redraws a word below 2**32 % span on these seeds
+        expected = np.random.default_rng(seed).choice(10000, size=5000, replace=False)
+        assert next(trees._feature_subsets(np.random.default_rng(seed), 10000, 5000)) == (
+            expected.tolist())
+
+    @pytest.mark.parametrize("m", [300, 401, 19999])
+    def test_equals_choice_past_ten_thousand_features(self, m):
+        # numpy shuffles the tail of range(d) where d > 10000 and m > d // 50
+        for seed in range(3):
+            expected, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            subsets = trees._feature_subsets(rng, 20000, m)
+            for _ in range(2):
+                assert next(subsets) == expected.choice(20000, size=m, replace=False).tolist()
 
 
 def log_loss(probs, labels):

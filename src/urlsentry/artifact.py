@@ -13,8 +13,9 @@ timestamp lives outside the checksum so re-running the same training
 reproduces the payload byte for byte.
 
 CLASSIFIERS is the one place a classifier kind is defined: its display
-name, how it trains and predicts, its model class and how that is checked
-after loading. Every kind list and dispatch in the package derives from it.
+name, how it trains and predicts, and its model class. Every kind list and
+dispatch in the package derives from it. Each model class checks itself when
+built; load_model adds only the checks that need the width a part is fed.
 
 The tree and network modules are imported on first use, so loading and
 running a raw k-NN artifact never imports them.
@@ -41,6 +42,7 @@ from .errors import (
     CorruptArtifact,
     DimensionMismatch,
     KOutOfRange,
+    MalformedModel,
     UnknownLabel,
     UnsupportedVersion,
 )
@@ -50,8 +52,7 @@ from .pipeline import Dataset, OutlierBounds, Scaler, apply_bounds, apply_scaler
 
 if TYPE_CHECKING:
     from .config import PipelineConfig
-    from .neural import AutoencoderModel, LayerParams
-    from .trees import BoostedModel, ForestModel
+    from .neural import AutoencoderModel
 
 FORMAT_VERSION = 3
 
@@ -186,88 +187,6 @@ def _decode(kind, value, where: str = "the payload"):
 
 
 # ---------------------------------------------------------------------------
-# Checks of a loaded model against the width of its transformed input
-# ---------------------------------------------------------------------------
-
-def _check_layers(name: str, layers: list[LayerParams], width_in: int, width_out: int) -> None:
-    """Reject a layer stack whose widths do not chain from width_in to width_out,
-    or that holds an unknown activation."""
-    if not layers:
-        raise CorruptArtifact(f"the {name} has no layers")
-    activations = _import("neural").ACTIVATIONS
-    width = width_in
-    for i, layer in enumerate(layers):
-        if layer.activation not in activations:
-            raise CorruptArtifact(f"unknown activation {layer.activation!r}")
-        if layer.weights.ndim != 2 or layer.weights.shape[1] != width:
-            raise CorruptArtifact(
-                f"{name} layer {i} has weights of shape {layer.weights.shape}, "
-                f"its input is {width} wide"
-            )
-        width = layer.weights.shape[0]
-        if layer.biases.shape != (width,):
-            raise CorruptArtifact(
-                f"{name} layer {i} has biases of shape {layer.biases.shape}, "
-                f"its output is {width} wide"
-            )
-    if width != width_out:
-        raise CorruptArtifact(f"the {name} outputs {width} values, {width_out} expected")
-
-
-def _check_knn(model: KnnModel, width: int) -> None:
-    stored = model.stored_features.shape[1]
-    if stored != width:
-        raise CorruptArtifact(f"kNN rows are {stored} wide, the transformed input is {width}")
-
-
-def _check_trees(model: BoostedModel | ForestModel, width: int) -> None:
-    """Reject node arrays training cannot produce, and any that routing could loop on.
-
-    Besides the shapes and ranges, the walk from the roots, through both
-    children of every node that is not its own left and right child, must
-    reach every node exactly once: so no node has two parents or none, and
-    no cycle is reachable.
-    """
-    a = model.arrays
-    shapes = {name: array.shape for name, array in vars(a).items()}
-    node_shapes = {shape for name, shape in shapes.items() if name != "roots"}
-    if any(len(shape) != 1 for shape in shapes.values()) or len(node_shapes) != 1:
-        raise CorruptArtifact(f"the tree lists have shapes {shapes}, not one length")
-    n = len(a.value)
-    for name, index, bound in (("feature", a.feature, width), ("left", a.left, n),
-                               ("right", a.right, n), ("roots", a.roots, n)):
-        outside = index[(index < 0) | (index >= bound)]
-        if outside.size:
-            raise CorruptArtifact(f"a tree {name} index is {outside[0]}, outside [0, {bound})")
-    nodes = np.arange(n)
-    split = (a.left != nodes) | (a.right != nodes)
-    seen = np.zeros(n, dtype=np.intp)
-    level = a.roots
-    while level.size:  # each step reaches new nodes or raises
-        np.add.at(seen, level, 1)
-        if (seen[level] > 1).any():
-            raise CorruptArtifact(f"tree node {level[seen[level] > 1][0]} is reached twice")
-        level = level[split[level]]
-        level = np.concatenate([a.left[level], a.right[level]])
-    if not seen.all():
-        raise CorruptArtifact(f"{n - np.count_nonzero(seen)} tree nodes are not reachable")
-
-
-def _check_forest(model: ForestModel, width: int) -> None:
-    _check_trees(model, width)
-    if not model.arrays.roots.size:  # its mean over no trees would be NaN
-        raise CorruptArtifact("the forest has no trees")
-    if model.n_trees != len(model.arrays.roots):
-        raise CorruptArtifact(f"n_trees is {model.n_trees}, not {len(model.arrays.roots)}")
-
-
-def _check_boosted(model: BoostedModel, width: int, variant: str) -> None:
-    if model.variant != variant:
-        raise CorruptArtifact(f"variant is {model.variant!r}, not {variant!r}")
-    _check_trees(model, width)
-
-
-# ---------------------------------------------------------------------------
 # Classifier registry
 # ---------------------------------------------------------------------------
 
@@ -283,7 +202,6 @@ class ClassifierKind:
     train: Callable[[Dataset, PipelineConfig], object]
     predict: Callable[[object, np.ndarray], np.ndarray]  # malicious probability per row
     model: Callable[[], type]  # the model class, imported when called
-    check: Callable[[object, int], None]  # raises CorruptArtifact; int: input width
 
 
 # Insertion order is the comparison row order (serials 1-5).
@@ -295,28 +213,24 @@ CLASSIFIERS: dict[str, ClassifierKind] = {
         ),
         predict=lambda model, X: _module.predict_proba_mlp_batch(model, X),
         model=lambda: _import("neural").MlpModel,
-        check=lambda model, width: _check_layers("MLP", model.layers, width, 1),
     ),
     "knn": ClassifierKind(
         "K-NN",
         train=lambda ds, config: KnnModel(ds.features, ds.labels, min(config.knn_k, ds.n_rows)),
         predict=lambda model, X: predict_knn_batch(model, X),
         model=lambda: KnnModel,
-        check=_check_knn,
     ),
     "xgb": ClassifierKind(
         "XGB",
         train=lambda ds, config: _import("trees").train_xgb(ds, config.xgb),
         predict=lambda model, X: _module.predict_boosted_batch(model, X),
         model=lambda: _import("trees").BoostedModel,
-        check=lambda model, width: _check_boosted(model, width, "xgboost_style"),
     ),
     "gb": ClassifierKind(
         "Gradient Boosting",
         train=lambda ds, config: _import("trees").train_gradient_boosting(ds, config.gb),
         predict=lambda model, X: _module.predict_boosted_batch(model, X),
         model=lambda: _import("trees").BoostedModel,
-        check=lambda model, width: _check_boosted(model, width, "gradient_boosting"),
     ),
     "rf": ClassifierKind(
         "Random Forest",
@@ -325,7 +239,6 @@ CLASSIFIERS: dict[str, ClassifierKind] = {
         ),
         predict=lambda model, X: _module.predict_forest_batch(model, X),
         model=lambda: _import("trees").ForestModel,
-        check=_check_forest,
     ),
 }
 
@@ -439,10 +352,10 @@ def load_model(path: str) -> ModelArtifact:
         autoencoder = None if encoded is None else _decode(
             _import("neural").AutoencoderModel, encoded, "autoencoder"
         )
-        bounds = _decode(OutlierBounds, payload["bounds"], "bounds")
         artifact = ModelArtifact(
             feature_spec=_decode(FeatureSpec, payload["feature_spec"], "feature_spec"),
-            preprocessor=Preprocessor(bounds, autoencoder),
+            preprocessor=Preprocessor(_decode(OutlierBounds, payload["bounds"], "bounds"),
+                                      autoencoder),
             classifier_kind=kind,
             classifier=_decode(CLASSIFIERS[kind].model(), payload["classifier"], "classifier"),
             seed=_decode(int, payload["seed"], "seed"),
@@ -450,21 +363,43 @@ def load_model(path: str) -> ModelArtifact:
                                         "dataset_fingerprint"),
             created_at=_decode(str, header["created_at"], "created_at"),
         )
+        _check_widths(artifact)
     # OverflowError: an integer too large for a float where a float field is read
-    except (KeyError, TypeError, ValueError, OverflowError, KOutOfRange, DimensionMismatch,
-            UnknownLabel, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptArtifact(f"artifact payload is structurally invalid: {exc}") from exc
+    # a rule of a model's class or of the widths the parts are fed
+    except (ConfigError, DimensionMismatch, KOutOfRange, MalformedModel, UnknownLabel) as exc:
+        raise CorruptArtifact(str(exc)) from exc
+    return artifact
+
+
+def _check_widths(artifact: ModelArtifact) -> None:
+    """Raise unless each part of artifact takes the width the part before it gives,
+    from the feature spec through the bounds and the autoencoder to the classifier,
+    and a boosted model's variant is its kind's."""
     dim = artifact.feature_spec.dim
+    bounds, autoencoder = artifact.preprocessor.bounds, artifact.preprocessor.autoencoder
     for name in ("lower", "upper"):
         array = getattr(bounds, name)
         if array.shape != (dim,):
-            raise CorruptArtifact(
+            raise DimensionMismatch(
                 f"bounds.{name} has shape {array.shape}, the feature spec needs ({dim},)"
             )
     width = dim
     if autoencoder is not None:
         width = autoencoder.latent_dim
-        _check_layers("encoder", autoencoder.encoder_layers, dim, width)
-        _check_layers("decoder", autoencoder.decoder_layers, width, dim)
-    CLASSIFIERS[artifact.classifier_kind].check(artifact.classifier, width)
-    return artifact
+        _import("neural")._check_stack("encoder", autoencoder.encoder_layers, dim)
+        _import("neural")._check_stack("decoder", autoencoder.decoder_layers, width, dim)
+    model, kind = artifact.classifier, artifact.classifier_kind
+    if kind == "mlp":
+        _import("neural")._check_stack("MLP", model.layers, width, 1)
+    elif kind == "knn":
+        stored = model.stored_features.shape[1]
+        if stored != width:
+            raise DimensionMismatch(f"kNN rows are {stored} wide, "
+                                    f"the transformed input is {width}")
+    else:
+        variant = {"xgb": "xgboost_style", "gb": "gradient_boosting"}.get(kind)
+        if variant is not None and model.variant != variant:
+            raise MalformedModel(f"variant is {model.variant!r}, not {variant!r}")
+        _import("trees")._check_width(model.arrays, width)

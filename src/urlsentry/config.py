@@ -20,6 +20,21 @@ FEATURE_MODES = ("raw", "latent")
 # config can be built without importing the tree and network code.
 # trees and neural re-export them under their old names.
 
+def _check_at_least(params, low: int, *names: str) -> None:
+    """Raise ConfigError unless each named field of params is at least low."""
+    for name in names:
+        if getattr(params, name) < low:
+            raise ConfigError(f"{name} must be at least {low}, got {getattr(params, name)}")
+
+
+def _check_finite(params, *names: str, zero_ok: bool = False) -> None:
+    """Raise ConfigError unless each named field of params is finite and > 0 (>= 0 if zero_ok)."""
+    for name in names:
+        value = getattr(params, name)
+        if not (0.0 <= value if zero_ok else 0.0 < value) or value == float("inf"):
+            raise ConfigError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50
@@ -29,12 +44,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be at least 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
-        if not 0.0 < self.learning_rate < float("inf"):
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        _check_at_least(self, 0, "epochs")
+        _check_at_least(self, 1, "batch_size")
+        _check_finite(self, "learning_rate")
         if any(width < 1 for width in self.hidden_sizes):
             raise ConfigError(f"every hidden width must be at least 1, got {self.hidden_sizes}")
 
@@ -52,12 +64,23 @@ class ForestParams:
     bootstrap: bool = True
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ConfigError(f"a forest needs at least one tree, got n_trees={self.n_trees}")
+        if self.m_features is not None and self.m_features < 1:
+            raise ConfigError(f"a node needs at least one feature, got m_features={self.m_features}")
+        _check_at_least(self, 0, "max_depth")
+
 
 @dataclass(frozen=True)
 class BoostParams:
     n_rounds: int = 100
     learning_rate: float = 0.1
     max_depth: int = 3
+
+    def __post_init__(self):
+        _check_at_least(self, 0, "n_rounds", "max_depth")
+        _check_finite(self, "learning_rate")
 
 
 @dataclass(frozen=True)
@@ -67,6 +90,11 @@ class XgbParams:
     max_depth: int = 6
     lam: float = 1.0
     gamma: float = 0.0
+
+    def __post_init__(self):
+        _check_at_least(self, 0, "n_rounds", "max_depth")
+        _check_finite(self, "eta")
+        _check_finite(self, "lam", "gamma", zero_ok=True)
 
 
 # Config-file key (= CLI flag name) -> (PipelineConfig field, value parser, help).

@@ -66,6 +66,11 @@ class UnsupportedVersion(UrlSentryError):
         )
 
 
+class MalformedModel(UrlSentryError):
+    """Raised when a model is built from fields its class forbids (tree links that
+    are not trees, no trees or layers, an unknown variant or activation)."""
+
+
 class CorruptArtifact(UrlSentryError):
     """Raised when an artifact fails its checksum or structural checks."""
 

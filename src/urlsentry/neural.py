@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     LatentTooLarge,
+    MalformedModel,
     SingleClassTrainingSet,
 )
 from .pipeline import Dataset, one_row
@@ -35,10 +36,40 @@ class LayerParams:
     biases: np.ndarray[Any, np.dtype[np.float64]]  # d_out
     activation: str  # a key of ACTIVATIONS
 
+    def __post_init__(self):
+        if self.weights.ndim != 2:
+            raise DimensionMismatch(f"layer weights have shape {self.weights.shape}, not a matrix")
+        if self.activation not in ACTIVATIONS:
+            raise MalformedModel(f"unknown activation {self.activation!r}")
+
+
+def _check_stack(name: str, layers: list[LayerParams], width_in: int | None = None,
+                width_out: int | None = None) -> None:
+    """Raise unless the layer stack called name has layers, each taking the width
+    the one before gives and holding one bias per output (which LayerParams
+    leaves to its model), from width_in values (or what its first layer takes)
+    to width_out (or any number)."""
+    if not layers:
+        raise MalformedModel(f"the {name} has no layers")
+    width = layers[0].weights.shape[1] if width_in is None else width_in
+    for i, layer in enumerate(layers):
+        if layer.weights.shape[1] != width:
+            raise DimensionMismatch(f"{name} layer {i} has weights of shape "
+                                    f"{layer.weights.shape}, its input is {width} wide")
+        width = layer.weights.shape[0]
+        if layer.biases.shape != (width,):
+            raise DimensionMismatch(f"{name} layer {i} has biases of shape "
+                                    f"{layer.biases.shape}, its output is {width} wide")
+    if width_out is not None and width != width_out:
+        raise DimensionMismatch(f"the {name} outputs {width} values, {width_out} expected")
+
 
 @dataclass
 class MlpModel:
     layers: list[LayerParams]
+
+    def __post_init__(self):
+        _check_stack("MLP", self.layers)
 
 
 @dataclass
@@ -46,6 +77,10 @@ class AutoencoderModel:
     encoder_layers: list[LayerParams]
     decoder_layers: list[LayerParams]
     latent_dim: int
+
+    def __post_init__(self):
+        _check_stack("encoder", self.encoder_layers, width_out=self.latent_dim)
+        _check_stack("decoder", self.decoder_layers, self.latent_dim)
 
     @property
     def layers(self) -> list[LayerParams]:

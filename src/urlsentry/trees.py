@@ -62,13 +62,14 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from .config import BoostParams, ForestParams, XgbParams
-from .errors import ConfigError, DimensionMismatch, EmptyInput, SingleClassTrainingSet, TooFewRows
+from .errors import (DimensionMismatch, EmptyInput, MalformedModel, SingleClassTrainingSet,
+                     TooFewRows)
 from .pipeline import SCORING_CUT, Dataset, distinct_rows, one_row
 
 LEAF_DENOM_FLOOR = 1e-12  # guards Newton leaf values when hessians vanish
@@ -93,6 +94,10 @@ class TreeArrays:
     value[i] whose children are i itself, so a row routed on from a leaf
     stays there. A leaf stores feature 0 and threshold 0.0, a split value
     0.0. Each tree's nodes are numbered in preorder.
+
+    Building one checks all routing relies on but the input width (_check_width):
+    one length, links inside the arrays, feature 0 at every leaf, and a walk from
+    the roots through both children of every split that reaches every node once.
     """
 
     feature: np.ndarray[Any, np.dtype[np.intp]]
@@ -101,6 +106,33 @@ class TreeArrays:
     right: np.ndarray[Any, np.dtype[np.intp]]
     value: np.ndarray[Any, np.dtype[np.float64]]
     roots: np.ndarray[Any, np.dtype[np.intp]]
+
+    def __post_init__(self):
+        shapes = {name: array.shape for name, array in vars(self).items()}
+        node_shapes = {shape for name, shape in shapes.items() if name != "roots"}
+        if any(len(shape) != 1 for shape in shapes.values()) or len(node_shapes) != 1:
+            raise DimensionMismatch(f"the tree lists have shapes {shapes}, not one length")
+        n = len(self.value)
+        for name in ("left", "right", "roots"):
+            index = getattr(self, name)
+            outside = index[(index < 0) | (index >= n)]
+            if outside.size:
+                raise MalformedModel(f"a tree {name} index is {outside[0]}, outside [0, {n})")
+        nodes = np.arange(n)
+        split = (self.left != nodes) | (self.right != nodes)
+        leaf_features = self.feature[~split & (self.feature != 0)]
+        if leaf_features.size:
+            raise MalformedModel(f"a tree leaf stores feature {leaf_features[0]}, not 0")
+        seen = np.zeros(n, dtype=np.intp)
+        level = self.roots
+        while level.size:  # each step reaches new nodes or raises
+            np.add.at(seen, level, 1)
+            if (seen[level] > 1).any():
+                raise MalformedModel(f"tree node {level[seen[level] > 1][0]} is reached twice")
+            level = level[split[level]]
+            level = np.concatenate([self.left[level], self.right[level]])
+        if not seen.all():
+            raise MalformedModel(f"{n - np.count_nonzero(seen)} tree nodes are not reachable")
 
 
 @dataclass(frozen=True, eq=False)
@@ -636,11 +668,13 @@ def _check_width(arrays: TreeArrays, d: int) -> None:
     feature = arrays.feature[(arrays.left != nodes) | (arrays.right != nodes)]
     outside = feature[(feature < 0) | (feature >= d)]
     if outside.size:
-        raise DimensionMismatch(f"tree expects feature {outside[0]}, input has {d}")
+        raise DimensionMismatch(f"a tree feature index is {outside[0]}, outside [0, {d})")
 
 
-def _tree_outputs(arrays: TreeArrays, X: np.ndarray) -> np.ndarray:
-    """Each tree's output for each row of X, shape (trees, rows).
+def _tree_outputs(arrays: TreeArrays, X: np.ndarray,
+                  roots: np.ndarray | None = None) -> np.ndarray:
+    """The output of each tree of arrays, or of those rooted at roots, for each
+    row of X: shape (trees, rows).
 
     The caller has run _check_width on X's width. Every row descends in
     every tree one depth level per step; boundary values (x == threshold)
@@ -655,7 +689,7 @@ def _tree_outputs(arrays: TreeArrays, X: np.ndarray) -> np.ndarray:
     flat = X.ravel()
     row_start = np.arange(n) * d
     kids = np.stack([arrays.right, arrays.left], axis=1).ravel()  # node i goes to kids[2i + go_left]
-    node = np.repeat(arrays.roots[:, None], n, axis=1)
+    node = np.repeat((arrays.roots if roots is None else roots)[:, None], n, axis=1)
     while True:
         go_left = flat.take(row_start + arrays.feature.take(node)) < arrays.threshold.take(node)
         child = kids.take(2 * node + go_left)
@@ -687,7 +721,7 @@ def predict_tree(tree: TreeNode, x: np.ndarray) -> float:
     """
     X = one_row(x)
     _check_width(tree.arrays, X.shape[1])
-    return float(_tree_outputs(replace(tree.arrays, roots=np.array([tree.index])), X)[0, 0])
+    return float(_tree_outputs(tree.arrays, X, np.array([tree.index]))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +737,13 @@ class ForestModel:
     seed: int
 
     trees = property(_root_views)
+
+    def __post_init__(self):
+        roots = len(self.arrays.roots)
+        if not roots:  # its mean over no trees would be NaN
+            raise MalformedModel("the forest has no trees")
+        if self.n_trees != roots:
+            raise MalformedModel(f"n_trees is {self.n_trees}, not {roots}")
 
 
 def _feature_subsets(rng: np.random.Generator, d: int, m: int):
@@ -736,10 +777,6 @@ def train_random_forest(train: Dataset, params: ForestParams | None = None) -> F
     """Bagged CART ensemble; tree t draws everything from seed + t."""
     if params is None:
         params = ForestParams()
-    if params.n_trees < 1:
-        raise ConfigError(f"a forest needs at least one tree, got n_trees={params.n_trees}")
-    if params.m_features is not None and params.m_features < 1:
-        raise ConfigError(f"a node needs at least one feature, got m_features={params.m_features}")
     X = np.asarray(train.features, dtype=np.float64)
     y = np.asarray(train.labels, dtype=np.int64)
     _check_training(X)
@@ -790,6 +827,10 @@ class BoostedModel:
     gamma: float = 0.0
 
     trees = property(_root_views)
+
+    def __post_init__(self):
+        if self.variant not in ("gradient_boosting", "xgboost_style"):
+            raise MalformedModel(f"unknown boosting variant {self.variant!r}")
 
 
 def _base_rate_log_odds(y: np.ndarray) -> float:

@@ -1,7 +1,7 @@
 import json
 import re
 import string
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from urlsentry import artifact as artifact_module
 from urlsentry.artifact import (
+    CLASSIFIER_KINDS,
     load_model,
     predict_feature_matrix,
     predict_urls,
@@ -22,7 +23,7 @@ from urlsentry.errors import CorruptArtifact, DimensionMismatch, UnsupportedVers
 from urlsentry.features import FeatureSpec, featurize_many
 from urlsentry.knn import KnnModel
 from urlsentry.neural import ACTIVATIONS, LayerParams, TrainConfig
-from urlsentry.pipeline import OutlierBounds
+from urlsentry.pipeline import Dataset, OutlierBounds
 from urlsentry.runner import load_labeled_dataset, train_artifact
 from urlsentry.trees import (
     BoostParams,
@@ -495,21 +496,39 @@ def float_array(shape):
     return hnp.arrays(np.float64, shape, elements=FINITE)
 
 
-def index_array(shape):
-    return hnp.arrays(np.intp, shape, elements=INDICES)
+@st.composite
+def preorder_trees(draw):
+    """A TreeArrays of one to four trees of random shapes, each numbered in preorder,
+    with arbitrary split features and finite thresholds and values."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(depth: int) -> int:
+        node = len(value)
+        split = depth < 3 and draw(st.booleans())
+        feature.append(draw(INDICES) if split else 0)
+        threshold.append(draw(FINITE) if split else 0.0)
+        value.append(0.0 if split else draw(FINITE))
+        left.append(node)
+        right.append(node)
+        if split:
+            left[node] = grow(depth + 1)
+            right[node] = grow(depth + 1)
+        return node
+
+    roots = [grow(0) for _ in range(draw(st.integers(1, 4)))]
+    index = lambda values: np.array(values, dtype=np.intp)
+    return TreeArrays(index(feature), np.array(threshold), index(left), index(right),
+                      np.array(value), index(roots))
 
 
 @st.composite
 def stored_models(draw):
-    """A TreeArrays, KnnModel, LayerParams or OutlierBounds of arbitrary finite contents."""
+    """A TreeArrays, KnnModel, LayerParams or OutlierBounds of arbitrary finite contents,
+    trees of random preorder shapes."""
     n, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     kind = draw(st.sampled_from(["trees", "knn", "layer", "bounds"]))
     if kind == "trees":
-        return TreeArrays(
-            feature=draw(index_array(n)), threshold=draw(float_array(n)),
-            left=draw(index_array(n)), right=draw(index_array(n)),
-            value=draw(float_array(n)), roots=draw(index_array(d)),
-        )
+        return draw(preorder_trees())
     if kind == "knn":
         return KnnModel(draw(float_array((n, d))),
                         draw(hnp.arrays(np.intp, n, elements=st.integers(0, 1))),
@@ -532,6 +551,36 @@ def test_stored_fields_survive_the_codec_bit_for_bit(model):
             assert got.tobytes() == want.tobytes(), field.name
         else:
             assert got == want, field.name
+
+
+def rebuilt(value):
+    """value built again from its own fields, and so are the models and lists it holds."""
+    if is_dataclass(value):
+        return type(value)(**{f.name: rebuilt(getattr(value, f.name)) for f in fields(value)})
+    if isinstance(value, list):
+        return [rebuilt(item) for item in value]
+    return value
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16), n_rows=st.integers(12, 60))
+def test_every_trained_model_rebuilds_and_survives_the_codec(seed, n_rows, tmp_path_factory):
+    """Each model class accepts every model training gives, built again from its
+    fields or loaded from its file, and both save to the bytes it saved to."""
+    urls = random_urls(n_rows, seed=seed)
+    labels = np.random.default_rng(seed).permutation(np.arange(n_rows) % 2)
+    dataset = Dataset(featurize_many(urls, FeatureSpec()), labels, urls)
+    path = tmp_path_factory.mktemp("models")
+    for kind in CLASSIFIER_KINDS:
+        for feature_mode in ("raw", "latent"):
+            artifact = replace(train_artifact(dataset, small_config(kind, feature_mode)),
+                               created_at="2026-01-01T00:00:00+00:00")
+            save_model(artifact, str(path / "trained.json"))
+            save_model(rebuilt(artifact), str(path / "rebuilt.json"))
+            save_model(load_model(str(path / "trained.json")), str(path / "loaded.json"))
+            saved = (path / "trained.json").read_bytes()
+            assert (path / "rebuilt.json").read_bytes() == saved, (kind, feature_mode)
+            assert (path / "loaded.json").read_bytes() == saved, (kind, feature_mode)
 
 
 def test_latent_tree_feature_checked_against_latent_width(training_data, tmp_path):

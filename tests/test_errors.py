@@ -2,8 +2,11 @@
 
 No rows to fit or score is EmptyInput; shapes that disagree (a width that
 is not the one a model or spec needs, a tree trainer given no column, or
-paired sequences of different lengths) are DimensionMismatch.
+paired sequences of different lengths) are DimensionMismatch; a model built
+from fields its class forbids is MalformedModel.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from conftest import random_urls, separable_dataset
 from urlsentry import neural, trees
 from urlsentry.artifact import transform_features
 from urlsentry.config import BoostParams, ForestParams, PipelineConfig, TrainConfig, XgbParams
-from urlsentry.errors import DimensionMismatch, EmptyInput
+from urlsentry.errors import DimensionMismatch, EmptyInput, MalformedModel
 from urlsentry.evaluation import (
     ConfusionMatrix,
     compare_classifiers,
@@ -109,3 +112,65 @@ WIDTH_CALLS = {
 def test_shapes_that_disagree_are_dimension_mismatch(call):
     with pytest.raises(DimensionMismatch):
         call()
+
+
+def tree_arrays(left, right, roots, feature=None, length=None):
+    """TreeArrays with the given links; every node's feature is 0 unless given."""
+    n = len(left) if length is None else length
+    index = lambda values: np.array(values, dtype=np.intp)
+    return trees.TreeArrays(index(feature or [0] * len(left)), np.zeros(n), index(left),
+                            index(right), np.zeros(n), index(roots))
+
+
+STUMP = tree_arrays([1, 1, 2], [2, 1, 2], [0])  # node 0 splits into leaves 1 and 2
+
+
+def layer(d_out, d_in, activation="relu", biases=None):
+    return neural.LayerParams(np.zeros((d_out, d_in)),
+                              np.zeros(d_out if biases is None else biases), activation)
+
+
+# Each model class rejects, when built, what routing or a forward pass cannot use.
+INVALID_MODELS = {
+    "tree-lists-of-unequal-length": (lambda: tree_arrays([0, 1], [0, 1], [0], length=3),
+                                     DimensionMismatch, "the tree lists have shapes"),
+    "child-out-of-range": (lambda: tree_arrays([1, 1, 2], [3, 1, 2], [0]),
+                           MalformedModel, "a tree right index is 3, outside [0, 3)"),
+    "root-out-of-range": (lambda: tree_arrays([0], [0], [-1]),
+                          MalformedModel, "a tree roots index is -1, outside [0, 1)"),
+    "node-reached-twice": (lambda: tree_arrays([1, 1, 2], [1, 1, 2], [0]),
+                           MalformedModel, "tree node 1 is reached twice"),
+    "cycle": (lambda: tree_arrays([1, 1], [0, 1], [0]),
+              MalformedModel, "tree node 0 is reached twice"),
+    "unreachable-node": (lambda: tree_arrays([0, 1], [0, 1], [0]),
+                         MalformedModel, "1 tree nodes are not reachable"),
+    "leaf-with-a-feature": (lambda: tree_arrays([1, 1, 2], [2, 1, 2], [0], feature=[0, 0, 4]),
+                            MalformedModel, "a tree leaf stores feature 4, not 0"),
+    "forest-with-no-roots": (lambda: trees.ForestModel(tree_arrays([], [], []), 0, 1, True, 0),
+                             MalformedModel, "the forest has no trees"),
+    "forest-n-trees-mismatch": (lambda: trees.ForestModel(STUMP, 2, 1, True, 0),
+                                MalformedModel, "n_trees is 2, not 1"),
+    "unknown-variant": (lambda: trees.BoostedModel("adaboost", 0.0, STUMP, 0.1),
+                        MalformedModel, "unknown boosting variant 'adaboost'"),
+    "unknown-activation": (lambda: layer(1, 2, "tanh"),
+                           MalformedModel, "unknown activation 'tanh'"),
+    "weights-not-a-matrix": (lambda: neural.LayerParams(np.zeros(3), np.zeros(1), "relu"),
+                             DimensionMismatch, "layer weights have shape (3,), not a matrix"),
+    "bias-shape": (lambda: neural.MlpModel([layer(1, 2, biases=2)]), DimensionMismatch,
+                   "MLP layer 0 has biases of shape (2,), its output is 1 wide"),
+    "broken-width-chain": (lambda: neural.MlpModel([layer(3, 2), layer(1, 4)]), DimensionMismatch,
+                           "MLP layer 1 has weights of shape (1, 4), its input is 3 wide"),
+    "mlp-with-no-layers": (lambda: neural.MlpModel([]), MalformedModel, "the MLP has no layers"),
+    "latent-width-mismatch": (
+        lambda: neural.AutoencoderModel([layer(3, 5)], [layer(5, 3, "identity")], 2),
+        DimensionMismatch, "the encoder outputs 3 values, 2 expected"),
+    "decoder-width-chain": (
+        lambda: neural.AutoencoderModel([layer(3, 5)], [layer(5, 4, "identity")], 3),
+        DimensionMismatch, "decoder layer 0 has weights of shape (5, 4), its input is 3 wide"),
+}
+
+
+@pytest.mark.parametrize("build, error, message", INVALID_MODELS.values(), ids=INVALID_MODELS)
+def test_invalid_model_cannot_be_built(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        build()

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -430,6 +431,35 @@ class TestRandomForest:
     def test_no_features_rejected(self, toy_dataset, m_features):
         with pytest.raises(ConfigError, match=f"got m_features={m_features}"):
             train_random_forest(toy_dataset, ForestParams(m_features=m_features))
+
+
+class TestParamsChecks:
+    @pytest.mark.parametrize("params, settings, message", [
+        (ForestParams, {"n_trees": 0}, "a forest needs at least one tree, got n_trees=0"),
+        (ForestParams, {"m_features": 0}, "a node needs at least one feature, got m_features=0"),
+        (ForestParams, {"max_depth": -1}, "max_depth must be at least 0, got -1"),
+        (BoostParams, {"n_rounds": -1}, "n_rounds must be at least 0, got -1"),
+        (BoostParams, {"max_depth": -2}, "max_depth must be at least 0, got -2"),
+        (BoostParams, {"learning_rate": float("inf")},
+         "learning_rate must be finite and > 0, got inf"),
+        (BoostParams, {"learning_rate": 0.0}, "learning_rate must be finite and > 0, got 0.0"),
+        (XgbParams, {"n_rounds": -3}, "n_rounds must be at least 0, got -3"),
+        (XgbParams, {"max_depth": -1}, "max_depth must be at least 0, got -1"),
+        (XgbParams, {"eta": float("nan")}, "eta must be finite and > 0, got nan"),
+        (XgbParams, {"eta": -0.3}, "eta must be finite and > 0, got -0.3"),
+        (XgbParams, {"lam": -1.0}, "lam must be finite and >= 0, got -1.0"),
+        (XgbParams, {"lam": float("inf")}, "lam must be finite and >= 0, got inf"),
+        (XgbParams, {"gamma": float("nan")}, "gamma must be finite and >= 0, got nan"),
+        (XgbParams, {"gamma": -0.5}, "gamma must be finite and >= 0, got -0.5"),
+    ])
+    def test_unusable_settings_rejected(self, params, settings, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            params(**settings)
+
+    def test_zero_rounds_depth_and_regularization_accepted(self):
+        assert XgbParams(n_rounds=0, max_depth=0, lam=0.0, gamma=0.0).n_rounds == 0
+        assert BoostParams(n_rounds=0, max_depth=0).max_depth == 0
+        assert ForestParams(max_depth=0).max_depth == 0
 
 
 class TestFeatureSampler:
